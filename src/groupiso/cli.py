@@ -16,20 +16,21 @@ byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import catalogue, corpus, fields, growth, isoperimetry, reporting, specio, uncertainty
-from .groups import explore, validate_ball
+from .groups import ResourceCapError, explore, validate_ball
 
 _PS = (1.0, 2.0, 3.0)
 _ALPHAS = (0.5, 1.0, 2.0)
 
 
-def _add_instance_args(sub: argparse.ArgumentParser) -> None:
-    pick = sub.add_mutually_exclusive_group(required=True)
+def _add_instance_args(sub: argparse.ArgumentParser, required: bool = True) -> None:
+    pick = sub.add_mutually_exclusive_group(required=required)
     pick.add_argument("--instance", help="catalogue name, see `groupiso build --list`")
     pick.add_argument("--spec", help="path to a JSON instance spec")
     sub.add_argument("--horizon", type=int, help="override the exploration radius")
@@ -39,7 +40,9 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
 def _resolve(args):
     if args.instance:
         system = catalogue.system(args.instance)
-        horizon = args.horizon or catalogue.default_horizon(args.instance)
+        horizon = args.horizon
+        if horizon is None:
+            horizon = catalogue.default_horizon(args.instance)
         return system, explore(system, horizon, args.max_vertices)
     spec = specio.load_spec(args.spec)
     return specio.system_from_spec(spec), specio.build_from_spec(spec, args.horizon)
@@ -140,12 +143,10 @@ def cmd_constants(args) -> int:
     _, ball = _resolve(args)
     cand = isoperimetry.default_candidates(ball)
     entries = []
-    import math as _math
-
     for k in range(1, args.kmax + 1):
         if k > cand.shape[0]:
             break
-        if _math.comb(cand.shape[0], k) <= args.cap:
+        if math.comb(cand.shape[0], k) <= args.cap:
             entries.append(isoperimetry.min_perimeter(ball, k, cand, cap=args.cap, workers=args.workers))
         else:
             entries.append(
@@ -348,11 +349,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("build", help="explore a window and summarize it")
     p.add_argument("--list", action="store_true", help="list catalogue names and exit")
-    pick = p.add_mutually_exclusive_group()
-    pick.add_argument("--instance")
-    pick.add_argument("--spec")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--max-vertices", type=int, default=500_000)
+    _add_instance_args(p, required=False)
     p.add_argument("--json")
     p.set_defaults(func=cmd_build)
 
@@ -416,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("build needs --instance, --spec, or --list")
     try:
         return args.func(args)
-    except (isoperimetry.WorkCapError, ValueError, KeyError, OSError) as exc:
+    except (isoperimetry.WorkCapError, ResourceCapError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

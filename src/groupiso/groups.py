@@ -66,6 +66,7 @@ class ExploredBall:
         # generated systems look the same from every state; explicit
         # edge lists carry no such promise
         self.regular = bool(regular)
+        self._diameter: int | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -109,6 +110,34 @@ class ExploredBall:
         )
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, without the hash table of ``np.unique``.
+
+    That table costs about 1 MB of resident memory on its first use.
+    """
+    values = np.sort(values)
+    keep = np.ones(values.size, np.bool_)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _csr(num_vertices: int, tails, heads) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted symmetric CSR of the simple graph with edges tails[i]-heads[i].
+
+    Self loops are dropped and repeated edges collapsed.
+    """
+    tails = np.asarray(tails, np.int64)
+    heads = np.asarray(heads, np.int64)
+    keep = tails != heads
+    tails, heads = tails[keep], heads[keep]
+    # one key per directed entry; sorting the keys sorts rows, then columns
+    keys = _unique(np.concatenate([tails * num_vertices + heads, heads * num_vertices + tails]))
+    rows, indices = np.divmod(keys, num_vertices)
+    indptr = np.zeros(num_vertices + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_vertices), out=indptr[1:])
+    return indptr, indices
+
+
 def explore(system: GeneratedSystem, horizon: int, max_vertices: int = 500_000) -> ExploredBall:
     """Breadth first exploration of ``system`` out to ``horizon`` moves.
 
@@ -127,7 +156,8 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = 500_000) 
     index = {base: 0}
     labels = [base]
     dist = [0]
-    edges: set[tuple[int, int]] = set()
+    tails: list[int] = []
+    heads: list[int] = []
     queue = deque([0])
     dropped = False
     while queue:
@@ -136,8 +166,6 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = 500_000) 
         u = labels[iu]
         for move in system.moves:
             v = move(u)
-            if v == u:
-                continue
             iv = index.get(v)
             if iv is None:
                 if du >= horizon:
@@ -152,19 +180,9 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = 500_000) 
                 labels.append(v)
                 dist.append(du + 1)
                 queue.append(iv)
-            edges.add((iu, iv) if iu < iv else (iv, iu))
-    n = len(labels)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    indptr = np.zeros(n + 1, np.int64)
-    for v in range(n):
-        adj[v].sort()
-        indptr[v + 1] = indptr[v] + len(adj[v])
-    indices = np.fromiter(
-        (w for nbrs in adj for w in nbrs), np.int64, count=int(indptr[-1])
-    )
+            tails.append(iu)
+            heads.append(iv)
+    indptr, indices = _csr(len(labels), tails, heads)
     # Schreier quotients lose regularity when loops at fixed points drop out
     return ExploredBall(
         system.name, horizon, dist, indptr, indices, not dropped, labels,
@@ -184,103 +202,109 @@ def ball_from_edges(
     The graph must be connected from ``base``; distances are computed by
     breadth first search and the window is marked complete.
     """
-    dedup = {(min(a, b), max(a, b)) for a, b in edges if a != b}
-    adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    for a, b in dedup:
-        adj[a].append(b)
-        adj[b].append(a)
-    dist = np.full(num_vertices, -1, np.int64)
-    dist[base] = 0
-    queue = deque([base])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    if (dist < 0).any():
-        raise ValueError(f"{name}: graph is not connected from the base vertex")
     if base != 0:
         raise ValueError("base vertex must be index 0")
-    indptr = np.zeros(num_vertices + 1, np.int64)
-    for v in range(num_vertices):
-        adj[v].sort()
-        indptr[v + 1] = indptr[v] + len(adj[v])
-    indices = np.fromiter(
-        (w for nbrs in adj for w in nbrs), np.int64, count=int(indptr[-1])
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    ends = np.asarray(edges, np.int64).reshape(-1, 2)
+    if ends.size and (ends.min() < 0 or ends.max() >= num_vertices):
+        raise ValueError(f"{name}: an edge endpoint lies outside 0..{num_vertices - 1}")
+    indptr, indices = _csr(num_vertices, ends[:, 0], ends[:, 1])
+    # the breadth first search runs on the ball, so distances come last
+    ball = ExploredBall(
+        name, 1, np.zeros(num_vertices), indptr, indices, True,
+        range(num_vertices), regular=False,
     )
-    if horizon is None:
-        horizon = int(dist.max())
-    return ExploredBall(
-        name, max(horizon, 1), dist, indptr, indices, True,
-        list(range(num_vertices)), regular=False,
-    )
+    ball.dist = distances_from(ball, [base])
+    if (ball.dist < 0).any():
+        raise ValueError(f"{name}: graph is not connected from the base vertex")
+    ball.horizon = max(int(ball.dist.max()), 1) if horizon is None else horizon
+    return ball
 
 
 def distances_from(ball: ExploredBall, sources: Sequence[int]) -> np.ndarray:
     """Graph distance from the nearest source, breadth first, within the window."""
-    n = ball.num_vertices
-    dist = np.full(n, -1, np.int64)
-    queue = deque()
-    for s in sources:
-        dist[s] = 0
-        queue.append(int(s))
     indptr, indices = ball.indptr, ball.indices
-    while queue:
-        u = queue.popleft()
-        for e in range(indptr[u], indptr[u + 1]):
-            v = int(indices[e])
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    dist = np.full(ball.num_vertices, -1, np.int64)
+    frontier = _unique(np.asarray(sources, np.int64))
+    level = 0
+    while frontier.size:
+        dist[frontier] = level
+        level += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # CSR positions of every entry in the frontier rows
+        pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        reached = indices[pos]
+        frontier = _unique(reached[dist[reached] < 0])
     return dist
 
 
 def diameter(ball: ExploredBall) -> int:
-    """Exact diameter of a complete window."""
+    """Exact diameter of a complete window, memoized on the ball."""
     if not ball.complete:
         raise ValueError("diameter is only defined on a complete window")
-    best = 0
-    for v in range(ball.num_vertices):
-        d = distances_from(ball, [v])
-        best = max(best, int(d.max()))
-    return best
+    if ball._diameter is None:
+        ball._diameter = max(
+            int(distances_from(ball, [v]).max()) for v in range(ball.num_vertices)
+        )
+    return ball._diameter
 
 
 def validate_ball(ball: ExploredBall) -> list[str]:
-    """Structural sanity report; an empty list means no issue found."""
+    """Structural sanity report; an empty list means no issue found.
+
+    Issues of one kind are listed in vertex order, edges in (tail, head)
+    order.
+    """
     issues: list[str] = []
     n = ball.num_vertices
-    indptr, indices, dist = ball.indptr, ball.indices, ball.dist
+    rows, indices, dist = ball.rows, ball.indices, ball.dist
     if dist[ball.base_index] != 0:
         issues.append("base vertex is not at distance 0")
-    pairs = set()
-    for v in range(n):
-        row = indices[indptr[v] : indptr[v + 1]]
-        if np.any(row == v):
+    loops = set(rows[rows == indices].tolist())
+    same_row = rows[1:] == rows[:-1]
+    unsorted = set(rows[1:][same_row & (np.diff(indices) <= 0)].tolist())
+    for v in sorted(loops | unsorted):
+        if v in loops:
             issues.append(f"vertex {v} carries a self loop")
-        if np.any(np.diff(row) <= 0):
+        if v in unsorted:
             issues.append(f"adjacency row of vertex {v} is not strictly sorted")
-        for w in row:
-            pairs.add((v, int(w)))
-    for v, w in pairs:
-        if (w, v) not in pairs:
+    keys = _unique(rows * n + indices)
+    tail, head = np.divmod(keys, n)
+    mirrors = head * n + tail
+    at = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
+    unmirrored = keys[at] != mirrors
+    skips = np.abs(dist[tail] - dist[head]) > 1
+    for e in np.flatnonzero(unmirrored | skips).tolist():
+        v, w = int(tail[e]), int(head[e])
+        if unmirrored[e]:
             issues.append(f"edge {v}->{w} has no mirror entry")
-        if abs(int(dist[v]) - int(dist[w])) > 1:
+        if skips[e]:
             issues.append(f"edge {v}-{w} skips a distance level")
-    for v in range(n):
-        if v == ball.base_index:
-            continue
-        row = indices[indptr[v] : indptr[v + 1]]
-        if not np.any(dist[row] == dist[v] - 1):
-            issues.append(f"vertex {v} has no neighbor one level closer to the base")
+    closer = np.zeros(n, np.bool_)
+    closer[rows[dist[indices] == dist[rows] - 1]] = True
+    closer[ball.base_index] = True
+    for v in np.flatnonzero(~closer).tolist():
+        issues.append(f"vertex {v} has no neighbor one level closer to the base")
     if dist.max() > ball.horizon:
         issues.append("a vertex lies beyond the declared horizon")
     if ball.regular:
-        interior_degs = set(int(d) for d in ball.degrees[ball.interior])
+        interior_degs = _unique(ball.degrees[ball.interior]).tolist()
         if len(interior_degs) > 1:
-            issues.append(f"interior degrees vary: {sorted(interior_degs)}")
+            issues.append(f"interior degrees vary: {interior_degs}")
     return issues
+
+
+def right_translations(system: GeneratedSystem, ball: ExploredBall) -> list[list[int]]:
+    """Right translations of a complete Cayley window: row b maps a to a*b."""
+    if system.kind != "cayley" or system.multiply is None:
+        raise ValueError("right translations need a Cayley system")
+    if not ball.complete:
+        raise ValueError("right translations need the whole group")
+    idx = ball.index_of
+    labels = ball.labels
+    return [[idx[system.multiply(a, b)] for a in labels] for b in labels]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .fields import grad_modulus_exact, l1_norm_exact
-from .groups import ExploredBall, GeneratedSystem, acting_group_elements
+from .groups import ExploredBall, GeneratedSystem, acting_group_elements, right_translations
 
 
 def growth_counts(ball: ExploredBall) -> np.ndarray:
@@ -93,25 +93,14 @@ def half_mass_radius(ball: ExploredBall, k: int) -> int | None:
 # Translation bounds
 
 
-def _edge_pairs(ball: ExploredBall) -> set[tuple[int, int]]:
-    pairs = set()
-    for v in range(ball.num_vertices):
-        for e in range(ball.indptr[v], ball.indptr[v + 1]):
-            w = int(ball.indices[e])
-            if v < w:
-                pairs.add((v, w))
-    return pairs
-
-
 def _is_automorphism(ball: ExploredBall, image: list[int]) -> bool:
-    if sorted(image) != list(range(ball.num_vertices)):
+    image = np.asarray(image, np.int64)
+    n = ball.num_vertices
+    if not np.array_equal(np.sort(image), np.arange(n)):
         return False
-    edges = _edge_pairs(ball)
-    for v, w in edges:
-        a, b = image[v], image[w]
-        if ((a, b) if a < b else (b, a)) not in edges:
-            return False
-    return True
+    # the CSR keys rows*n + indices are sorted; a bijection keeps them distinct
+    keys = ball.rows * n + ball.indices
+    return np.array_equal(np.sort(image[ball.rows] * n + image[ball.indices]), keys)
 
 
 def translation_maps(system: GeneratedSystem, ball: ExploredBall) -> tuple[list[list[int]], int, bool]:
@@ -124,20 +113,15 @@ def translation_maps(system: GeneratedSystem, ball: ExploredBall) -> tuple[list[
     """
     if not ball.complete:
         raise ValueError("translation maps need a complete window")
-    maps: list[list[int]] = []
     if system.kind == "cayley":
-        if system.multiply is None:
-            raise ValueError("cayley system lacks a multiplication")
-        for y in ball.labels:
-            maps.append([ball.index_of[system.multiply(v, y)] for v in ball.labels])
+        maps = right_translations(system, ball)
         stab = 1
     elif system.kind == "schreier":
         elements = acting_group_elements(system)
         if len(elements) % ball.num_vertices != 0:
             raise ValueError("orbit size does not divide the acting group order")
         stab = len(elements) // ball.num_vertices
-        for g in elements:
-            maps.append([ball.index_of[g[pt]] for pt in ball.labels])
+        maps = [[ball.index_of[g[pt]] for pt in ball.labels] for g in elements]
     else:
         raise ValueError(f"no translations for kind {system.kind!r}")
     automorphic = all(_is_automorphism(ball, m) for m in maps)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .groups import ExploredBall, GeneratedSystem, explore
+from .groups import ExploredBall, GeneratedSystem, explore, right_translations
 
 
 class WorkCapError(RuntimeError):
@@ -233,30 +233,20 @@ def anneal_min_perimeter(
 # Double counting on finite groups
 
 
-def multiplication_table(system: GeneratedSystem, ball: ExploredBall) -> list[list[int]]:
-    """Index table of right multiplications on a complete Cayley window."""
-    if system.kind != "cayley" or system.multiply is None:
-        raise ValueError("multiplication table needs a Cayley system")
-    if not ball.complete:
-        raise ValueError("multiplication table needs the whole group")
-    idx = ball.index_of
-    labels = ball.labels
-    return [[idx[system.multiply(a, b)] for a in labels] for b in labels]
+def _deficit(column: list[int], a_mask: int) -> int:
+    """Size of (A shifted by one group element) minus A, A as a bit mask."""
+    shifted = 0
+    rest = a_mask
+    while rest:
+        low = rest & -rest
+        shifted |= 1 << column[low.bit_length() - 1]
+        rest ^= low
+    return (shifted & ~a_mask).bit_count()
 
 
 def shift_deficit(columns: list[list[int]], a_mask: int, b_members: Sequence[int]) -> Fraction:
     """Mean size of (A shifted by b) minus A over b in B, exactly."""
-    total = 0
-    for b in b_members:
-        col = columns[b]
-        shifted = 0
-        rest = a_mask
-        while rest:
-            low = rest & -rest
-            shifted |= 1 << col[low.bit_length() - 1]
-            rest ^= low
-        total += (shifted & ~a_mask).bit_count()
-    return Fraction(total, len(b_members))
+    return Fraction(sum(_deficit(columns[b], a_mask) for b in b_members), len(b_members))
 
 
 def double_counting_report(
@@ -273,7 +263,7 @@ def double_counting_report(
     n = ball.num_vertices
     if n > max_order:
         raise WorkCapError(f"group order {n} exceeds the exhaustive limit {max_order}")
-    columns = multiplication_table(system, ball)
+    columns = right_translations(system, ball)
     checked = 0
     equalities = 0
     min_slack: Fraction | None = None
@@ -283,16 +273,7 @@ def double_counting_report(
     members = [[i for i in range(n) if m >> i & 1] for m in masks]
     for ai, a_mask in enumerate(masks):
         asize = popcounts[ai]
-        deficits = []
-        for b in range(n):
-            col = columns[b]
-            shifted = 0
-            rest = a_mask
-            while rest:
-                low = rest & -rest
-                shifted |= 1 << col[low.bit_length() - 1]
-                rest ^= low
-            deficits.append((shifted & ~a_mask).bit_count())
+        deficits = [_deficit(col, a_mask) for col in columns]
         for bi, b_mask in enumerate(masks):
             bsize = popcounts[bi]
             if 2 * asize > bsize:

@@ -57,7 +57,8 @@ def validate_spec(spec: dict) -> None:
     if kind != "explicit" and "horizon" not in spec:
         raise ValueError(f"kind {kind!r} requires a horizon")
     horizon = spec.get("horizon")
-    if horizon is not None and (not isinstance(horizon, int) or horizon < 1):
+    # bool is an int subclass, but true is no horizon
+    if horizon is not None and (type(horizon) is not int or horizon < 1):
         raise ValueError("horizon must be a positive integer")
 
 

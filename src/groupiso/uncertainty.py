@@ -33,7 +33,7 @@ from .fields import (
     weighted_lp_norm,
     zero_sum,
 )
-from .groups import ExploredBall, distances_from
+from .groups import ExploredBall, diameter, distances_from
 from .growth import growth_counts, growth_value, half_mass_radius, mass_radius
 from .isoperimetry import ProfileEntry
 
@@ -162,19 +162,6 @@ def uncertainty_ratio(
     return norm / denom
 
 
-def graph_diameter(ball: ExploredBall) -> int:
-    """Diameter of a complete window, memoized on the ball."""
-    cached = getattr(ball, "_diameter", None)
-    if cached is None:
-        if not ball.complete:
-            raise ValueError("diameter needs a complete window")
-        cached = 0
-        for v in range(ball.num_vertices):
-            cached = max(cached, int(distances_from(ball, [v]).max()))
-        ball._diameter = cached
-    return cached
-
-
 def additive_link_report(
     ball: ExploredBall,
     values: np.ndarray,
@@ -206,7 +193,7 @@ def additive_link_report(
             ok = ok and good
             rows.append({"r": r, "lhs": lhs, "rhs": rhs, "ok": good})
     else:
-        d0 = graph_diameter(ball)
+        d0 = diameter(ball)
         lhs = lp_norm(values, p)
         grad = grad_lp_norm(ball, values, p)
         wnorm = weighted_lp_norm(values, weight, alpha, p)
@@ -229,7 +216,7 @@ def poincare_report(
 ) -> dict:
     """Zero sum mean-value bound on a complete graph."""
     values = np.asarray(values, np.float64)
-    d0 = graph_diameter(ball)
+    d0 = diameter(ball)
     norm = lp_norm(values, p)
     grad = grad_lp_norm(ball, values, p)
     bound = poincare_constant(p, factors) * p * d0 * grad

@@ -152,3 +152,27 @@ def test_corpus_zero_mean_float():
 def test_unknown_instance_fails():
     out = run_cli("growth", "--instance", "nope", check=False)
     assert out.returncode == 2
+
+
+def _one_error_line(out):
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
+def test_vertex_budget_is_an_error():
+    _one_error_line(
+        run_cli("build", "--instance", "f2", "--horizon", "12", "--max-vertices", "1000", check=False)
+    )
+
+
+@pytest.mark.parametrize("target", [("--instance", "z2"), ("--spec", os.path.join(SPECS, "path3.json"))])
+def test_zero_horizon_is_an_error(target):
+    _one_error_line(run_cli("build", *target, "--horizon", "0", check=False))
+
+
+def test_boolean_spec_horizon_is_an_error(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"kind": "cyclic", "n": 6, "horizon": True}))
+    _one_error_line(run_cli("build", "--spec", str(path), check=False))

@@ -114,6 +114,7 @@ def test_spec_horizon_override():
         {"kind": "unknown", "horizon": 4},
         {"kind": "cyclic", "n": 6, "horizon": 0},
         {"kind": "cyclic", "n": 6, "horizon": "four"},
+        {"kind": "cyclic", "n": 6, "horizon": True},
         {"kind": "explicit", "vertices": 3},
         {"kind": "permutation_action", "horizon": 2},
     ],

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from groupiso import catalogue
 from groupiso.groups import (
+    ExploredBall,
     ResourceCapError,
     ball_from_edges,
     cyclic,
@@ -97,6 +99,22 @@ def test_explicit_graph_rejects_disconnected():
         ball_from_edges("bad", 4, [(0, 1), (2, 3)])
 
 
+def test_explicit_graph_rejects_outside_endpoint():
+    with pytest.raises(ValueError, match="outside"):
+        ball_from_edges("bad", 3, [(0, 1), (1, 3)])
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "heisenberg", "q6", "s4", "s4_points"])
+def test_csr_matches_moves(name):
+    # reference adjacency straight from the generator moves, one vertex at a time
+    ball = catalogue.build(name)
+    system = catalogue.system(name)
+    for u, label in enumerate(ball.labels):
+        nbrs = {ball.index_of.get(move(label)) for move in system.moves} - {None, u}
+        row = ball.indices[ball.indptr[u] : ball.indptr[u + 1]]
+        assert row.tolist() == sorted(nbrs)
+
+
 def test_explicit_graph_dedupes():
     g = ball_from_edges("multi", 2, [(0, 1), (1, 0), (0, 0)])
     assert g.num_edges == 1
@@ -107,6 +125,47 @@ def test_validate_catches_mutilation(ring16):
     broken.dist[3] = 7
     issues = validate_ball(broken)
     assert any("skips a distance level" in s for s in issues)
+
+
+def _window(rows, dist, horizon=2):
+    """Complete hand-made window with the given adjacency rows."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = [w for r in rows for w in r]
+    return ExploredBall("hand", horizon, dist, indptr, indices, True, range(len(rows)), False)
+
+
+# small windows, each mutilated in one way, and every issue it must raise
+MUTILATED = {
+    "self_loop": (([1], [0, 1, 2], [1]), (0, 1, 2), 2, ["vertex 1 carries a self loop"]),
+    "unsorted_row": (
+        ([1], [2, 0], [1]), (0, 1, 2), 2, ["adjacency row of vertex 1 is not strictly sorted"]
+    ),
+    "missing_mirror": (
+        ([1, 3], [0, 2], [1, 3], [0]), (0, 1, 2, 1), 2, ["edge 2->3 has no mirror entry"]
+    ),
+    # a triangle whose vertex 2 claims distance 2; both entries of 0-2 skip
+    "skipped_level": (
+        ([1, 2], [0, 2], [0, 1]), (0, 1, 2), 2,
+        ["edge 0-2 skips a distance level", "edge 2-0 skips a distance level"],
+    ),
+    "no_closer_neighbor": (
+        ([1], [0, 2], [1]), (0, 1, 1), 2,
+        ["vertex 2 has no neighbor one level closer to the base"],
+    ),
+    "beyond_horizon": (
+        ([1], [0, 2], [1]), (0, 1, 2), 1, ["a vertex lies beyond the declared horizon"]
+    ),
+}
+
+
+def test_validate_accepts_hand_made_path():
+    assert validate_ball(_window(([1], [0, 2], [1]), (0, 1, 2))) == []
+
+
+@pytest.mark.parametrize("kind", sorted(MUTILATED))
+def test_validate_names_each_mutilation(kind):
+    rows, dist, horizon, messages = MUTILATED[kind]
+    assert validate_ball(_window(rows, dist, horizon)) == messages
 
 
 def test_distances_from_multisource(cube):

@@ -7,6 +7,7 @@ import pytest
 
 from groupiso import catalogue
 from groupiso.fields import grad_modulus_exact, l1_norm_exact
+from groupiso.groups import right_translations
 from groupiso.isoperimetry import (
     WorkCapError,
     anneal_min_perimeter,
@@ -14,7 +15,6 @@ from groupiso.isoperimetry import (
     default_candidates,
     double_counting_report,
     min_perimeter,
-    multiplication_table,
     profile,
     set_perimeter,
     shift_deficit,
@@ -124,7 +124,7 @@ def test_default_candidates_interior_only(plane):
 def test_double_counting_frozen():
     c6 = catalogue.build("c6")
     sys_ = catalogue.system("c6")
-    cols = multiplication_table(sys_, c6)
+    cols = right_translations(sys_, c6)
     full = (1 << 6) - 1
     a_mask = 1 << 0
     assert shift_deficit(cols, a_mask, list(range(6))) == Fraction(5, 6)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from groupiso import catalogue
 from groupiso.corpus import float_fields
 from groupiso.fields import to_dense
-from groupiso.groups import cyclic, explore
+from groupiso.groups import cyclic, diameter, explore
 from groupiso.isoperimetry import profile
 from groupiso.uncertainty import (
     FACTORS,
@@ -20,7 +20,6 @@ from groupiso.uncertainty import (
     balance_constant,
     canonical_weight,
     certified_constant,
-    graph_diameter,
     hpw_report,
     isoperimetric_constant_trace,
     multipoint_weight,
@@ -174,7 +173,7 @@ def test_additive_link_vacuous_on_small(cube):
 
 def test_poincare_frozen_quarter_ring():
     c4 = explore(cyclic(4), 4)
-    assert graph_diameter(c4) == 2
+    assert diameter(c4) == 2
     for shift in (0, 1):
         values = np.zeros(4)
         values[(0 + shift) % 4] = 1.0
