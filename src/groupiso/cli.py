@@ -311,7 +311,11 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.fields < 1:
+        raise ValueError("--fields must be at least 1")
     system, ball = _resolve(args)
+    if ball.num_edges == 0:
+        raise ValueError(f"{ball.name}: the window has no edges, so there is nothing to verify")
     checks = _verify_checks(system, ball, args.fields, args.seed)
     all_ok = all(c["ok"] for c in checks)
     lines = [

@@ -245,9 +245,23 @@ def diameter(ball: ExploredBall) -> int:
     if not ball.complete:
         raise ValueError("diameter is only defined on a complete window")
     if ball._diameter is None:
-        ball._diameter = max(
-            int(distances_from(ball, [v]).max()) for v in range(ball.num_vertices)
-        )
+        # one breadth first search from every vertex at once: bit s of
+        # reach[v] is set once source s lies within ``level`` of v
+        indptr, indices = ball.indptr.tolist(), ball.indices.tolist()
+        neighbours = [indices[indptr[v] : indptr[v + 1]] for v in range(ball.num_vertices)]
+        reach = [1 << v for v in range(ball.num_vertices)]
+        level = 0
+        while True:
+            grown = []
+            for r, nbs in zip(reach, neighbours):
+                for u in nbs:
+                    r |= reach[u]
+                grown.append(r)
+            if grown == reach:
+                break
+            reach = grown
+            level += 1
+        ball._diameter = level
     return ball._diameter
 
 

@@ -1,21 +1,20 @@
-"""Low level numeric kernels with an optional JIT backend.
+"""Low level numeric kernels over flat CSR arrays, one source each.
 
-The hot loops (subset enumeration, annealing, gradient passes) are written
-against flat CSR arrays so the same source can be compiled with numba or
-executed as plain Python/numpy.  Set ``GROUPISO_NO_NUMBA=1`` in the
-environment to force the fallback implementations; the active choice is
-exposed as :data:`BACKEND`.
+The two gradient passes are numpy expressions.  The subset scan and the
+annealer are loops written in numba's nopython subset: when numba
+imports they are compiled with ``njit``, otherwise the same functions
+run as plain Python on lists and memoryviews, which index faster than
+numpy scalars.  Only the public wrappers know which of the two runs;
+they convert the inputs and allocate the scratch state to suit.  The
+choice is exposed as :data:`BACKEND` (``"numba"`` or ``"numpy"``).
 
-Integer valued kernels (perimeters, witnesses, leaf counts) produce
-identical output on both backends.  Floating point kernels agree up to
-summation order.
+Integer results (perimeters, witnesses, leaf counts) do not depend on
+the backend.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 
 import numpy as np
 
@@ -26,44 +25,26 @@ try:
 except ImportError:  # pragma: no cover
     HAS_NUMBA = False
 
+BACKEND = "numba" if HAS_NUMBA else "numpy"
+
 #: Sentinel perimeter returned when an enumeration saw no leaf at all.
-NO_RESULT = np.int64(2) ** np.int64(62)
+NO_RESULT = 1 << 62
 
 
-def _grad_modulus_loop(indptr, indices, values, out):
-    n = indptr.shape[0] - 1
-    for v in range(n):
-        acc = 0.0
-        fv = values[v]
-        for e in range(indptr[v], indptr[v + 1]):
-            acc += abs(fv - values[indices[e]])
-        out[v] = acc
+def _compiled(loop):
+    return njit(cache=True, nogil=True)(loop) if HAS_NUMBA else loop
 
 
-def _grad_modulus_numpy(indptr, indices, values, out):
+def grad_modulus_csr(indptr, indices, values, out):
+    """``out[v]``: sum of ``|values[v] - values[u]|`` over the neighbours u of v."""
     n = indptr.shape[0] - 1
     rows = np.repeat(np.arange(n), np.diff(indptr))
     diffs = np.abs(values[rows] - values[indices])
     out[:] = np.bincount(rows, weights=diffs, minlength=n)
 
 
-def _energy_subgrad_loop(indptr, indices, values, gmod, out):
-    n = indptr.shape[0] - 1
-    for v in range(n):
-        acc = 0.0
-        fv = values[v]
-        gv = gmod[v]
-        for e in range(indptr[v], indptr[v + 1]):
-            u = indices[e]
-            d = fv - values[u]
-            if d > 0.0:
-                acc += 2.0 * (gv + gmod[u])
-            elif d < 0.0:
-                acc -= 2.0 * (gv + gmod[u])
-        out[v] = acc
-
-
-def _energy_subgrad_numpy(indptr, indices, values, gmod, out):
+def energy_subgrad_csr(indptr, indices, values, gmod, out):
+    """Subgradient of the squared 2-norm of the gradient modulus ``gmod``."""
     n = indptr.shape[0] - 1
     rows = np.repeat(np.arange(n), np.diff(indptr))
     sign = np.sign(values[rows] - values[indices])
@@ -71,139 +52,112 @@ def _energy_subgrad_numpy(indptr, indices, values, gmod, out):
     out[:] = np.bincount(rows, weights=contrib, minlength=n)
 
 
-def _min_perimeter_scan_loop(indptr, indices, cand, k, firsts, cap):
-    # Depth first walk over k-subsets of cand in lexicographic order,
-    # restricted to the given first positions.  Perimeter is maintained
-    # incrementally as 2 * (degree sum - 2 * inside edges).
-    m = cand.shape[0]
-    nverts = indptr.shape[0] - 1
-    in_set = np.zeros(nverts, np.uint8)
-    pos = np.zeros(k + 1, np.int64)
-    added = np.zeros(k + 1, np.int64)
-    best_wit = np.full(k, -1, np.int64)
-    best = np.int64(2) ** np.int64(62)
-    leaves = np.int64(0)
-    capped = np.int64(0)
-    for fi in range(firsts.shape[0]):
+@_compiled
+def _scan_loop(pptr, pidx, score, cand, firsts, k, cap, pos, wit):
+    # Depth first walk over k-subsets of pool positions in lexicographic
+    # order, the first member taken from ``firsts``.  score[q] is the
+    # perimeter added by joining q to the current set: 2 deg(q) minus 4
+    # per in-pool neighbour already in the set.  The walk places the
+    # first k - 1 members; the last one is a single pass over the rest.
+    m = len(cand)
+    best = NO_RESULT
+    leaves = 0
+    for fi in range(len(firsts)):
         first = firsts[fi]
-        depth = 0
+        # a cap below 1 scans nothing
+        if first > m - k or leaves >= cap:
+            continue
+        if k == 1:
+            leaves += 1
+            if score[first] < best:
+                best = score[first]
+                wit[0] = cand[first]
+            if leaves >= cap:
+                return best, leaves, 1
+            continue
         pos[0] = first
-        within = np.int64(0)
-        degsum = np.int64(0)
+        depth = 0
+        perim = 0
         while depth >= 0:
             p = pos[depth]
-            ok = p <= m - (k - depth)
-            if depth == 0 and p != first:
-                ok = False
-            if ok:
-                v = cand[p]
-                cnt = np.int64(0)
-                for e in range(indptr[v], indptr[v + 1]):
-                    if in_set[indices[e]] != 0:
-                        cnt += 1
-                within += cnt
-                degsum += indptr[v + 1] - indptr[v]
-                in_set[v] = 1
-                added[depth] = cnt
-                if depth == k - 1:
-                    leaves += 1
-                    perim = 2 * (degsum - 2 * within)
-                    if perim < best:
-                        best = perim
-                        for d in range(k):
-                            best_wit[d] = cand[pos[d]]
-                    in_set[v] = 0
-                    within -= cnt
-                    degsum -= indptr[v + 1] - indptr[v]
-                    if leaves >= cap:
-                        for d in range(depth):
-                            in_set[cand[pos[d]]] = 0
-                        return best, leaves, np.int64(1), best_wit
-                    pos[depth] += 1
-                else:
-                    depth += 1
-                    pos[depth] = p + 1
-            else:
-                depth -= 1
-                if depth >= 0:
-                    u = cand[pos[depth]]
-                    in_set[u] = 0
-                    within -= added[depth]
-                    degsum -= indptr[u + 1] - indptr[u]
-                    pos[depth] += 1
-    return best, leaves, capped, best_wit
-
-
-def _min_perimeter_scan_numpy(indptr, indices, cand, k, firsts, cap):
-    # Same enumeration order as the loop kernel, evaluated in batches.
-    m = cand.shape[0]
-    nverts = indptr.shape[0] - 1
-    deg = np.diff(indptr)
-    cpos = np.full(nverts, -1, np.int64)
-    cpos[cand] = np.arange(m)
-    adj = np.zeros((m, m), np.bool_)
-    for i in range(m):
-        v = cand[i]
-        nb = indices[indptr[v] : indptr[v + 1]]
-        nb = cpos[nb]
-        adj[i, nb[nb >= 0]] = True
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    best = np.int64(2) ** np.int64(62)
-    best_wit = np.full(k, -1, np.int64)
-    leaves = np.int64(0)
-    for first in firsts:
-        if first > m - k:
-            continue
-        tail = itertools.combinations(range(first + 1, m), k - 1)
-        while True:
-            room = int(cap - leaves)
-            batch = list(itertools.islice(tail, min(4096, max(room, 0))))
-            if not batch:
-                break
-            sel = np.empty((len(batch), k), np.int64)
-            sel[:, 0] = first
-            if k > 1:
-                sel[:, 1:] = np.asarray(batch, np.int64)
-            verts = cand[sel]
-            perim = 2 * deg[verts].sum(axis=1)
-            for i, j in pairs:
-                perim -= 4 * adj[sel[:, i], sel[:, j]]
-            bi = int(np.argmin(perim))
-            if perim[bi] < best:
-                best = np.int64(perim[bi])
-                best_wit = verts[bi].copy()
-            leaves += len(batch)
+            perim += score[p]
+            for e in range(pptr[p], pptr[p + 1]):
+                score[pidx[e]] -= 4
+            if depth < k - 2:
+                depth += 1
+                pos[depth] = p + 1
+                continue
+            start = p + 1
+            stop = min(m, start + cap - leaves)
+            for q in range(start, stop):
+                total = perim + score[q]
+                if total < best:
+                    best = total
+                    for d in range(k - 1):
+                        wit[d] = cand[pos[d]]
+                    wit[k - 1] = cand[q]
+            leaves += stop - start
             if leaves >= cap:
-                return best, leaves, np.int64(1), best_wit
-    return best, leaves, np.int64(0), best_wit
+                return best, leaves, 1
+            # take members back off until one can advance
+            while depth >= 0:
+                p = pos[depth]
+                for e in range(pptr[p], pptr[p + 1]):
+                    score[pidx[e]] += 4
+                perim -= score[p]
+                if depth > 0 and p < m - (k - depth):
+                    pos[depth] = p + 1
+                    break
+                depth -= 1
+    return best, leaves, 0
 
 
-def _anneal_chain_loop(
-    indptr,
-    indices,
-    cand_mask,
-    cand_list,
-    members,
-    t0,
-    cool,
-    sweep,
-    rem_idx,
-    src_idx,
-    nb_u,
-    fb_idx,
-    acc_u,
+def min_perimeter_scan(indptr, indices, cand, k, firsts, cap):
+    """Least perimeter over k-subsets of the pool ``cand``, in lexicographic order.
+
+    Only subsets whose first pool position is in ``firsts`` are scanned,
+    and at most ``cap`` of them.  Returns ``(best, leaves, capped,
+    witness)``: the first strict minimum and its vertices (``NO_RESULT``
+    and -1s if no subset was scanned), the number of subsets scanned, and
+    1 if the cap stopped the scan, else 0.
+    """
+    m = cand.shape[0]
+    starts = indptr[cand]
+    counts = indptr[cand + 1] - starts
+    cpos = np.full(indptr.shape[0] - 1, -1, np.int64)
+    cpos[cand] = np.arange(m)
+    # in-pool neighbour positions, one CSR row per pool position
+    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    nb = cpos[indices[at]]
+    keep = nb >= 0
+    pptr = np.zeros(m + 1, np.int64)
+    np.cumsum(np.bincount(np.repeat(np.arange(m), counts)[keep], minlength=m), out=pptr[1:])
+    pidx = nb[keep]
+    arrays = (pptr, pidx, 2 * counts, cand, firsts)
+    if HAS_NUMBA:
+        pos = np.zeros(k, np.int64)
+        wit = np.full(k, -1, np.int64)
+    else:
+        arrays = [a.tolist() for a in arrays]
+        pos = [0] * k
+        wit = [-1] * k
+    best, leaves, capped = _scan_loop(*arrays, int(k), int(cap), pos, wit)
+    return best, leaves, capped, np.asarray(wit, np.int64)
+
+
+@_compiled
+def _anneal_loop(
+    indptr, indices, cand_mask, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u,
+    t0, cool, sweep, in_set, cur, best_set,
 ):
     # Fixed cardinality Metropolis chain.  All randomness is precomputed
     # by the caller so the walk is identical on both backends.
-    nsteps = rem_idx.shape[0]
-    k = members.shape[0]
-    nverts = indptr.shape[0] - 1
-    in_set = np.zeros(nverts, np.uint8)
-    cur = members.copy()
+    nsteps = len(rem_idx)
+    k = len(cur)
     for i in range(k):
         in_set[cur[i]] = 1
-    degsum = np.int64(0)
-    inside2 = np.int64(0)
+    degsum = 0
+    inside2 = 0
     for i in range(k):
         v = cur[i]
         degsum += indptr[v + 1] - indptr[v]
@@ -211,8 +165,7 @@ def _anneal_chain_loop(
             if in_set[indices[e]] != 0:
                 inside2 += 1
     perim = 2 * degsum - 2 * inside2
-    best = perim
-    best_set = cur.copy()
+    best = perim  # best_set arrives as a copy of cur
     t = t0
     for s in range(nsteps):
         if s > 0 and s % sweep == 0:
@@ -220,10 +173,10 @@ def _anneal_chain_loop(
         ri = rem_idx[s]
         u = cur[ri]
         src = cur[src_idx[s]]
-        w = np.int64(-1)
+        w = -1
         dsrc = indptr[src + 1] - indptr[src]
         if dsrc > 0:
-            cnd = indices[indptr[src] + np.int64(nb_u[s] * dsrc)]
+            cnd = indices[indptr[src] + int(nb_u[s] * dsrc)]
             if cand_mask[cnd] != 0 and in_set[cnd] == 0:
                 w = cnd
         if w < 0:
@@ -234,12 +187,12 @@ def _anneal_chain_loop(
             continue
         deg_u = indptr[u + 1] - indptr[u]
         deg_w = indptr[w + 1] - indptr[w]
-        cnt_u = np.int64(0)
+        cnt_u = 0
         for e in range(indptr[u], indptr[u + 1]):
             if in_set[indices[e]] != 0:
                 cnt_u += 1
         in_set[u] = 0
-        cnt_w = np.int64(0)
+        cnt_w = 0
         for e in range(indptr[w], indptr[w + 1]):
             if in_set[indices[e]] != 0:
                 cnt_w += 1
@@ -257,35 +210,30 @@ def _anneal_chain_loop(
                     best_set[i] = cur[i]
         else:
             in_set[u] = 1
-    return best, best_set
+    return best
 
 
-def _make_impls():
-    impls = {
-        "numpy": {
-            "grad_modulus": _grad_modulus_numpy,
-            "energy_subgrad": _energy_subgrad_numpy,
-            "min_perimeter_scan": _min_perimeter_scan_numpy,
-            "anneal_chain": _anneal_chain_loop,
-        }
-    }
+def anneal_chain(
+    indptr, indices, cand_mask, cand_list, members, t0, cool, sweep,
+    rem_idx, src_idx, nb_u, fb_idx, acc_u,
+):
+    """One annealing chain from ``members``; returns ``(best, best_members)``.
+
+    Step s swaps member ``rem_idx[s]`` for a pool neighbour of member
+    ``src_idx[s]`` (or pool vertex ``fb_idx[s]``), accepting against
+    ``acc_u[s]``; the temperature starts at ``t0`` and is multiplied by
+    ``cool`` every ``sweep`` steps.
+    """
+    arrays = (indptr, indices, cand_mask, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u)
+    nverts = indptr.shape[0] - 1
     if HAS_NUMBA:
-        jit = njit(cache=True, nogil=True)
-        impls["numba"] = {
-            "grad_modulus": jit(_grad_modulus_loop),
-            "energy_subgrad": jit(_energy_subgrad_loop),
-            "min_perimeter_scan": jit(_min_perimeter_scan_loop),
-            "anneal_chain": jit(_anneal_chain_loop),
-        }
-    return impls
-
-
-IMPLS = _make_impls()
-
-_disabled = os.environ.get("GROUPISO_NO_NUMBA", "").strip() not in ("", "0")
-BACKEND = "numba" if (HAS_NUMBA and not _disabled) else "numpy"
-
-grad_modulus_csr = IMPLS[BACKEND]["grad_modulus"]
-energy_subgrad_csr = IMPLS[BACKEND]["energy_subgrad"]
-min_perimeter_scan = IMPLS[BACKEND]["min_perimeter_scan"]
-anneal_chain = IMPLS[BACKEND]["anneal_chain"]
+        in_set = np.zeros(nverts, np.uint8)
+        cur = np.array(members, np.int64)
+    else:
+        # memoryviews index to plain ints and floats without copying
+        arrays = [memoryview(np.ascontiguousarray(a)) for a in arrays]
+        in_set = bytearray(nverts)
+        cur = [int(v) for v in members]
+    best_set = cur.copy()
+    best = _anneal_loop(*arrays, t0, cool, sweep, in_set, cur, best_set)
+    return best, np.asarray(best_set, np.int64)

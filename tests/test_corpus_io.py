@@ -117,6 +117,14 @@ def test_spec_horizon_override():
         {"kind": "cyclic", "n": 6, "horizon": True},
         {"kind": "explicit", "vertices": 3},
         {"kind": "permutation_action", "horizon": 2},
+        {"kind": "cyclic", "n": "16", "horizon": 16},
+        {"kind": "cyclic", "n": True, "horizon": 16},
+        {"kind": "free_abelian", "rank": 0, "horizon": 3},
+        {"kind": "cyclic", "n": 6, "horizon": 4, "max_vertices": 0},
+        {"kind": "permutation_action", "perms": [], "horizon": 3},
+        {"kind": "permutation_action", "perms": [[1, 0, 2], [1, 0]], "horizon": 3},
+        {"kind": "permutation_action", "perms": [[1, 0, 2]], "base_point": 3, "horizon": 3},
+        {"kind": "explicit", "vertices": 3, "edges": [[0, 1, 2]]},
     ],
 )
 def test_spec_validation_rejects(spec):

@@ -1,6 +1,7 @@
-"""Both kernel backends must agree bit for bit on every input."""
+"""Kernels against independent oracles, and the jitted loops against their source."""
 
-import os
+import functools
+import itertools
 import subprocess
 import sys
 
@@ -8,110 +9,116 @@ import numpy as np
 import pytest
 
 from groupiso import catalogue, kernels
+from groupiso.isoperimetry import _chain_inputs, _probe_temperature, set_perimeter
+
+needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
+
+UNBOUNDED = 10**9
 
 
-def _csr(ball):
-    return ball.indptr, ball.indices
+@functools.lru_cache(maxsize=None)
+def _ball(name):
+    return catalogue.build(name)
 
 
-def _assert_scans_equal(a, b):
-    # (best, leaves, capped, witness-array)
-    assert a[0] == b[0]
-    assert a[1] == b[1]
-    assert a[2] == b[2]
-    assert np.array_equal(a[3], b[3])
+def _pool(ball, whole):
+    return np.arange(ball.num_vertices) if whole else np.flatnonzero(ball.interior)
 
 
-@pytest.fixture(scope="module")
-def plane():
-    return catalogue.build("z2")
+@functools.lru_cache(maxsize=None)
+def _all_subsets(name, whole, k):
+    # (first position, perimeter, vertices) of every k-subset, in lexicographic order
+    ball = _ball(name)
+    cand = _pool(ball, whole)
+    return [
+        (combo[0], set_perimeter(ball, cand[list(combo)]), tuple(int(v) for v in cand[list(combo)]))
+        for combo in itertools.combinations(range(cand.size), k)
+    ]
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-class TestBackendAgreement:
-    def test_grad_modulus(self, plane):
-        rng = np.random.default_rng(7)
-        values = rng.standard_normal(plane.num_vertices)
-        indptr, indices = _csr(plane)
-        a = np.zeros_like(values)
-        b = np.zeros_like(values)
-        kernels.IMPLS["numpy"]["grad_modulus"](indptr, indices, values, a)
-        kernels.IMPLS["numba"]["grad_modulus"](indptr, indices, values, b)
-        assert np.array_equal(a, b)
-
-    def test_energy_subgrad(self, plane):
-        rng = np.random.default_rng(8)
-        values = rng.standard_normal(plane.num_vertices)
-        gmod = np.abs(rng.standard_normal(plane.num_vertices))
-        indptr, indices = _csr(plane)
-        a = np.zeros_like(values)
-        b = np.zeros_like(values)
-        kernels.IMPLS["numpy"]["energy_subgrad"](indptr, indices, values, gmod, a)
-        kernels.IMPLS["numba"]["energy_subgrad"](indptr, indices, values, gmod, b)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_scan(self, plane, k):
-        indptr, indices = _csr(plane)
-        cand = np.flatnonzero(plane.interior).astype(np.int64)
-        firsts = np.arange(cand.size, dtype=np.int64)
-        big = 10**9
-        a = kernels.IMPLS["numpy"]["min_perimeter_scan"](indptr, indices, cand, k, firsts, big)
-        b = kernels.IMPLS["numba"]["min_perimeter_scan"](indptr, indices, cand, k, firsts, big)
-        _assert_scans_equal(a, b)
-
-    @pytest.mark.parametrize("cap", [1, 7, 100, 5000])
-    def test_scan_capped(self, plane, cap):
-        indptr, indices = _csr(plane)
-        cand = np.flatnonzero(plane.interior).astype(np.int64)
-        firsts = np.arange(cand.size, dtype=np.int64)
-        a = kernels.IMPLS["numpy"]["min_perimeter_scan"](indptr, indices, cand, 3, firsts, cap)
-        b = kernels.IMPLS["numba"]["min_perimeter_scan"](indptr, indices, cand, 3, firsts, cap)
-        _assert_scans_equal(a, b)
-        assert a[2] == 1  # capped flag set
-
-    def test_scan_restricted_firsts(self, plane):
-        indptr, indices = _csr(plane)
-        cand = np.flatnonzero(plane.interior).astype(np.int64)
-        firsts = np.arange(0, cand.size, 3, dtype=np.int64)
-        big = 10**9
-        a = kernels.IMPLS["numpy"]["min_perimeter_scan"](indptr, indices, cand, 2, firsts, big)
-        b = kernels.IMPLS["numba"]["min_perimeter_scan"](indptr, indices, cand, 2, firsts, big)
-        _assert_scans_equal(a, b)
-
-    def test_anneal_chain(self, plane):
-        from groupiso.isoperimetry import _chain_inputs, _probe_temperature
-
-        indptr, indices = _csr(plane)
-        cand = np.flatnonzero(plane.interior).astype(np.int64)
-        mask = np.zeros(plane.num_vertices, np.uint8)
-        mask[cand] = 1
-        init, probe_rem, probe_add, walk = _chain_inputs(
-            np.random.default_rng(123), cand, 4, 2000
-        )
-        t0 = _probe_temperature(plane, cand, init, probe_rem, probe_add)
-        a = kernels.IMPLS["numpy"]["anneal_chain"](indptr, indices, mask, cand, init, t0, 0.97, 4, *walk)
-        b = kernels.IMPLS["numba"]["anneal_chain"](indptr, indices, mask, cand, init, t0, 0.97, 4, *walk)
-        assert a[0] == b[0]
-        assert np.array_equal(np.sort(a[1]), np.sort(b[1]))
+def _oracle(name, whole, k, firsts, cap):
+    allowed = set(firsts.tolist())
+    scanned = [s for s in _all_subsets(name, whole, k) if s[0] in allowed][:cap]
+    best = min(scanned, key=lambda s: s[1], default=None)  # min keeps the first
+    if best is None:
+        return kernels.NO_RESULT, 0, 0, (-1,) * k
+    return best[1], len(scanned), int(len(scanned) >= cap), best[2]
 
 
-def test_backend_flag_subprocess():
-    env = dict(os.environ, GROUPISO_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from groupiso import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
+SCAN_CASES = [
+    (name, whole, k)
+    for name, whole in (("z2", False), ("z2", True), ("c64", False), ("q6", False), ("s4_points", False))
+    for k in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("name,whole,k", SCAN_CASES)
+@pytest.mark.parametrize("cap", [1, 7, 100, 5000, UNBOUNDED])
+@pytest.mark.parametrize("step", [1, 3])
+def test_scan_matches_brute_force(name, whole, k, cap, step):
+    ball = _ball(name)
+    cand = _pool(ball, whole).astype(np.int64)
+    firsts = np.arange(0, cand.size, step, dtype=np.int64)
+    best, leaves, capped, wit = kernels.min_perimeter_scan(
+        ball.indptr, ball.indices, cand, k, firsts, np.int64(cap)
     )
-    assert out.stdout.strip() == "numpy"
+    assert (best, leaves, capped, tuple(wit.tolist())) == _oracle(name, whole, k, firsts, cap)
+
+
+def _chain_args(name, k, seed=123, budget=2000):
+    ball = _ball(name)
+    cand = np.flatnonzero(ball.interior).astype(np.int64)
+    mask = np.zeros(ball.num_vertices, np.uint8)
+    mask[cand] = 1
+    init, probe_rem, probe_add, walk = _chain_inputs(np.random.default_rng(seed), cand, k, budget)
+    t0 = _probe_temperature(ball, cand, init, probe_rem, probe_add)
+    return (ball.indptr, ball.indices, mask, cand, init, t0, 0.97, k, *walk)
+
+
+@pytest.mark.parametrize(
+    "name,k,best,members",
+    [
+        ("z2", 4, 16, (0, 2, 3, 9)),
+        ("c64", 10, 4, (0, 1, 2, 3, 4, 5, 6, 7, 9, 11)),
+    ],
+)
+def test_anneal_chain_pinned(name, k, best, members):
+    args = _chain_args(name, k)
+    got, got_members = kernels.anneal_chain(*args)
+    assert (got, tuple(sorted(got_members.tolist()))) == (best, members)
+    assert set_perimeter(_ball(name), got_members) == got
+
+
+@needs_numba
+def test_scan_jit_matches_source(monkeypatch):
+    ball = _ball("z2")
+    cand = np.flatnonzero(ball.interior).astype(np.int64)
+    args = (ball.indptr, ball.indices, cand, 3, np.arange(cand.size, dtype=np.int64), np.int64(5000))
+    jit = kernels.min_perimeter_scan(*args)
+    monkeypatch.setattr(kernels, "HAS_NUMBA", False)
+    monkeypatch.setattr(kernels, "_scan_loop", kernels._scan_loop.py_func)
+    src = kernels.min_perimeter_scan(*args)
+    assert jit[:3] == src[:3]
+    assert np.array_equal(jit[3], src[3])
+
+
+@needs_numba
+def test_anneal_jit_matches_source(monkeypatch):
+    args = _chain_args("z2", 4)
+    jit = kernels.anneal_chain(*args)
+    monkeypatch.setattr(kernels, "HAS_NUMBA", False)
+    monkeypatch.setattr(kernels, "_anneal_loop", kernels._anneal_loop.py_func)
+    src = kernels.anneal_chain(*args)
+    assert jit[0] == src[0]
+    assert np.array_equal(jit[1], src[1])
 
 
 def test_backend_default_subprocess():
-    env = {k: v for k, v in os.environ.items() if k != "GROUPISO_NO_NUMBA"}
     out = subprocess.run(
-        [sys.executable, "-c", "from groupiso import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", "from groupiso import kernels; print(kernels.BACKEND, kernels.HAS_NUMBA)"],
+        capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() in ("numba", "numpy")
+    assert out.stdout.split() in (["numba", "True"], ["numpy", "False"])
 
 
 def test_no_result_sentinel():
