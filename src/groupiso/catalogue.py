@@ -1,72 +1,70 @@
-"""Named instances for tests, benchmarks, and the command line."""
+"""Named instances for tests, benchmarks, and the command line.
+
+Each entry is a spec (see :mod:`groupiso.specio`), which builds it.
+"""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import groups
-from .groups import ExploredBall, GeneratedSystem
+from . import groups, specio
 
-#: name -> (system builder, default horizon)
-_ENTRIES = {
-    "z": (lambda: groups.free_abelian(1), 8),
-    "z2": (lambda: groups.free_abelian(2), 6),
-    "z3": (lambda: groups.free_abelian(3), 6),
-    "f2": (lambda: groups.free_group(2), 6),
-    "heisenberg": (lambda: groups.heisenberg(), 8),
-    "c6": (lambda: groups.cyclic(6), 8),
-    "c8": (lambda: groups.cyclic(8), 8),
-    "c12": (lambda: groups.cyclic(12), 12),
-    "c16": (lambda: groups.cyclic(16), 16),
-    "c32": (lambda: groups.cyclic(32), 32),
-    "c64": (lambda: groups.cyclic(64), 64),
-    "q3": (lambda: groups.hypercube(3), 4),
-    "q4": (lambda: groups.hypercube(4), 5),
-    "q6": (lambda: groups.hypercube(6), 8),
-    "d4": (lambda: groups.dihedral(4), 8),
-    "d8": (lambda: groups.dihedral(8), 10),
-    "s3": (lambda: groups.symmetric_group(3, "transpositions"), 6),
-    "s4": (lambda: groups.symmetric_group(4, "adjacent"), 10),
-    "s3_points": (
-        lambda: groups.permutation_action("s3_points", [(1, 0, 2), (2, 1, 0), (0, 2, 1)]),
-        4,
-    ),
-    "s4_points": (
-        lambda: groups.permutation_action(
-            "s4_points",
-            [
-                (1, 0, 2, 3),
-                (2, 1, 0, 3),
-                (3, 1, 2, 0),
-                (0, 2, 1, 3),
-                (0, 3, 2, 1),
-                (0, 1, 3, 2),
-            ],
-        ),
-        4,
-    ),
+_SPECS = {
+    "z": {"kind": "free_abelian", "rank": 1, "horizon": 8},
+    "z2": {"kind": "free_abelian", "rank": 2, "horizon": 6},
+    "z3": {"kind": "free_abelian", "rank": 3, "horizon": 6},
+    "f2": {"kind": "free_group", "rank": 2, "horizon": 6},
+    "heisenberg": {"kind": "heisenberg", "horizon": 8},
+    "c6": {"kind": "cyclic", "n": 6, "horizon": 8},
+    "c8": {"kind": "cyclic", "n": 8, "horizon": 8},
+    "c12": {"kind": "cyclic", "n": 12, "horizon": 12},
+    "c16": {"kind": "cyclic", "n": 16, "horizon": 16},
+    "c32": {"kind": "cyclic", "n": 32, "horizon": 32},
+    "c64": {"kind": "cyclic", "n": 64, "horizon": 64},
+    "q3": {"kind": "hypercube", "dim": 3, "horizon": 4},
+    "q4": {"kind": "hypercube", "dim": 4, "horizon": 5},
+    "q6": {"kind": "hypercube", "dim": 6, "horizon": 8},
+    "d4": {"kind": "dihedral", "n": 4, "horizon": 8},
+    "d8": {"kind": "dihedral", "n": 8, "horizon": 10},
+    "s3": {"kind": "symmetric", "n": 3, "horizon": 6},
+    "s4": {"kind": "symmetric", "n": 4, "generators": "adjacent", "horizon": 10},
+    "s3_points": {
+        "kind": "permutation_action",
+        "name": "s3_points",
+        "perms": [[1, 0, 2], [2, 1, 0], [0, 2, 1]],
+        "horizon": 4,
+    },
+    "s4_points": {
+        "kind": "permutation_action",
+        "name": "s4_points",
+        "perms": [[1, 0, 2, 3], [2, 1, 0, 3], [3, 1, 2, 0],
+                  [0, 2, 1, 3], [0, 3, 2, 1], [0, 1, 3, 2]],
+        "horizon": 4,
+    },
 }
 
 
 def names() -> list[str]:
-    return sorted(_ENTRIES)
+    return sorted(_SPECS)
 
 
-def system(name: str) -> GeneratedSystem:
+def spec(name: str) -> dict:
+    """A fresh copy of the spec of a named instance."""
     try:
-        builder, _ = _ENTRIES[name]
+        return dict(_SPECS[name])
     except KeyError:
         raise KeyError(f"unknown instance {name!r}; known: {', '.join(names())}") from None
-    return builder()
+
+
+def system(name: str) -> groups.GeneratedSystem:
+    return specio.system_from_spec(spec(name))
 
 
 def default_horizon(name: str) -> int:
-    return _ENTRIES[name][1]
+    return spec(name)["horizon"]
 
 
 @lru_cache(maxsize=None)
-def build(name: str, horizon: int | None = None, max_vertices: int = 500_000) -> ExploredBall:
-    """Explore a named instance, memoized per (name, horizon)."""
-    if horizon is None:
-        horizon = default_horizon(name)
-    return groups.explore(system(name), horizon, max_vertices)
+def build(name: str, horizon: int | None = None, max_vertices: int = 500_000) -> groups.ExploredBall:
+    """Explore a named instance, memoized per (name, horizon, max_vertices)."""
+    return specio.build_from_spec(dict(spec(name), max_vertices=max_vertices), horizon)

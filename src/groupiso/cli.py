@@ -8,49 +8,59 @@ nonzero on failure), and ``corpus`` (emit the deterministic field
 corpus).
 
 Instances come from the built-in catalogue (``--instance``) or a JSON
-spec file (``--spec``).  All output is deterministic for fixed
-arguments; in particular the worker count never changes any reported
-byte.
+spec file (``--spec``); both are specs, built by :mod:`groupiso.specio`,
+and ``--horizon`` and ``--max-vertices`` override either.  Count
+arguments must be at least 1 and ``--seed`` at least 0; a bad value,
+like a bad spec, ends in one ``error:`` line and exit code 2.  All
+output is deterministic for fixed arguments; in particular the worker
+count never changes any reported byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import catalogue, corpus, fields, growth, isoperimetry, reporting, specio, uncertainty
-from .groups import ResourceCapError, explore, validate_ball
+from .groups import ResourceCapError, validate_ball
+from .groups import explore  # noqa: F401  (perfbench/test_perfbench.py reads cli.explore)
 
 _PS = (1.0, 2.0, 3.0)
 _ALPHAS = (0.5, 1.0, 2.0)
+#: least accepted value of each count argument a subcommand has
+_LEAST = dict.fromkeys(
+    ("kmax", "cap", "workers", "chains", "budget", "starts", "iters", "fields", "horizon", "max_vertices"),
+    1,
+) | {"seed": 0}
 
 
-def _add_instance_args(sub: argparse.ArgumentParser, required: bool = True) -> None:
-    pick = sub.add_mutually_exclusive_group(required=required)
+def _add_instance_args(sub: argparse.ArgumentParser):
+    """Instance choice, overrides and ``--json``; returns the choice group."""
+    pick = sub.add_mutually_exclusive_group(required=True)
     pick.add_argument("--instance", help="catalogue name, see `groupiso build --list`")
     pick.add_argument("--spec", help="path to a JSON instance spec")
     sub.add_argument("--horizon", type=int, help="override the exploration radius")
-    sub.add_argument("--max-vertices", type=int, default=500_000)
+    sub.add_argument("--max-vertices", type=int, help="override the vertex budget")
+    sub.add_argument("--json")
+    return pick
 
 
 def _resolve(args):
-    if args.instance:
-        system = catalogue.system(args.instance)
-        horizon = args.horizon
-        if horizon is None:
-            horizon = catalogue.default_horizon(args.instance)
-        return system, explore(system, horizon, args.max_vertices)
-    spec = specio.load_spec(args.spec)
-    return specio.system_from_spec(spec), specio.build_from_spec(spec, args.horizon)
+    spec = catalogue.spec(args.instance) if args.instance else specio.load_spec(args.spec)
+    given = {"horizon": args.horizon, "max_vertices": args.max_vertices}
+    return specio.instance_from_spec(spec | {k: v for k, v in given.items() if v is not None})
 
 
-def _emit(args, payload, text: str) -> None:
-    sys.stdout.write(text)
-    if getattr(args, "json", None):
+def _emit(args, payload, headers, rows, text: str = "") -> None:
+    """Print the table and ``text``; write the rows to ``--csv`` and the payload to ``--json``."""
+    sys.stdout.write((reporting.render_table(headers, rows) if headers else "") + text)
+    if getattr(args, "csv", None):
+        reporting.write_csv(args.csv, headers, rows)
+    if args.json:
         reporting.write_json(args.json, payload)
 
 
@@ -58,7 +68,7 @@ def cmd_build(args) -> int:
     if args.list:
         sys.stdout.write("\n".join(catalogue.names()) + "\n")
         return 0
-    system, ball = _resolve(args)
+    _, ball = _resolve(args)
     issues = validate_ball(ball)
     table = growth.growth_counts(ball)
     payload = {
@@ -72,10 +82,8 @@ def cmd_build(args) -> int:
         "issues": issues,
     }
     rows = [(k, payload[k]) for k in ("name", "horizon", "vertices", "edges", "complete", "base_degree")]
-    text = reporting.render_table(["property", "value"], rows)
-    if issues:
-        text += "issues:\n" + "".join(f"  {s}\n" for s in issues)
-    _emit(args, payload, text)
+    text = "issues:\n" + "".join(f"  {s}\n" for s in issues) if issues else ""
+    _emit(args, payload, ["property", "value"], rows, text)
     return 1 if issues else 0
 
 
@@ -89,53 +97,33 @@ def cmd_growth(args) -> int:
         "superadditivity": {"limit": sa["limit"], "pairs": len(sa["pairs"]), "all_ok": sa["all_ok"]},
     }
     rows = [(r + 1, int(g)) for r, g in enumerate(table)]
-    text = reporting.render_table(["radius", "ball_size"], rows)
-    text += (
+    text = (
         f"superadditivity: {'PASS' if sa['all_ok'] else 'FAIL'}"
         f" ({len(sa['pairs'])} pairs, sums up to {sa['limit']})\n"
     )
-    if args.csv:
-        reporting.write_csv(args.csv, ["radius", "ball_size"], rows)
-    _emit(args, payload, text)
+    _emit(args, payload, ["radius", "ball_size"], rows, text)
     return 0 if sa["all_ok"] else 1
+
+
+def _anneal(ball, k, args) -> isoperimetry.ProfileEntry:
+    return isoperimetry.anneal_min_perimeter(
+        ball, k, seed=args.seed, chains=args.chains, budget=args.budget, workers=args.workers
+    )
 
 
 def cmd_isoperimetry(args) -> int:
     _, ball = _resolve(args)
     if args.anneal:
-        entries = [
-            isoperimetry.anneal_min_perimeter(
-                ball, k, seed=args.seed, chains=args.chains, budget=args.budget,
-                workers=args.workers,
-            )
-            for k in range(1, args.kmax + 1)
-        ]
+        entries = [_anneal(ball, k, args) for k in range(1, args.kmax + 1)]
     else:
         entries = isoperimetry.profile(
             ball, args.kmax, cap=args.cap, workers=args.workers, on_cap=args.on_cap
         )
-    rows = [
-        (e.k, e.perimeter, " ".join(map(str, e.witness or ())), e.leaves, e.capped, e.exact)
-        for e in entries
-    ]
-    headers = ["k", "perimeter", "witness", "leaves", "capped", "exact"]
-    payload = {
-        "name": ball.name,
-        "entries": [
-            {
-                "k": e.k,
-                "perimeter": e.perimeter,
-                "witness": list(e.witness or ()),
-                "leaves": e.leaves,
-                "capped": e.capped,
-                "exact": e.exact,
-            }
-            for e in entries
-        ],
-    }
-    if args.csv:
-        reporting.write_csv(args.csv, headers, rows)
-    _emit(args, payload, reporting.render_table(headers, rows))
+    # one record per entry, in the field order of ProfileEntry
+    records = [dataclasses.asdict(e) | {"witness": list(e.witness or ())} for e in entries]
+    headers = [f.name for f in dataclasses.fields(isoperimetry.ProfileEntry)]
+    rows = [tuple((r | {"witness": " ".join(map(str, r["witness"]))}).values()) for r in records]
+    _emit(args, {"name": ball.name, "entries": records}, headers, rows)
     return 0
 
 
@@ -143,18 +131,11 @@ def cmd_constants(args) -> int:
     _, ball = _resolve(args)
     cand = isoperimetry.default_candidates(ball)
     entries = []
-    for k in range(1, args.kmax + 1):
-        if k > cand.shape[0]:
-            break
-        if math.comb(cand.shape[0], k) <= args.cap:
+    for k in range(1, min(args.kmax, cand.shape[0]) + 1):
+        try:
             entries.append(isoperimetry.min_perimeter(ball, k, cand, cap=args.cap, workers=args.workers))
-        else:
-            entries.append(
-                isoperimetry.anneal_min_perimeter(
-                    ball, k, seed=args.seed, chains=args.chains, budget=args.budget,
-                    workers=args.workers,
-                )
-            )
+        except isoperimetry.WorkCapError:
+            entries.append(_anneal(ball, k, args))
     trace = uncertainty.isoperimetric_constant_trace(ball, entries)
     ascent = uncertainty.uncertainty_ascent(
         ball, seed=args.seed, starts=args.starts, iters=args.iters
@@ -183,21 +164,16 @@ def cmd_constants(args) -> int:
         "uncertainty_over_isoperimetric_squared": quotient,
         "certified": certified,
     }
-    rows = [
-        (r["k"], r["radius"], r["perimeter"], r["ratio"], r["running_best"], r["exact"])
-        for r in trace["rows"]
-    ]
-    text = reporting.render_table(
-        ["k", "radius", "perimeter", "ratio", "running_best", "exact"], rows
-    )
-    text += f"isoperimetric constant estimate: {trace['best']} (k={trace['best_k']})\n"
+    headers = ["k", "radius", "perimeter", "ratio", "running_best", "exact"]
+    rows = [tuple(r[h] for h in headers) for r in trace["rows"]]
+    text = f"isoperimetric constant estimate: {trace['best']} (k={trace['best_k']})\n"
     text += f"uncertainty constant estimate: {ascent.value!r} (start {ascent.start})\n"
     if quotient is not None:
         text += f"uncertainty over squared isoperimetric: {quotient!r}\n"
     text += reporting.render_table(
         ["p", "alpha", "certified"], [(c["p"], c["alpha"], c["certified"]) for c in certified]
     )
-    _emit(args, payload, text)
+    _emit(args, payload, headers, rows, text)
     return 0
 
 
@@ -247,7 +223,10 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
                 if not rep["all_ok"]:
                     bad += 1
                 vacuous += rep["vacuous"]
-    add("additive-links", bad == 0, f"{len(floats)} fields x {len(_PS) * len(_ALPHAS)} grids, {bad} failures")
+    add(
+        "additive-links", bad == 0,
+        f"{len(floats)} fields x {len(_PS) * len(_ALPHAS)} grids, {bad} failures, {vacuous} vacuous",
+    )
 
     bad = 0
     count = 0
@@ -286,22 +265,23 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
                     bad += 1
         add("poincare", bad == 0, f"{len(floats)} fields x {len(_PS)} exponents, {bad} failures")
 
-        if system is not None and (system.kind == "cayley" or system.kind == "schreier"):
+        if system is not None and system.kind in ("cayley", "schreier"):
             try:
                 maps = growth.translation_maps(system, ball)
             except ValueError:
-                maps = None
-            if maps is not None and maps[2] and len(maps[0]) <= 64:
-                bad = 0
-                count = 0
-                for f in exact[: min(len(exact), 20)]:
-                    for target in range(ball.num_vertices):
-                        count += 1
-                        if not growth.translation_report(system, ball, f, target, maps)["ok"]:
-                            bad += 1
-                add("translation", bad == 0, f"{count} translates, {bad} failures")
-            elif maps is not None and not maps[2]:
-                add("translation", True, "skipped: translations are not graph automorphisms")
+                pass
+            else:
+                if not maps[2]:
+                    add("translation", True, "skipped: translations are not graph automorphisms")
+                elif len(maps[0]) > 64:
+                    add("translation", True, f"skipped: {len(maps[0])} maps, over the limit of 64")
+                else:
+                    bad = count = 0
+                    for f in exact[:20]:
+                        rows = growth.translation_report(system, ball, f, maps)["rows"]
+                        count += len(rows)
+                        bad += sum(not r["ok"] for r in rows)
+                    add("translation", bad == 0, f"{count} translates, {bad} failures")
 
         if system is not None and system.kind == "cayley" and ball.num_vertices <= 10:
             dc = isoperimetry.double_counting_report(system, max_order=10)
@@ -311,8 +291,6 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    if args.fields < 1:
-        raise ValueError("--fields must be at least 1")
     system, ball = _resolve(args)
     if ball.num_edges == 0:
         raise ValueError(f"{ball.name}: the window has no edges, so there is nothing to verify")
@@ -324,7 +302,7 @@ def cmd_verify(args) -> int:
     text = "\n".join(lines) + "\n"
     text += f"verify {ball.name}: {'PASS' if all_ok else 'FAIL'}\n"
     payload = {"name": ball.name, "checks": checks, "all_ok": all_ok}
-    _emit(args, payload, text)
+    _emit(args, payload, None, None, text)
     return 0 if all_ok else 1
 
 
@@ -336,11 +314,8 @@ def cmd_corpus(args) -> int:
     else:
         data = corpus.float_fields(ball, args.fields, args.seed, zero_mean=args.zero_mean)
         rows = corpus.float_rows(data)
-    headers = ["field", "vertex", "value"]
     payload = {"name": ball.name, "kind": args.kind, "rows": [list(r) for r in rows]}
-    if args.csv:
-        reporting.write_csv(args.csv, headers, rows)
-    _emit(args, payload, reporting.render_table(headers, rows))
+    _emit(args, payload, ["field", "vertex", "value"], rows)
     return 0
 
 
@@ -352,15 +327,14 @@ def make_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("build", help="explore a window and summarize it")
-    p.add_argument("--list", action="store_true", help="list catalogue names and exit")
-    _add_instance_args(p, required=False)
-    p.add_argument("--json")
+    _add_instance_args(p).add_argument(
+        "--list", action="store_true", help="list catalogue names and exit"
+    )
     p.set_defaults(func=cmd_build)
 
     p = subs.add_parser("growth", help="growth table and superadditivity")
     _add_instance_args(p)
     p.add_argument("--csv")
-    p.add_argument("--json")
     p.set_defaults(func=cmd_growth)
 
     p = subs.add_parser("isoperimetry", help="exact or annealed perimeter profiles")
@@ -374,7 +348,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", type=int, default=8)
     p.add_argument("--budget", type=int, default=20_000)
     p.add_argument("--csv")
-    p.add_argument("--json")
     p.set_defaults(func=cmd_isoperimetry)
 
     p = subs.add_parser("constants", help="extremal constant estimates")
@@ -387,14 +360,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=20_000)
     p.add_argument("--starts", type=int, default=4)
     p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--json")
     p.set_defaults(func=cmd_constants)
 
     p = subs.add_parser("verify", help="identity and inequality battery")
     _add_instance_args(p)
     p.add_argument("--fields", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("corpus", help="emit the deterministic field corpus")
@@ -404,18 +375,18 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zero-mean", action="store_true")
     p.add_argument("--csv")
-    p.add_argument("--json")
     p.set_defaults(func=cmd_corpus)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if args.command == "build" and not args.list and not (args.instance or args.spec):
-        parser.error("build needs --instance, --spec, or --list")
+    args = make_parser().parse_args(argv)
     try:
+        for name, least in _LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
         return args.func(args)
     except (isoperimetry.WorkCapError, ResourceCapError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -20,6 +20,8 @@ from .groups import ExploredBall
 _NUM_RANGE = (-12, 13)
 #: Denominators are drawn from 1 to this bound inclusive.
 _DEN_MAX = 8
+#: A field touches at most this many vertices.
+_MAX_SUPPORT = 12
 
 
 def field_pool(ball: ExploredBall) -> np.ndarray:
@@ -36,7 +38,6 @@ def rational_fields(
     ball: ExploredBall,
     count: int,
     seed: int = 0,
-    max_support: int = 12,
     zero_mean: bool = False,
 ) -> list[dict[int, Fraction]]:
     """Sparse exact fields with small rational values."""
@@ -47,7 +48,7 @@ def rational_fields(
     out = []
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        size = 1 + int(rng.integers(0, min(pool.size, max_support)))
+        size = 1 + int(rng.integers(0, min(pool.size, _MAX_SUPPORT)))
         verts = rng.choice(pool, size=size, replace=False)
         field: dict[int, Fraction] = {}
         for v in sorted(int(x) for x in verts):

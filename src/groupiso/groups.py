@@ -194,16 +194,13 @@ def ball_from_edges(
     name: str,
     num_vertices: int,
     edges: Sequence[tuple[int, int]],
-    base: int = 0,
     horizon: int | None = None,
 ) -> ExploredBall:
     """Build an explicit graph window from an edge list.
 
-    The graph must be connected from ``base``; distances are computed by
-    breadth first search and the window is marked complete.
+    The graph must be connected from its base, vertex 0; distances are
+    computed by breadth first search and the window is marked complete.
     """
-    if base != 0:
-        raise ValueError("base vertex must be index 0")
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
     ends = np.asarray(edges, np.int64).reshape(-1, 2)
@@ -215,7 +212,7 @@ def ball_from_edges(
         name, 1, np.zeros(num_vertices), indptr, indices, True,
         range(num_vertices), regular=False,
     )
-    ball.dist = distances_from(ball, [base])
+    ball.dist = distances_from(ball, [0])
     if (ball.dist < 0).any():
         raise ValueError(f"{name}: graph is not connected from the base vertex")
     ball.horizon = max(int(ball.dist.max()), 1) if horizon is None else horizon

@@ -24,6 +24,9 @@ import numpy as np
 from . import kernels
 from .groups import ExploredBall, GeneratedSystem, explore, right_translations
 
+#: Annealing temperature factor, applied once per sweep of k steps.
+_COOL = 0.97
+
 
 class WorkCapError(RuntimeError):
     """Raised when an exhaustive task would exceed its work budget."""
@@ -197,7 +200,6 @@ def anneal_min_perimeter(
     budget: int = 20_000,
     candidates: np.ndarray | None = None,
     workers: int = 1,
-    cool: float = 0.97,
 ) -> ProfileEntry:
     """Annealed upper bound on the minimum perimeter at cardinality k.
 
@@ -216,7 +218,7 @@ def anneal_min_perimeter(
         init, probe_rem, probe_add, walk = _chain_inputs(rng, cand, k, budget)
         t0 = _probe_temperature(ball, cand, init, probe_rem, probe_add)
         best, members = kernels.anneal_chain(
-            ball.indptr, ball.indices, cand_mask, cand, init, t0, cool, sweep, *walk
+            ball.indptr, ball.indices, cand_mask, cand, init, t0, _COOL, sweep, *walk
         )
         return int(best), tuple(sorted(int(v) for v in members))
 

@@ -12,9 +12,11 @@ parameters:
      "base_point": 0, "horizon": 4}
     {"kind": "explicit", "vertices": 3, "edges": [[0,1],[1,2]]}
 
-Optional keys: ``name`` (display override), ``max_vertices`` (budget),
-and for explicit graphs ``horizon``.  Catalogue names can be used
-wherever a spec file is accepted.
+Optional keys: ``name`` (display override), ``max_vertices`` (budget,
+default 500000), and for explicit graphs ``horizon``.  Catalogue entries
+are specs of this form too (:func:`groupiso.catalogue.spec`), so this
+module builds both; but a catalogue name is not a spec file, and the
+command line takes it with ``--instance``, not ``--spec``.
 """
 
 from __future__ import annotations
@@ -23,25 +25,39 @@ import json
 from pathlib import Path
 
 from . import groups
-from .groups import ExploredBall, GeneratedSystem
+from .groups import ExploredBall, GeneratedSystem, ResourceCapError
 
+#: kind -> (required keys, constructor of the generated system); explicit
+#: graphs have no system
 _KINDS = {
-    "free_abelian": ("rank",),
-    "free_group": ("rank",),
-    "heisenberg": (),
-    "cyclic": ("n",),
-    "dihedral": ("n",),
-    "hypercube": ("dim",),
-    "symmetric": ("n",),
-    "permutation_action": ("perms",),
-    "explicit": ("vertices", "edges"),
+    "free_abelian": (("rank",), lambda s: groups.free_abelian(s["rank"])),
+    "free_group": (("rank",), lambda s: groups.free_group(s["rank"])),
+    "heisenberg": ((), lambda s: groups.heisenberg()),
+    "cyclic": (("n",), lambda s: groups.cyclic(s["n"])),
+    "dihedral": (("n",), lambda s: groups.dihedral(s["n"])),
+    "hypercube": (("dim",), lambda s: groups.hypercube(s["dim"])),
+    "symmetric": (
+        ("n",),
+        lambda s: groups.symmetric_group(s["n"], s.get("generators", "transpositions")),
+    ),
+    "permutation_action": (
+        ("perms",),
+        lambda s: groups.permutation_action(
+            s.get("name", "permutation_action"), s["perms"], s.get("base_point", 0)
+        ),
+    ),
+    "explicit": (("vertices", "edges"), lambda s: None),
 }
+
+_MAX_VERTICES = 500_000
 
 
 def load_spec(path: str | Path) -> dict:
+    """Read a spec file; its keys are validated when it is built."""
     with open(path) as fh:
         spec = json.load(fh)
-    validate_spec(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: a spec must be a JSON object")
     return spec
 
 
@@ -51,7 +67,7 @@ def validate_spec(spec: dict) -> None:
     kind = spec.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}; known: {', '.join(sorted(_KINDS))}")
-    for key in _KINDS[kind]:
+    for key in _KINDS[kind][0]:
         if key not in spec:
             raise ValueError(f"kind {kind!r} requires {key!r}")
     if kind != "explicit" and "horizon" not in spec:
@@ -85,44 +101,27 @@ def _is_int_list(value) -> bool:
 def system_from_spec(spec: dict) -> GeneratedSystem | None:
     """The generated system behind a spec; None for explicit graphs."""
     validate_spec(spec)
-    kind = spec["kind"]
-    if kind == "free_abelian":
-        return groups.free_abelian(spec["rank"])
-    if kind == "free_group":
-        return groups.free_group(spec["rank"])
-    if kind == "heisenberg":
-        return groups.heisenberg()
-    if kind == "cyclic":
-        return groups.cyclic(spec["n"])
-    if kind == "dihedral":
-        return groups.dihedral(spec["n"])
-    if kind == "hypercube":
-        return groups.hypercube(spec["dim"])
-    if kind == "symmetric":
-        return groups.symmetric_group(spec["n"], spec.get("generators", "transpositions"))
-    if kind == "permutation_action":
-        return groups.permutation_action(
-            spec.get("name", "permutation_action"),
-            [tuple(p) for p in spec["perms"]],
-            spec.get("base_point", 0),
-        )
-    return None
+    return _KINDS[spec["kind"]][1](spec)
+
+
+def instance_from_spec(spec: dict) -> tuple[GeneratedSystem | None, ExploredBall]:
+    """The generated system (None for explicit graphs) and the explored window."""
+    system = system_from_spec(spec)
+    max_vertices = spec.get("max_vertices", _MAX_VERTICES)
+    if system is None:
+        name = spec.get("name", "explicit")
+        if spec["vertices"] > max_vertices:
+            raise ResourceCapError(f"{name}: {spec['vertices']} vertices exceed the budget of {max_vertices}")
+        edges = [tuple(e) for e in spec["edges"]]
+        return None, groups.ball_from_edges(name, spec["vertices"], edges, horizon=spec.get("horizon"))
+    ball = groups.explore(system, spec["horizon"], max_vertices)
+    if "name" in spec:
+        ball.name = spec["name"]
+    return system, ball
 
 
 def build_from_spec(spec: dict, horizon: int | None = None) -> ExploredBall:
-    """Explore the instance a spec describes."""
-    validate_spec(spec)
-    if spec["kind"] == "explicit":
-        ball = groups.ball_from_edges(
-            spec.get("name", "explicit"),
-            spec["vertices"],
-            [tuple(e) for e in spec["edges"]],
-            horizon=horizon if horizon is not None else spec.get("horizon"),
-        )
-        return ball
-    system = system_from_spec(spec)
-    hz = horizon if horizon is not None else spec["horizon"]
-    ball = groups.explore(system, hz, spec.get("max_vertices", 500_000))
-    if "name" in spec:
-        ball.name = spec["name"]
-    return ball
+    """Explore the instance a spec describes, optionally to another horizon."""
+    if horizon is not None:
+        spec = dict(spec, horizon=horizon)
+    return instance_from_spec(spec)[1]

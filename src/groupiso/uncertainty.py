@@ -61,19 +61,16 @@ def canonical_weight(ball: ExploredBall) -> np.ndarray:
     return (ball.dist + 1).astype(np.int64)
 
 
-def multipoint_weight(
-    ball: ExploredBall, points: Sequence[int], multiplier: int | None = None
-) -> np.ndarray:
-    """Nearest-anchor weight: multiplier * (distance to the closest point + 1).
+def multipoint_weight(ball: ExploredBall, points: Sequence[int]) -> np.ndarray:
+    """Nearest-anchor weight: the number of anchors times (distance to the
+    closest anchor + 1).
 
-    With the default multiplier (the number of anchors) the sublevel sets
-    stack into larger balls, so admissibility survives on growing graphs.
+    With that multiplier the sublevel sets stack into larger balls, so
+    admissibility survives on growing graphs.
     """
-    if multiplier is None:
-        multiplier = len(points)
-    if multiplier < 1:
-        raise ValueError("multiplier must be positive")
-    return multiplier * (distances_from(ball, list(points)) + 1)
+    if len(points) < 1:
+        raise ValueError("a multipoint weight needs at least one point")
+    return len(points) * (distances_from(ball, list(points)) + 1)
 
 
 def admissibility_report(ball: ExploredBall, weight: np.ndarray) -> dict:
@@ -109,10 +106,6 @@ def balance_constant(alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return alpha ** (1.0 / (alpha + 1.0)) + alpha ** (-alpha / (alpha + 1.0))
-
-
-def balance_argmin(alpha: float) -> float:
-    return alpha ** (1.0 / (alpha + 1.0))
 
 
 def poincare_constant(p: float, factors: dict | None = None) -> float:
@@ -326,7 +319,6 @@ def uncertainty_ascent(
     seed: int = 0,
     starts: int = 4,
     iters: int = 300,
-    step0: float = 0.5,
 ) -> AscentResult:
     """Maximize ||f||_2^2 / (||grad f||_2 ||w f||_2) by subgradient ascent.
 
@@ -377,7 +369,7 @@ def uncertainty_ascent(
         f = project(f)
         value = _rayleigh(ball, f, weight)
         trace = [value]
-        step = step0
+        step = 0.5
         for _ in range(iters):
             g = loggrad(f) * mask
             improved = False

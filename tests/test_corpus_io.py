@@ -180,3 +180,11 @@ def test_catalogue_names_complete():
 def test_catalogue_rejects_unknown():
     with pytest.raises(KeyError):
         catalogue.system("z99")
+
+
+def test_catalogue_entries_are_valid_specs():
+    for name in catalogue.names():
+        spec = catalogue.spec(name)
+        specio.validate_spec(spec)
+        spec["horizon"] = 0  # a copy: the catalogue keeps its entry
+        assert catalogue.default_horizon(name) >= 1

@@ -70,12 +70,12 @@ def test_half_mass_radius(ring16):
 def test_translation_cayley_frozen():
     c6 = catalogue.build("c6")
     field = {c6.base_index: Fraction(1)}
-    target = c6.index_of[2]
-    rep = translation_report(catalogue.system("c6"), c6, field, target)
+    rep = translation_report(catalogue.system("c6"), c6, field)
+    row = rep["rows"][c6.index_of[2]]
     assert rep["automorphic"]
-    assert rep["lhs"] == 2
-    assert rep["rhs"] == 2 * 4  # dist 2 times grad l1 = 4
-    assert rep["ok"]
+    assert row["lhs"] == 2
+    assert row["rhs"] == 2 * 4  # dist 2 times grad l1 = 4
+    assert row["ok"] and rep["ok"]
 
 
 def test_translation_dihedral_frozen():
@@ -84,11 +84,12 @@ def test_translation_dihedral_frozen():
     field = {d4.base_index: Fraction(1)}
     # target at distance 2 with degree-3 window: grad l1 = 6
     target = next(i for i in range(8) if d4.dist[i] == 2)
-    rep = translation_report(sys_, d4, field, target)
+    rep = translation_report(sys_, d4, field)
+    row = rep["rows"][target]
     assert rep["automorphic"]
-    assert rep["lhs"] == 2
-    assert rep["rhs"] == 12
-    assert rep["ok"]
+    assert row["lhs"] == 2
+    assert row["rhs"] == 12
+    assert row["ok"] and rep["ok"]
 
 
 def test_translation_schreier_normalizes_by_stabilizer():
@@ -105,8 +106,9 @@ def test_translation_flags_non_automorphic():
     ball = explore(sys_, 4)
     maps, stab, automorphic = translation_maps(sys_, ball)
     assert not automorphic
-    rep = translation_report(sys_, ball, {0: Fraction(1)}, 1, (maps, stab, automorphic))
+    rep = translation_report(sys_, ball, {0: Fraction(1)}, (maps, stab, automorphic))
     assert rep["ok"] is None
+    assert all(row["ok"] is None for row in rep["rows"])
 
 
 def test_translation_bound_over_corpus():
@@ -116,6 +118,31 @@ def test_translation_bound_over_corpus():
     sys_ = catalogue.system("c12")
     ms = translation_maps(sys_, c12)
     for field in rational_fields(c12, 25, seed=5):
-        for target in range(c12.num_vertices):
-            rep = translation_report(sys_, c12, field, target, ms)
-            assert rep["ok"]
+        rep = translation_report(sys_, c12, field, ms)
+        assert [row["target"] for row in rep["rows"]] == list(range(c12.num_vertices))
+        assert rep["ok"]
+
+
+def test_translation_rows_match_reference():
+    from groupiso.corpus import rational_fields
+    from groupiso.fields import grad_modulus_exact, l1_norm_exact
+
+    for name in ("c12", "d4", "s4_points"):
+        ball = catalogue.build(name)
+        system = catalogue.system(name)
+        ms = translation_maps(system, ball)
+        maps, stab, _ = ms
+        for field in rational_fields(ball, 5, seed=11):
+            rep = translation_report(system, ball, field, ms)
+            grad_l1 = l1_norm_exact(grad_modulus_exact(ball, field))
+            assert rep["grad_l1"] == grad_l1 and rep["stabilizer"] == stab
+            for target, row in enumerate(rep["rows"]):
+                # one Fraction sum per target, as the definition reads
+                total = sum(
+                    (abs(field.get(m[target], Fraction(0)) - field.get(m[ball.base_index], Fraction(0)))
+                     for m in maps),
+                    Fraction(0),
+                )
+                assert row["lhs"] == total / stab
+                assert row["rhs"] == ball.dist[target] * grad_l1
+                assert row["ok"] == (row["lhs"] <= row["rhs"])
