@@ -28,9 +28,8 @@ import numpy as np
 from . import catalogue, corpus, fields, growth, isoperimetry, reporting, specio, uncertainty
 from .groups import ResourceCapError, validate_ball
 from .groups import explore  # noqa: F401  (perfbench/test_perfbench.py reads cli.explore)
+from .uncertainty import EXPONENTS, WEIGHT_POWERS
 
-_PS = (1.0, 2.0, 3.0)
-_ALPHAS = (0.5, 1.0, 2.0)
 #: least accepted value of each count argument a subcommand has
 _LEAST = dict.fromkeys(
     ("kmax", "cap", "workers", "chains", "budget", "starts", "iters", "fields", "horizon", "max_vertices"),
@@ -144,8 +143,8 @@ def cmd_constants(args) -> int:
     quotient = float(ascent.value / float(best) ** 2) if best else None
     certified = [
         {"p": p, "alpha": a, "certified": uncertainty.certified_constant(p, a, ball.complete)}
-        for p in _PS
-        for a in _ALPHAS
+        for p in EXPONENTS
+        for a in WEIGHT_POWERS
     ]
     payload = {
         "name": ball.name,
@@ -215,35 +214,19 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
 
     floats = corpus.float_fields(ball, nfields, seed, zero_mean=ball.complete)
     wcanon = weights[0][1].astype(np.float64)
-    bad = vacuous = 0
-    for f in floats:
-        for p in _PS:
-            for a in _ALPHAS:
-                rep = uncertainty.additive_link_report(ball, f, wcanon, p, a)
-                if not rep["all_ok"]:
-                    bad += 1
-                vacuous += rep["vacuous"]
+    grids = [g for f in floats for g in uncertainty.additive_link_report(ball, f, wcanon)["grids"]]
+    bad = sum(not g["all_ok"] for g in grids)
+    vacuous = sum(g["vacuous"] for g in grids)
     add(
         "additive-links", bad == 0,
-        f"{len(floats)} fields x {len(_PS) * len(_ALPHAS)} grids, {bad} failures, {vacuous} vacuous",
+        f"{len(floats)} fields x {len(EXPONENTS) * len(WEIGHT_POWERS)} grids, {bad} failures, {vacuous} vacuous",
     )
 
-    bad = 0
-    count = 0
-    for f in floats:
-        for p in _PS:
-            for a in _ALPHAS:
-                for _, w in usable:
-                    count += 1
-                    if not uncertainty.hpw_report(ball, f, w, p, a)["ok"]:
-                        bad += 1
-    add("uncertainty-ratio", bad == 0, f"{count} ratios, {bad} failures")
+    rows = [r for f in floats for _, w in usable for r in uncertainty.hpw_report(ball, f, w)["rows"]]
+    bad = sum(not r["ok"] for r in rows)
+    add("uncertainty-ratio", bad == 0, f"{len(rows)} ratios, {bad} failures")
 
-    bad = 0
-    for f in floats:
-        for p in (2.0, 3.0):
-            if not fields.power_leibniz_report(ball, f, p)["ok"]:
-                bad += 1
+    bad = sum(not fields.power_leibniz_report(ball, f, p)["ok"] for f in floats for p in (2.0, 3.0))
     add("power-rule", bad == 0, f"{len(floats)} fields, {bad} failures")
 
     if ball.complete:
@@ -258,12 +241,9 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
         )
         add("median", bad == 0, f"{len(zexact)} fields, {bad} failures")
 
-        bad = 0
-        for f in floats:
-            for p in _PS:
-                if not uncertainty.poincare_report(ball, f, p)["ok"]:
-                    bad += 1
-        add("poincare", bad == 0, f"{len(floats)} fields x {len(_PS)} exponents, {bad} failures")
+        rows = [r for f in floats for r in uncertainty.poincare_report(ball, f)["rows"]]
+        bad = sum(not r["ok"] for r in rows)
+        add("poincare", bad == 0, f"{len(floats)} fields x {len(EXPONENTS)} exponents, {bad} failures")
 
         if system is not None and system.kind in ("cayley", "schreier"):
             try:
@@ -389,7 +369,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
         return args.func(args)
     except (isoperimetry.WorkCapError, ResourceCapError, ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        sys.stderr.write(f"error: {message}\n")
         return 2
 
 

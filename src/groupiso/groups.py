@@ -30,10 +30,10 @@ class ResourceCapError(RuntimeError):
 class GeneratedSystem:
     """Base state plus a symmetric tuple of generator moves.
 
-    ``multiply``/``invert`` are optional and only present for group
-    constructions where whole-group translation is meaningful.  For
-    permutation actions ``acting_perms`` holds the generator permutations
-    so the acting group can be enumerated on demand.
+    ``multiply`` is optional and only present for group constructions
+    where whole-group translation is meaningful.  For permutation
+    actions ``acting_perms`` holds the generator permutations so the
+    acting group can be enumerated on demand.
     """
 
     name: str
@@ -41,8 +41,14 @@ class GeneratedSystem:
     moves: tuple[Callable[[Hashable], Hashable], ...]
     kind: str = "cayley"
     multiply: Callable[[Hashable, Hashable], Hashable] | None = None
-    invert: Callable[[Hashable], Hashable] | None = None
     acting_perms: tuple[tuple[int, ...], ...] | None = None
+
+
+def _frozen(values) -> np.ndarray:
+    """Read-only int64 array: cached balls are shared by every caller."""
+    out = np.asarray(values, np.int64)
+    out.flags.writeable = False
+    return out
 
 
 class ExploredBall:
@@ -51,15 +57,16 @@ class ExploredBall:
     ``complete`` is True when no unseen state exists beyond the horizon,
     i.e. the whole (finite) system was exhausted.  On an incomplete
     window only vertices with ``dist < horizon`` are guaranteed to carry
-    their full neighborhood.
+    their full neighborhood.  ``dist``, ``indptr`` and ``indices`` are
+    read-only.
     """
 
     def __init__(self, name, horizon, dist, indptr, indices, complete, labels, regular=True):
         self.name = name
         self.horizon = int(horizon)
-        self.dist = np.asarray(dist, np.int64)
-        self.indptr = np.asarray(indptr, np.int64)
-        self.indices = np.asarray(indices, np.int64)
+        self.dist = _frozen(dist)
+        self.indptr = _frozen(indptr)
+        self.indices = _frozen(indices)
         self.complete = bool(complete)
         self.labels = list(labels)
         self.base_index = 0
@@ -212,7 +219,7 @@ def ball_from_edges(
         name, 1, np.zeros(num_vertices), indptr, indices, True,
         range(num_vertices), regular=False,
     )
-    ball.dist = distances_from(ball, [0])
+    ball.dist = _frozen(distances_from(ball, [0]))
     if (ball.dist < 0).any():
         raise ValueError(f"{name}: graph is not connected from the base vertex")
     ball.horizon = max(int(ball.dist.max()), 1) if horizon is None else horizon
@@ -338,10 +345,7 @@ def free_abelian(rank: int) -> GeneratedSystem:
     def mul(a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def inv(a):
-        return tuple(-x for x in a)
-
-    return GeneratedSystem(f"free_abelian_{rank}", (0,) * rank, moves, "cayley", mul, inv)
+    return GeneratedSystem(f"free_abelian_{rank}", (0,) * rank, moves, "cayley", mul)
 
 
 def free_group(rank: int) -> GeneratedSystem:
@@ -370,10 +374,7 @@ def free_group(rank: int) -> GeneratedSystem:
             b.pop(0)
         return tuple(a) + tuple(b)
 
-    def inv(a):
-        return tuple(-x for x in reversed(a))
-
-    return GeneratedSystem(f"free_group_{rank}", (), moves, "cayley", mul, inv)
+    return GeneratedSystem(f"free_group_{rank}", (), moves, "cayley", mul)
 
 
 def heisenberg() -> GeneratedSystem:
@@ -396,7 +397,7 @@ def heisenberg() -> GeneratedSystem:
     def left(g):
         return lambda x: mul(g, x)
 
-    return GeneratedSystem("heisenberg", (0, 0, 0), tuple(left(g) for g in gens), "cayley", mul, inv)
+    return GeneratedSystem("heisenberg", (0, 0, 0), tuple(left(g) for g in gens), "cayley", mul)
 
 
 def cyclic(n: int) -> GeneratedSystem:
@@ -407,11 +408,8 @@ def cyclic(n: int) -> GeneratedSystem:
     def mul(a, b):
         return (a + b) % n
 
-    def inv(a):
-        return (-a) % n
-
     moves = (lambda x: (x + 1) % n, lambda x: (x - 1) % n)
-    return GeneratedSystem(f"cyclic_{n}", 0, moves, "cayley", mul, inv)
+    return GeneratedSystem(f"cyclic_{n}", 0, moves, "cayley", mul)
 
 
 def dihedral(n: int) -> GeneratedSystem:
@@ -427,18 +425,12 @@ def dihedral(n: int) -> GeneratedSystem:
             return ((r1 + r2) % n, s2)
         return ((r1 - r2) % n, 1 - s2)
 
-    def inv(x):
-        r, s = x
-        if s == 0:
-            return ((-r) % n, 0)
-        return (r, 1)
-
     gens = [(1, 0), ((n - 1) % n, 0), (0, 1)]
 
     def left(g):
         return lambda x: mul(g, x)
 
-    return GeneratedSystem(f"dihedral_{n}", (0, 0), tuple(left(g) for g in gens), "cayley", mul, inv)
+    return GeneratedSystem(f"dihedral_{n}", (0, 0), tuple(left(g) for g in gens), "cayley", mul)
 
 
 def hypercube(dim: int) -> GeneratedSystem:
@@ -450,7 +442,7 @@ def hypercube(dim: int) -> GeneratedSystem:
         return a ^ b
 
     moves = tuple((lambda i: lambda x: x ^ (1 << i))(i) for i in range(dim))
-    return GeneratedSystem(f"hypercube_{dim}", 0, moves, "cayley", mul, lambda a: a)
+    return GeneratedSystem(f"hypercube_{dim}", 0, moves, "cayley", mul)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -493,7 +485,6 @@ def symmetric_group(n: int, generators: str = "transpositions") -> GeneratedSyst
         tuple(left(g) for g in gens),
         "cayley",
         _compose,
-        _perm_inverse,
     )
 
 
@@ -522,9 +513,7 @@ def permutation_action(
         base_point,
         tuple(act(g) for g in gens),
         "schreier",
-        None,
-        None,
-        tuple(gens),
+        acting_perms=tuple(gens),
     )
 
 

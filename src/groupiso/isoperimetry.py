@@ -114,34 +114,28 @@ def min_perimeter(
     if k > m:
         raise ValueError(f"cardinality {k} exceeds the candidate pool ({m})")
     total = math.comb(m, k)
-    scan = kernels.min_perimeter_scan
-    if total > cap:
-        if on_cap == "raise":
-            raise WorkCapError(
-                f"{total} subsets of size {k} exceed the cap of {cap}; "
-                "raise the cap, shrink the pool, or anneal instead"
-            )
-        firsts = np.arange(0, m - k + 1, dtype=np.int64)
-        res = scan(ball.indptr, ball.indices, cand, k, firsts, np.int64(cap))
-        best, leaves, capped = _merge([res])
-        perim, wit = best if best is not None else (None, None)
-        return ProfileEntry(k, perim, wit, leaves, capped, False)
+    capped = total > cap
+    if capped and on_cap == "raise":
+        raise WorkCapError(
+            f"{total} subsets of size {k} exceed the cap of {cap}; "
+            "raise the cap, shrink the pool, or anneal instead"
+        )
+    budget = np.int64(cap if capped else total + 1)
     firsts = np.arange(0, m - k + 1, dtype=np.int64)
-    budget = np.int64(total + 1)
-    if workers <= 1 or firsts.size <= 1:
-        parts = [scan(ball.indptr, ball.indices, cand, k, firsts, budget)]
+    threads = 1 if capped else max(workers, 1)
+    chunks = [firsts[i::threads] for i in range(threads) if firsts[i::threads].size]
+
+    def scan(chunk):
+        return kernels.min_perimeter_scan(ball.indptr, ball.indices, cand, k, chunk, budget)
+
+    if len(chunks) == 1:
+        parts = [scan(chunks[0])]
     else:
-        chunks = [firsts[i::workers] for i in range(workers) if firsts[i::workers].size]
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(
-                    lambda ch: scan(ball.indptr, ball.indices, cand, k, ch, budget),
-                    chunks,
-                )
-            )
-    best, leaves, capped = _merge(parts)
+            parts = list(pool.map(scan, chunks))
+    best, leaves, hit_cap = _merge(parts)
     perim, wit = best if best is not None else (None, None)
-    return ProfileEntry(k, perim, wit, leaves, capped, True)
+    return ProfileEntry(k, perim, wit, leaves, hit_cap, not capped)
 
 
 def profile(

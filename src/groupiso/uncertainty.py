@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .fields import (
-    grad_lp_norm,
     grad_modulus,
     energy_subgradient,
     lp_norm,
@@ -50,6 +49,12 @@ FACTORS = {
     "poincare_lp": 64.0,
     "poincare_to_radius": 16.0,  # swapping the diameter for a too-large radius
 }
+
+#: The grid of exponents p and weight powers alpha every float report covers.
+EXPONENTS = (1.0, 2.0, 3.0)
+WEIGHT_POWERS = (0.5, 1.0, 2.0)
+#: Relative float slack of every float report verdict.
+RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -159,98 +164,96 @@ def additive_link_report(
     ball: ExploredBall,
     values: np.ndarray,
     weight: np.ndarray,
-    p: float,
-    alpha: float,
-    factors: dict | None = None,
-    rtol: float = 1e-9,
+    ps: Sequence[float] = EXPONENTS,
+    alphas: Sequence[float] = WEIGHT_POWERS,
 ) -> dict:
-    """Check the additive radius inequality at every certified integer radius.
+    """Check the additive radius inequality at every certified integer radius,
+    one grid of rows per (p, alpha).
 
     Infinite windows route through the p-th power of the field with
     weight power p*alpha; complete graphs check the recentred form for
     radii up to an eighth of the diameter (possibly an empty range).
     """
-    f = FACTORS if factors is None else factors
     values = np.asarray(values, np.float64)
     weight = np.asarray(weight, np.float64)
-    rows = []
-    ok = True
-    if not ball.complete:
-        power = np.abs(values) ** p
-        lhs = float(power.sum())
-        grad1 = lp_norm(grad_modulus(ball, power), 1)
-        wterm = float((weight ** (p * alpha) * power).sum())
-        for r in range(1, ball.horizon + 2):
-            rhs = f["gradient_link"] * r * grad1 + r ** (-p * alpha) * wterm
-            good = lhs <= rhs * (1.0 + rtol)
-            ok = ok and good
-            rows.append({"r": r, "lhs": lhs, "rhs": rhs, "ok": good})
+    if ball.complete:
+        radii = range(1, diameter(ball) // 8 + 1)
+        gmod = grad_modulus(ball, values)
     else:
-        d0 = diameter(ball)
-        lhs = lp_norm(values, p)
-        grad = grad_lp_norm(ball, values, p)
-        wnorm = weighted_lp_norm(values, weight, alpha, p)
-        for r in range(1, d0 // 8 + 1):
-            rhs = f["compact_gradient_link"] * p * r * grad + f["compact_weight_link"] * r ** (
-                -alpha
-            ) * wnorm
-            good = lhs <= rhs * (1.0 + rtol)
-            ok = ok and good
-            rows.append({"r": r, "lhs": lhs, "rhs": rhs, "ok": good})
-    return {"rows": rows, "all_ok": ok, "vacuous": not rows}
+        radii = range(1, ball.horizon + 2)
+    grids = []
+    for p in ps:
+        if ball.complete:
+            lhs, g = lp_norm(values, p), lp_norm(gmod, p)
+            c1, c2 = FACTORS["compact_gradient_link"] * p, FACTORS["compact_weight_link"]
+        else:
+            power = np.abs(values) ** p
+            lhs, g = float(power.sum()), lp_norm(grad_modulus(ball, power), 1)
+            c1, c2 = FACTORS["gradient_link"], 1.0
+        for alpha in alphas:
+            if ball.complete:
+                e, w = alpha, weighted_lp_norm(values, weight, alpha, p)
+            else:
+                e, w = p * alpha, float((weight ** (p * alpha) * power).sum())
+            rows = []
+            for r in radii:
+                rhs = c1 * r * g + c2 * r ** (-e) * w
+                rows.append({"r": r, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1.0 + RTOL)})
+            ok = all(row["ok"] for row in rows)
+            grids.append({"p": p, "alpha": alpha, "rows": rows, "all_ok": ok, "vacuous": not rows})
+    return {"grids": grids, "all_ok": all(grid["all_ok"] for grid in grids)}
 
 
-def poincare_report(
-    ball: ExploredBall,
-    values: np.ndarray,
-    p: float,
-    factors: dict | None = None,
-    rtol: float = 1e-9,
-) -> dict:
-    """Zero sum mean-value bound on a complete graph."""
+def poincare_report(ball: ExploredBall, values: np.ndarray, ps: Sequence[float] = EXPONENTS) -> dict:
+    """Zero sum mean-value bound on a complete graph, one row per exponent."""
     values = np.asarray(values, np.float64)
     d0 = diameter(ball)
-    norm = lp_norm(values, p)
-    grad = grad_lp_norm(ball, values, p)
-    bound = poincare_constant(p, factors) * p * d0 * grad
-    ratio = norm / (p * d0 * grad) if grad > 0 else math.inf
-    return {
-        "p": p,
-        "diameter": d0,
-        "norm": norm,
-        "grad_norm": grad,
-        "ratio": ratio,
-        "bound": bound,
-        "ok": norm <= bound * (1.0 + rtol),
-    }
+    gmod = grad_modulus(ball, values)
+    rows = []
+    for p in ps:
+        norm, grad = lp_norm(values, p), lp_norm(gmod, p)
+        bound = poincare_constant(p) * p * d0 * grad
+        rows.append({
+            "p": p,
+            "diameter": d0,
+            "norm": norm,
+            "grad_norm": grad,
+            "ratio": norm / (p * d0 * grad) if grad > 0 else math.inf,
+            "bound": bound,
+            "ok": norm <= bound * (1.0 + RTOL),
+        })
+    return {"rows": rows, "ok": all(row["ok"] for row in rows)}
 
 
 def hpw_report(
     ball: ExploredBall,
     values: np.ndarray,
     weight: np.ndarray,
-    p: float,
-    alpha: float,
-    factors: dict | None = None,
-    rtol: float = 1e-9,
+    ps: Sequence[float] = EXPONENTS,
+    alphas: Sequence[float] = WEIGHT_POWERS,
 ) -> dict:
-    """Measured uncertainty ratio of one field against the certified bound."""
+    """Measured uncertainty ratios of one field against the certified
+    bounds, one row per (p, alpha)."""
     values = np.asarray(values, np.float64)
-    norm = lp_norm(values, p)
-    grad = grad_lp_norm(ball, values, p)
-    wnorm = weighted_lp_norm(values, weight, alpha, p)
-    ratio = uncertainty_ratio(p, alpha, norm, grad, wnorm)
-    certified = certified_constant(p, alpha, ball.complete, factors)
-    return {
-        "p": p,
-        "alpha": alpha,
-        "norm": norm,
-        "grad_norm": grad,
-        "weighted_norm": wnorm,
-        "ratio": ratio,
-        "certified": certified,
-        "ok": ratio <= certified * (1.0 + rtol),
-    }
+    gmod = grad_modulus(ball, values)
+    rows = []
+    for p in ps:
+        norm, grad = lp_norm(values, p), lp_norm(gmod, p)
+        for alpha in alphas:
+            wnorm = weighted_lp_norm(values, weight, alpha, p)
+            ratio = uncertainty_ratio(p, alpha, norm, grad, wnorm)
+            certified = certified_constant(p, alpha, ball.complete)
+            rows.append({
+                "p": p,
+                "alpha": alpha,
+                "norm": norm,
+                "grad_norm": grad,
+                "weighted_norm": wnorm,
+                "ratio": ratio,
+                "certified": certified,
+                "ok": ratio <= certified * (1.0 + RTOL),
+            })
+    return {"rows": rows, "ok": all(row["ok"] for row in rows)}
 
 
 # ---------------------------------------------------------------------------

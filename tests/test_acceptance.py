@@ -4,7 +4,8 @@ Every criterion prints ``ACCEPTANCE <n> <name>: PASS/FAIL - <detail>``
 (collected by the conftest terminal-summary hook) and fails its test on
 any violation.  Tolerances are pinned here and nowhere else: exact
 checks use rational arithmetic and demand equality; float checks allow
-relative slack 1e-9; frozen float constants compare at 1e-12.
+relative slack 1e-9 (the float reports' own slack, which criterion 7
+checks against it); frozen float constants compare at 1e-12.
 """
 
 import math
@@ -25,6 +26,7 @@ from groupiso.isoperimetry import (
     double_counting_report,
     profile,
 )
+from groupiso.uncertainty import RTOL as REPORT_RTOL
 from groupiso.uncertainty import (
     additive_link_report,
     canonical_weight,
@@ -176,18 +178,15 @@ def test_07_uncertainty_sweep():
         weights = [canonical_weight(ball).astype(np.float64), _two_point_weight(ball)]
         fields = float_fields(ball, 500, seed=20, zero_mean=compact)
         for values in fields:
-            for p in (1.0, 2.0, 3.0):
-                for alpha in (0.5, 1.0, 2.0):
-                    rep = additive_link_report(ball, values, weights[0], p, alpha, rtol=RTOL)
-                    links += len(rep["rows"])
-                    if not rep["all_ok"]:
-                        failures += 1
-                    for w in weights:
-                        ratios += 1
-                        if not hpw_report(ball, values, w, p, alpha, rtol=RTOL)["ok"]:
-                            failures += 1
+            grids = additive_link_report(ball, values, weights[0])["grids"]
+            links += sum(len(g["rows"]) for g in grids)
+            failures += sum(not g["all_ok"] for g in grids)
+            for w in weights:
+                rows = hpw_report(ball, values, w)["rows"]
+                ratios += len(rows)
+                failures += sum(not r["ok"] for r in rows)
     elapsed = time.monotonic() - t0
-    ok = failures == 0 and elapsed < 600
+    ok = failures == 0 and elapsed < 600 and REPORT_RTOL == RTOL
     _verdict(
         7, "uncertainty-sweep", ok,
         f"{ratios} certified-ratio checks and {links} additive rows "
@@ -205,10 +204,9 @@ def test_08_compact_median_poincare():
             if not (rep["zero_sum"] and rep["markov_ok"] and rep["shift_ok"]):
                 failures += 1
         for values in float_fields(ball, 500, seed=31, zero_mean=True):
-            for p in (1.0, 2.0, 3.0):
-                poincares += 1
-                if not poincare_report(ball, values, p, rtol=RTOL)["ok"]:
-                    failures += 1
+            rows = poincare_report(ball, values)["rows"]
+            poincares += len(rows)
+            failures += sum(not r["ok"] for r in rows)
     _verdict(
         8, "compact-median-poincare", failures == 0,
         f"{medians} median/shift checks and {poincares} mean-value bounds, {failures} failures",

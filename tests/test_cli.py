@@ -143,16 +143,18 @@ def test_corpus_zero_mean_float():
         assert abs(sum(vals)) < 1e-9
 
 
-def test_unknown_instance_fails():
-    out = run_cli("growth", "--instance", "nope", check=False)
-    assert out.returncode == 2
-
-
 def _one_error_line(out):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
+def test_unknown_instance_fails():
+    for command in ("build", "growth"):
+        out = run_cli(command, "--instance", "nope", check=False)
+        _one_error_line(out)
+        assert out.stderr.startswith("error: unknown instance 'nope'")
 
 
 def test_vertex_budget_is_an_error():
@@ -244,8 +246,10 @@ def test_translation_over_the_map_limit_is_reported(tmp_path, n, line):
 
 #: sha256 of stdout and of the --csv/--json files.  Captured before the
 #: command line wiring was rewritten on top of one instance, check and
-#: output path; the two verify hashes were captured after the vacuous
-#: additive-link count joined the detail, the only byte that changed.
+#: output path; the c6 and path3 verify hashes were captured after the
+#: vacuous additive-link count joined the detail, the only byte that
+#: changed, and the z2 and heisenberg ones before the float reports came
+#: to cover the whole (p, alpha) grid in one call.
 GOLDEN = [
     (("build", "--instance", "c6"), {
         "stdout": "8d3014ed5eae970f13f386cf6bfe5cea502e9188a23b3ad926862a71048120d2",
@@ -284,6 +288,14 @@ GOLDEN = [
     (("verify", "--spec", os.path.join(SPECS, "path3.json"), "--fields", "5"), {
         "stdout": "79d31c9ded444c9223db426b7ad8714b4ea24cf5fdef1a1f870c2ee724ad1b21",
         "json": "ec2b5ded043f05da2bd835c0f4bc22f05ae9ab53a9e3dc009d0bf01794004ff7",
+    }),
+    (("verify", "--instance", "z2", "--fields", "5"), {
+        "stdout": "c3fc940541815a6bbf9370f173cde9fde4c4d10df86facd73b2ebad3d9362d8a",
+        "json": "75b27547a6b237c953c92acc33035852973398a86ea804894b40f25d4cc09556",
+    }),
+    (("verify", "--instance", "heisenberg", "--fields", "5"), {
+        "stdout": "5ae9443d12e18ee2873ec06f9f6805d2521c39a85f59cca08bbd0fdfc95c2edd",
+        "json": "7b13e0b94d8606aea4ae31eadfbd2936103b3ad996247451bf9c8a5b5f6d2bbc",
     }),
     (("corpus", "--instance", "z2", "--kind", "exact"), {
         "stdout": "02a60b5c28fc1a9100bd69a3ba7006b850a31df19cbec9f946bab162734bd75b",

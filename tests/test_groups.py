@@ -122,9 +122,19 @@ def test_explicit_graph_dedupes():
 
 def test_validate_catches_mutilation(ring16):
     broken = ball_from_edges("c4", 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    broken.dist = broken.dist.copy()
     broken.dist[3] = 7
     issues = validate_ball(broken)
     assert any("skips a distance level" in s for s in issues)
+
+
+def test_catalogue_ball_is_read_only():
+    # catalogue.build is cached, so a write would reach every later caller
+    ball = catalogue.build("z2")
+    for arr in (ball.dist, ball.indptr, ball.indices):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    assert ball_from_edges("p2", 2, [(0, 1)]).dist.flags.writeable is False
 
 
 def _window(rows, dist, horizon=2):

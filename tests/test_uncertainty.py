@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from groupiso import catalogue
 from groupiso.corpus import float_fields
-from groupiso.fields import to_dense
+from groupiso.fields import grad_lp_norm, grad_modulus, lp_norm, to_dense, weighted_lp_norm
 from groupiso.groups import cyclic, diameter, explore
 from groupiso.isoperimetry import profile
 from groupiso.uncertainty import (
+    EXPONENTS,
     FACTORS,
+    WEIGHT_POWERS,
     additive_link_report,
     admissibility_report,
     balance_constant,
@@ -23,6 +25,7 @@ from groupiso.uncertainty import (
     hpw_report,
     isoperimetric_constant_trace,
     multipoint_weight,
+    poincare_constant,
     poincare_report,
     uncertainty_ascent,
     uncertainty_ratio,
@@ -130,10 +133,11 @@ def test_admissibility_rejects_small_weights(ring16):
 def test_ratio_frozen_spike(line):
     values = to_dense(line, {line.base_index: Fraction(1)})
     w = canonical_weight(line).astype(np.float64)
-    rep1 = hpw_report(line, values, w, 1.0, 1.0)
+    rows = {(r["p"], r["alpha"]): r for r in hpw_report(line, values, w)["rows"]}
+    rep1 = rows[(1.0, 1.0)]
     assert math.isclose(rep1["ratio"], 0.5, rel_tol=1e-12)
     assert rep1["ok"]
-    rep2 = hpw_report(line, values, w, 2.0, 1.0)
+    rep2 = rows[(2.0, 1.0)]
     assert math.isclose(rep2["ratio"], 2.0 ** -0.5 * 6.0 ** -0.25, rel_tol=1e-12)
     assert rep2["ok"]
 
@@ -146,18 +150,20 @@ def test_ratio_raises_on_degenerate():
 def test_additive_link_spike(line):
     values = to_dense(line, {line.base_index: Fraction(1)})
     w = canonical_weight(line).astype(np.float64)
-    for p in (1.0, 2.0, 3.0):
-        for alpha in (0.5, 1.0, 2.0):
-            rep = additive_link_report(line, values, w, p, alpha)
-            assert rep["all_ok"]
-            assert not rep["vacuous"]
-            assert len(rep["rows"]) == line.horizon + 1
+    grids = additive_link_report(line, values, w)["grids"]
+    assert [(g["p"], g["alpha"]) for g in grids] == [
+        (p, alpha) for p in (1.0, 2.0, 3.0) for alpha in (0.5, 1.0, 2.0)
+    ]
+    for rep in grids:
+        assert rep["all_ok"]
+        assert not rep["vacuous"]
+        assert len(rep["rows"]) == line.horizon + 1
 
 
 def test_additive_link_compact(ring16):
     w = canonical_weight(ring16).astype(np.float64)
     for values in float_fields(ring16, 20, seed=2, zero_mean=True):
-        rep = additive_link_report(ring16, values, w, 1.0, 1.0)
+        (rep,) = additive_link_report(ring16, values, w, ps=(1.0,), alphas=(1.0,))["grids"]
         assert rep["all_ok"]
         assert len(rep["rows"]) == 1  # floor(8 / 8)
 
@@ -165,7 +171,7 @@ def test_additive_link_compact(ring16):
 def test_additive_link_vacuous_on_small(cube):
     w = canonical_weight(cube).astype(np.float64)
     values = to_dense(cube, {0: Fraction(1)})
-    rep = additive_link_report(cube, values, w, 1.0, 1.0)
+    (rep,) = additive_link_report(cube, values, w, ps=(1.0,), alphas=(1.0,))["grids"]
     assert rep["vacuous"]
     assert rep["rows"] == []
     assert rep["all_ok"]
@@ -178,15 +184,69 @@ def test_poincare_frozen_quarter_ring():
         values = np.zeros(4)
         values[(0 + shift) % 4] = 1.0
         values[(2 + shift) % 4] = -1.0
-        rep = poincare_report(c4, values, 1.0)
+        (rep,) = poincare_report(c4, values, ps=(1.0,))["rows"]
         assert math.isclose(rep["ratio"], 1.0 / 8.0, rel_tol=1e-12)
         assert rep["ok"]
 
 
 def test_poincare_holds_on_corpus(ring16):
     for values in float_fields(ring16, 30, seed=9, zero_mean=True):
-        for p in (1.0, 2.0, 3.0):
-            assert poincare_report(ring16, values, p)["ok"]
+        assert poincare_report(ring16, values)["ok"]
+
+
+@pytest.mark.parametrize("name", ["z2", "c16", "q6"])
+def test_grid_rows_match_reference(name):
+    # every row equals the value the one-exponent formulas give, to the bit
+    ball = catalogue.build(name)
+    w = canonical_weight(ball).astype(np.float64)
+    grid = [(p, alpha) for p in EXPONENTS for alpha in WEIGHT_POWERS]
+    for values in float_fields(ball, 4, seed=5, zero_mean=ball.complete):
+        expect = []
+        for p, alpha in grid:
+            norm = lp_norm(values, p)
+            grad = grad_lp_norm(ball, values, p)
+            wnorm = weighted_lp_norm(values, w, alpha, p)
+            ratio = uncertainty_ratio(p, alpha, norm, grad, wnorm)
+            certified = certified_constant(p, alpha, ball.complete)
+            expect.append({
+                "p": p, "alpha": alpha, "norm": norm, "grad_norm": grad, "weighted_norm": wnorm,
+                "ratio": ratio, "certified": certified, "ok": ratio <= certified * (1.0 + 1e-9),
+            })
+        assert hpw_report(ball, values, w)["rows"] == expect
+
+        links = []
+        for p, alpha in grid:
+            if ball.complete:
+                lhs = lp_norm(values, p)
+                grad = grad_lp_norm(ball, values, p)
+                wnorm = weighted_lp_norm(values, w, alpha, p)
+                rhs = [
+                    FACTORS["compact_gradient_link"] * p * r * grad
+                    + FACTORS["compact_weight_link"] * r ** (-alpha) * wnorm
+                    for r in range(1, diameter(ball) // 8 + 1)
+                ]
+            else:
+                power = np.abs(values) ** p
+                lhs = float(power.sum())
+                grad1 = lp_norm(grad_modulus(ball, power), 1)
+                wterm = float((w ** (p * alpha) * power).sum())
+                rhs = [
+                    FACTORS["gradient_link"] * r * grad1 + r ** (-p * alpha) * wterm
+                    for r in range(1, ball.horizon + 2)
+                ]
+            links.append([(lhs, x) for x in rhs])
+        got = additive_link_report(ball, values, w)["grids"]
+        assert [[(r["lhs"], r["rhs"]) for r in g["rows"]] for g in got] == links
+
+        if ball.complete:
+            d0 = diameter(ball)
+            expect = [
+                (lp_norm(values, p), grad_lp_norm(ball, values, p),
+                 poincare_constant(p) * p * d0 * grad_lp_norm(ball, values, p))
+                for p in EXPONENTS
+            ]
+            got = poincare_report(ball, values)["rows"]
+            assert [(r["norm"], r["grad_norm"], r["bound"]) for r in got] == expect
 
 
 def test_trace_frozen_line(line):
