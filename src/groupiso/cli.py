@@ -226,7 +226,8 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
     bad = sum(not r["ok"] for r in rows)
     add("uncertainty-ratio", bad == 0, f"{len(rows)} ratios, {bad} failures")
 
-    bad = sum(not fields.power_leibniz_report(ball, f, p)["ok"] for f in floats for p in (2.0, 3.0))
+    powers = [p for p in EXPONENTS if p > 1]
+    bad = sum(not fields.power_leibniz_report(ball, f, p)["ok"] for f in floats for p in powers)
     add("power-rule", bad == 0, f"{len(floats)} fields, {bad} failures")
 
     if ball.complete:

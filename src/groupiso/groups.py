@@ -44,9 +44,12 @@ class GeneratedSystem:
     acting_perms: tuple[tuple[int, ...], ...] | None = None
 
 
-def _frozen(values) -> np.ndarray:
-    """Read-only int64 array: cached balls are shared by every caller."""
-    out = np.asarray(values, np.int64)
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    """Read-only view: cached balls are shared by every caller.
+
+    The view leaves the array the caller passed in writable.
+    """
+    out = np.asarray(values, dtype).view()
     out.flags.writeable = False
     return out
 
@@ -57,8 +60,9 @@ class ExploredBall:
     ``complete`` is True when no unseen state exists beyond the horizon,
     i.e. the whole (finite) system was exhausted.  On an incomplete
     window only vertices with ``dist < horizon`` are guaranteed to carry
-    their full neighborhood.  ``dist``, ``indptr`` and ``indices`` are
-    read-only.
+    their full neighborhood.  Every array the ball holds (``dist``,
+    ``indptr``, ``indices`` and the cached ``degrees``, ``rows`` and
+    ``interior``) is read-only.
     """
 
     def __init__(self, name, horizon, dist, indptr, indices, complete, labels, regular=True):
@@ -85,12 +89,12 @@ class ExploredBall:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return _frozen(np.diff(self.indptr))
 
     @cached_property
     def rows(self) -> np.ndarray:
         """Row index of every CSR entry, for vectorized edge sums."""
-        return np.repeat(np.arange(self.num_vertices), self.degrees)
+        return _frozen(np.repeat(np.arange(self.num_vertices), self.degrees))
 
     @cached_property
     def index_of(self) -> dict:
@@ -100,8 +104,8 @@ class ExploredBall:
     def interior(self) -> np.ndarray:
         """Vertices whose whole neighborhood is inside the window."""
         if self.complete:
-            return np.ones(self.num_vertices, np.bool_)
-        return self.dist < self.horizon
+            return _frozen(np.ones(self.num_vertices, np.bool_), np.bool_)
+        return _frozen(self.dist < self.horizon, np.bool_)
 
     def interior_within(self, margin: int) -> np.ndarray:
         """Vertices all of whose ``margin``-neighbors are interior."""

@@ -160,15 +160,9 @@ def uncertainty_ratio(
     return norm / denom
 
 
-def additive_link_report(
-    ball: ExploredBall,
-    values: np.ndarray,
-    weight: np.ndarray,
-    ps: Sequence[float] = EXPONENTS,
-    alphas: Sequence[float] = WEIGHT_POWERS,
-) -> dict:
+def additive_link_report(ball: ExploredBall, values: np.ndarray, weight: np.ndarray) -> dict:
     """Check the additive radius inequality at every certified integer radius,
-    one grid of rows per (p, alpha).
+    one grid of rows per (p, alpha) of ``EXPONENTS`` x ``WEIGHT_POWERS``.
 
     Infinite windows route through the p-th power of the field with
     weight power p*alpha; complete graphs check the recentred form for
@@ -182,7 +176,7 @@ def additive_link_report(
     else:
         radii = range(1, ball.horizon + 2)
     grids = []
-    for p in ps:
+    for p in EXPONENTS:
         if ball.complete:
             lhs, g = lp_norm(values, p), lp_norm(gmod, p)
             c1, c2 = FACTORS["compact_gradient_link"] * p, FACTORS["compact_weight_link"]
@@ -190,7 +184,7 @@ def additive_link_report(
             power = np.abs(values) ** p
             lhs, g = float(power.sum()), lp_norm(grad_modulus(ball, power), 1)
             c1, c2 = FACTORS["gradient_link"], 1.0
-        for alpha in alphas:
+        for alpha in WEIGHT_POWERS:
             if ball.complete:
                 e, w = alpha, weighted_lp_norm(values, weight, alpha, p)
             else:
@@ -204,13 +198,14 @@ def additive_link_report(
     return {"grids": grids, "all_ok": all(grid["all_ok"] for grid in grids)}
 
 
-def poincare_report(ball: ExploredBall, values: np.ndarray, ps: Sequence[float] = EXPONENTS) -> dict:
-    """Zero sum mean-value bound on a complete graph, one row per exponent."""
+def poincare_report(ball: ExploredBall, values: np.ndarray) -> dict:
+    """Zero sum mean-value bound on a complete graph, one row per p of
+    ``EXPONENTS``."""
     values = np.asarray(values, np.float64)
     d0 = diameter(ball)
     gmod = grad_modulus(ball, values)
     rows = []
-    for p in ps:
+    for p in EXPONENTS:
         norm, grad = lp_norm(values, p), lp_norm(gmod, p)
         bound = poincare_constant(p) * p * d0 * grad
         rows.append({
@@ -225,21 +220,15 @@ def poincare_report(ball: ExploredBall, values: np.ndarray, ps: Sequence[float] 
     return {"rows": rows, "ok": all(row["ok"] for row in rows)}
 
 
-def hpw_report(
-    ball: ExploredBall,
-    values: np.ndarray,
-    weight: np.ndarray,
-    ps: Sequence[float] = EXPONENTS,
-    alphas: Sequence[float] = WEIGHT_POWERS,
-) -> dict:
+def hpw_report(ball: ExploredBall, values: np.ndarray, weight: np.ndarray) -> dict:
     """Measured uncertainty ratios of one field against the certified
-    bounds, one row per (p, alpha)."""
+    bounds, one row per (p, alpha) of ``EXPONENTS`` x ``WEIGHT_POWERS``."""
     values = np.asarray(values, np.float64)
     gmod = grad_modulus(ball, values)
     rows = []
-    for p in ps:
+    for p in EXPONENTS:
         norm, grad = lp_norm(values, p), lp_norm(gmod, p)
-        for alpha in alphas:
+        for alpha in WEIGHT_POWERS:
             wnorm = weighted_lp_norm(values, weight, alpha, p)
             ratio = uncertainty_ratio(p, alpha, norm, grad, wnorm)
             certified = certified_constant(p, alpha, ball.complete)

@@ -131,10 +131,20 @@ def test_validate_catches_mutilation(ring16):
 def test_catalogue_ball_is_read_only():
     # catalogue.build is cached, so a write would reach every later caller
     ball = catalogue.build("z2")
-    for arr in (ball.dist, ball.indptr, ball.indices):
+    for arr in (ball.dist, ball.indptr, ball.indices, ball.degrees, ball.rows, ball.interior):
         with pytest.raises(ValueError):
             arr[0] = 5
     assert ball_from_edges("p2", 2, [(0, 1)]).dist.flags.writeable is False
+
+
+def test_ball_leaves_caller_arrays_writable():
+    dist = np.array([0, 1, 1, 2], np.int64)
+    indptr = np.array([0, 2, 4, 6, 8], np.int64)
+    indices = np.array([1, 2, 0, 3, 0, 3, 1, 2], np.int64)
+    ball = ExploredBall("c4", 2, dist, indptr, indices, True, range(4))
+    assert not ball.dist.flags.writeable
+    for arr in (dist, indptr, indices):
+        arr[0] = arr[0]  # the ball froze a view, not the caller's array
 
 
 def _window(rows, dist, horizon=2):
