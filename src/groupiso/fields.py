@@ -132,7 +132,7 @@ def to_dense(ball: ExploredBall, field: ExactField) -> np.ndarray:
 
 def grad_modulus(ball: ExploredBall, values: np.ndarray) -> np.ndarray:
     out = np.empty(ball.num_vertices)
-    kernels.grad_modulus_csr(ball.indptr, ball.indices, np.asarray(values, np.float64), out)
+    kernels.grad_modulus_csr(ball.indptr, ball.indices, np.asarray(values, np.float64), out, ball.rows)
     return out
 
 
@@ -141,7 +141,7 @@ def energy_subgradient(ball: ExploredBall, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, np.float64)
     gmod = grad_modulus(ball, values)
     out = np.empty(ball.num_vertices)
-    kernels.energy_subgrad_csr(ball.indptr, ball.indices, values, gmod, out)
+    kernels.energy_subgrad_csr(ball.indptr, ball.indices, values, gmod, out, ball.rows)
     return out
 
 

@@ -30,8 +30,9 @@ class ResourceCapError(RuntimeError):
 class GeneratedSystem:
     """Base state plus a symmetric tuple of generator moves.
 
-    ``multiply`` is optional and only present for group constructions
-    where whole-group translation is meaningful.  For permutation
+    ``multiply`` is optional and only present for finite group
+    constructions, where whole-group translation is meaningful, and
+    for Heisenberg, whose moves are built from it.  For permutation
     actions ``acting_perms`` holds the generator permutations so the
     acting group can be enumerated on demand.
     """
@@ -345,11 +346,7 @@ def free_abelian(rank: int) -> GeneratedSystem:
         return move
 
     moves = tuple(shift(i, s) for i in range(rank) for s in (1, -1))
-
-    def mul(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    return GeneratedSystem(f"free_abelian_{rank}", (0,) * rank, moves, "cayley", mul)
+    return GeneratedSystem(f"free_abelian_{rank}", (0,) * rank, moves, "cayley")
 
 
 def free_group(rank: int) -> GeneratedSystem:
@@ -369,16 +366,7 @@ def free_group(rank: int) -> GeneratedSystem:
 
     letters = [i + 1 for i in range(rank)]
     moves = tuple(prepend(s * l) for l in letters for s in (1, -1))
-
-    def mul(a, b):
-        a = list(a)
-        b = list(b)
-        while a and b and a[-1] == -b[0]:
-            a.pop()
-            b.pop(0)
-        return tuple(a) + tuple(b)
-
-    return GeneratedSystem(f"free_group_{rank}", (), moves, "cayley", mul)
+    return GeneratedSystem(f"free_group_{rank}", (), moves, "cayley")
 
 
 def heisenberg() -> GeneratedSystem:

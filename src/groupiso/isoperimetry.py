@@ -3,9 +3,10 @@
 The perimeter of a vertex set counts boundary adjacencies from both
 sides, so it equals twice the number of cut edges and coincides with the
 total gradient of the set's indicator.  Profiles are exact minima over
-all k-subsets of a candidate pool (the window interior by default),
-enumerated with the scan kernel; an annealer provides upper bounds where
-enumeration is out of reach.
+all k-subsets of a candidate pool (the window interior by default).  A
+row is decided by the connected subsets of the pool where the partition
+bound certifies them, and by the exhaustive subset scan otherwise; an
+annealer provides upper bounds where enumeration is out of reach.
 
 Enumeration and annealing results are deterministic: the same seed and
 instance give byte identical output for any worker count.
@@ -60,7 +61,13 @@ def cut_edges(ball: ExploredBall, subset: Iterable[int]) -> list[tuple[int, int]
 
 @dataclass(frozen=True)
 class ProfileEntry:
-    """Best perimeter found for one cardinality."""
+    """Best perimeter found for one cardinality.
+
+    ``leaves`` is the work behind the row: on a row decided by connected
+    sets, the number of connected k-sets of the pool; on a scanned or
+    capped row, the number of k-subsets scanned; on an annealed row,
+    the steps taken over all chains.
+    """
 
     k: int
     perimeter: int | None
@@ -90,26 +97,44 @@ def _merge(results):
     return best, leaves, capped
 
 
-def min_perimeter(
-    ball: ExploredBall,
-    k: int,
-    candidates: np.ndarray | None = None,
-    cap: int = 20_000_000,
-    workers: int = 1,
-    on_cap: str = "raise",
-) -> ProfileEntry:
-    """Exact minimum perimeter over all k-subsets of the candidate pool.
+def _certified(best: list[int], limit: int) -> list[bool]:
+    """Sizes whose least connected perimeter is the least of all sets.
 
-    :param cap: leaf budget; a pool whose subset count exceeds it either
-        raises :class:`WorkCapError` or, with ``on_cap="partial"``,
-        returns the best of the first ``cap`` subsets in lexicographic
-        order (single threaded, so the answer does not depend on the
-        worker count).
-    :param workers: kernel threads for the exhaustive case.
+    The components of a set have no edges between them, so its perimeter
+    is the sum of theirs.  Every disconnected k-set therefore has
+    perimeter at least ``M(k)``, the least sum of ``best`` over the
+    partitions of k into two parts or more.  Where ``best[k] < M(k)``
+    every minimizer is connected.  Only the complete sizes up to
+    ``limit`` count.
     """
+    # least sum over partitions into one part or more, size by size
+    split = [kernels.NO_RESULT] * (limit + 1)
+    out = [False] * (limit + 1)
+    for k in range(1, limit + 1):
+        parts = (split[i] + split[k - i] for i in range(1, k // 2 + 1))
+        bound = min(parts, default=kernels.NO_RESULT)
+        out[k] = best[k] < bound
+        split[k] = min(best[k], bound)
+    return out
+
+
+def _connected_entries(ball, kmax, cand, cap) -> dict[int, ProfileEntry]:
+    """The certified rows of one connected-set enumeration, by size."""
+    kmax = min(kmax, cand.shape[0])
+    if kmax < 1:
+        return {}
+    best, count, witnesses, limit = kernels.connected_profile(ball.indptr, ball.indices, cand, kmax, cap)
+    return {
+        k: ProfileEntry(k, best[k], witnesses[k], count[k], False, True)
+        for k, ok in enumerate(_certified(best, limit))
+        if ok
+    }
+
+
+def _scan_entry(ball, k, cand, cap, workers, on_cap) -> ProfileEntry:
+    """Exact minimum by the exhaustive subset scan, under the cap rules."""
     if k < 1:
         raise ValueError("cardinality must be positive")
-    cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
     m = cand.shape[0]
     if k > m:
         raise ValueError(f"cardinality {k} exceeds the candidate pool ({m})")
@@ -138,6 +163,33 @@ def min_perimeter(
     return ProfileEntry(k, perim, wit, leaves, hit_cap, not capped)
 
 
+def min_perimeter(
+    ball: ExploredBall,
+    k: int,
+    candidates: np.ndarray | None = None,
+    cap: int = 20_000_000,
+    workers: int = 1,
+    on_cap: str = "raise",
+) -> ProfileEntry:
+    """Exact minimum perimeter over all k-subsets of the candidate pool.
+
+    The connected subsets of the pool with at most k members are
+    enumerated first; where the partition bound certifies them (see
+    :func:`_certified`) the row is theirs.  Otherwise every k-subset is
+    scanned.
+
+    :param cap: work budget: connected sets of one size, or subsets
+        scanned.  A pool whose k-subset count exceeds it either raises
+        :class:`WorkCapError` or, with ``on_cap="partial"``, returns the
+        best of the first ``cap`` subsets in lexicographic order (single
+        threaded, so the answer does not depend on the worker count).
+    :param workers: kernel threads for the exhaustive scan.
+    """
+    cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
+    entry = _connected_entries(ball, k, cand, cap).get(k)
+    return entry if entry is not None else _scan_entry(ball, k, cand, cap, workers, on_cap)
+
+
 def profile(
     ball: ExploredBall,
     kmax: int,
@@ -146,10 +198,15 @@ def profile(
     workers: int = 1,
     on_cap: str = "raise",
 ) -> list[ProfileEntry]:
-    """Exact isoperimetric profile for k = 1 .. kmax."""
+    """Exact isoperimetric profile for k = 1 .. kmax.
+
+    One connected-set enumeration up to kmax serves every row it
+    certifies; the other rows are scanned as in :func:`min_perimeter`.
+    """
     cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
+    connected = _connected_entries(ball, kmax, cand, cap)
     return [
-        min_perimeter(ball, k, cand, cap=cap, workers=workers, on_cap=on_cap)
+        connected[k] if k in connected else _scan_entry(ball, k, cand, cap, workers, on_cap)
         for k in range(1, kmax + 1)
     ]
 

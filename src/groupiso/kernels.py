@@ -1,15 +1,16 @@
 """Low level numeric kernels over flat CSR arrays, one source each.
 
-The two gradient passes are numpy expressions.  The subset scan and the
-annealer are loops written in numba's nopython subset: when numba
-imports they are compiled with ``njit``, otherwise the same functions
-run as plain Python on lists and memoryviews, which index faster than
-numpy scalars.  Only the public wrappers know which of the two runs;
-they convert the inputs and allocate the scratch state to suit.  The
-choice is exposed as :data:`BACKEND` (``"numba"`` or ``"numpy"``).
+The two gradient passes are numpy expressions.  The subset scan, the
+connected-set enumeration and the annealer are loops written in numba's
+nopython subset: when numba imports they are compiled with ``njit``,
+otherwise the same functions run as plain Python on lists and
+memoryviews, which index faster than numpy scalars.  Only the public
+wrappers know which of the two runs; they convert the inputs and
+allocate the scratch state to suit.  The choice is exposed as
+:data:`BACKEND` (``"numba"`` or ``"numpy"``).
 
-Integer results (perimeters, witnesses, leaf counts) do not depend on
-the backend.
+Integer results (perimeters, witnesses, leaf and set counts) do not
+depend on the backend.
 """
 
 from __future__ import annotations
@@ -35,18 +36,19 @@ def _compiled(loop):
     return njit(cache=True, nogil=True)(loop) if HAS_NUMBA else loop
 
 
-def grad_modulus_csr(indptr, indices, values, out):
-    """``out[v]``: sum of ``|values[v] - values[u]|`` over the neighbours u of v."""
+def grad_modulus_csr(indptr, indices, values, out, rows):
+    """``out[v]``: sum of ``|values[v] - values[u]|`` over the neighbours u of v.
+
+    ``rows`` holds the row index of every CSR entry.
+    """
     n = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
     diffs = np.abs(values[rows] - values[indices])
     out[:] = np.bincount(rows, weights=diffs, minlength=n)
 
 
-def energy_subgrad_csr(indptr, indices, values, gmod, out):
+def energy_subgrad_csr(indptr, indices, values, gmod, out, rows):
     """Subgradient of the squared 2-norm of the gradient modulus ``gmod``."""
     n = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
     sign = np.sign(values[rows] - values[indices])
     contrib = 2.0 * sign * (gmod[rows] + gmod[indices])
     out[:] = np.bincount(rows, weights=contrib, minlength=n)
@@ -112,6 +114,25 @@ def _scan_loop(pptr, pidx, score, cand, firsts, k, cap, pos, wit):
     return best, leaves, 0
 
 
+def _pool_csr(indptr, indices, cand):
+    """In-pool neighbour positions, one CSR row per position of the pool ``cand``.
+
+    Returns ``(pptr, pidx, score)``, ``score`` being twice the degree of
+    each pool vertex in the whole graph: the perimeter of the singleton.
+    """
+    m = cand.shape[0]
+    starts = indptr[cand]
+    counts = indptr[cand + 1] - starts
+    cpos = np.full(indptr.shape[0] - 1, -1, np.int64)
+    cpos[cand] = np.arange(m)
+    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    nb = cpos[indices[at]]
+    keep = nb >= 0
+    pptr = np.zeros(m + 1, np.int64)
+    np.cumsum(np.bincount(np.repeat(np.arange(m), counts)[keep], minlength=m), out=pptr[1:])
+    return pptr, nb[keep], 2 * counts
+
+
 def min_perimeter_scan(indptr, indices, cand, k, firsts, cap):
     """Least perimeter over k-subsets of the pool ``cand``, in lexicographic order.
 
@@ -121,19 +142,7 @@ def min_perimeter_scan(indptr, indices, cand, k, firsts, cap):
     and -1s if no subset was scanned), the number of subsets scanned, and
     1 if the cap stopped the scan, else 0.
     """
-    m = cand.shape[0]
-    starts = indptr[cand]
-    counts = indptr[cand + 1] - starts
-    cpos = np.full(indptr.shape[0] - 1, -1, np.int64)
-    cpos[cand] = np.arange(m)
-    # in-pool neighbour positions, one CSR row per pool position
-    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    nb = cpos[indices[at]]
-    keep = nb >= 0
-    pptr = np.zeros(m + 1, np.int64)
-    np.cumsum(np.bincount(np.repeat(np.arange(m), counts)[keep], minlength=m), out=pptr[1:])
-    pidx = nb[keep]
-    arrays = (pptr, pidx, 2 * counts, cand, firsts)
+    arrays = (*_pool_csr(indptr, indices, cand), cand, firsts)
     if HAS_NUMBA:
         pos = np.zeros(k, np.int64)
         wit = np.full(k, -1, np.int64)
@@ -143,6 +152,150 @@ def min_perimeter_scan(indptr, indices, cand, k, firsts, cap):
         wit = [-1] * k
     best, leaves, capped = _scan_loop(*arrays, int(k), int(cap), pos, wit)
     return best, leaves, capped, np.asarray(wit, np.int64)
+
+
+@_compiled
+def _offer(members, s, perim, best, wit, kmax, buf):
+    # Keep the set members[:s] as the size-s witness if its perimeter is
+    # lower, or equal with a lexicographically smaller sorted tuple.
+    for i in range(s):
+        v = members[i]
+        j = i
+        while j > 0 and buf[j - 1] > v:
+            buf[j] = buf[j - 1]
+            j -= 1
+        buf[j] = v
+    at = s * kmax
+    if perim == best[s]:
+        i = 0
+        while i < s and buf[i] == wit[at + i]:
+            i += 1
+        if i == s or buf[i] > wit[at + i]:
+            return
+    best[s] = perim
+    for i in range(s):
+        wit[at + i] = buf[i]
+
+
+@_compiled
+def _connected_loop(
+    pptr, pidx, score, kmax, cap, best, count, wit, mark, ext, members, lo, hi, nst, end, buf,
+):
+    # ESU walk (Wernicke 2006) over the connected subsets of pool
+    # positions with at most kmax members, each visited once: a set is
+    # grown from its least position, the root.  Level d holds the set
+    # members[:d] and its untried extensions ext[lo[d]:hi[d]]; level 0
+    # holds the empty set and the root alone.  A child's untried list is
+    # a copy of what its parent has left plus the exclusive neighbours of
+    # the new member: positions above the root that are neither in the
+    # set nor next to it (mark).  score[q] is the perimeter added by
+    # joining q, as in _scan_loop.  When more than cap sets of one size
+    # turn up, that size and every larger one are dropped; the returned
+    # limit is the largest size left complete.
+    limit = kmax
+    for root in range(len(score)):
+        if limit < 1:
+            break
+        mark[root] = 1
+        ext[0] = root
+        lo[0] = 0
+        hi[0] = 1
+        nst[0] = 0
+        end[0] = 1
+        perim = 0
+        d = 0
+        while d >= 0:
+            s = d + 1
+            if s > limit or hi[d] == lo[d]:
+                # leave level d: forget its extensions, take its member off
+                for i in range(nst[d], end[d]):
+                    mark[ext[i]] = 0
+                if d > 0:
+                    w = members[d - 1]
+                    for e in range(pptr[w], pptr[w + 1]):
+                        score[pidx[e]] += 4
+                    perim -= score[w]
+                d -= 1
+                continue
+            if s == limit:
+                # the children are leaves: one pass over the untried list
+                if count[s] + hi[d] - lo[d] > cap:
+                    limit = s - 1
+                    continue
+                count[s] += hi[d] - lo[d]
+                for i in range(lo[d], hi[d]):
+                    w = ext[i]
+                    total = perim + score[w]
+                    if total <= best[s]:
+                        members[d] = w
+                        _offer(members, s, total, best, wit, kmax, buf)
+                hi[d] = lo[d]
+                continue
+            if count[s] >= cap:
+                limit = s - 1
+                continue
+            count[s] += 1
+            hi[d] -= 1
+            w = ext[hi[d]]
+            c = end[d]
+            n = hi[d] - lo[d]
+            members[d] = w
+            d += 1
+            perim += score[w]
+            if perim <= best[s]:
+                _offer(members, s, perim, best, wit, kmax, buf)
+            for e in range(pptr[w], pptr[w + 1]):
+                score[pidx[e]] -= 4
+            ext[c:c + n] = ext[lo[d - 1]:hi[d - 1]]
+            top = c + n
+            for e in range(pptr[w], pptr[w + 1]):
+                u = pidx[e]
+                if u > root and mark[u] == 0:
+                    mark[u] = 1
+                    ext[top] = u
+                    top += 1
+            lo[d] = c
+            hi[d] = top
+            nst[d] = c + n
+            end[d] = top
+    return limit
+
+
+def connected_profile(indptr, indices, cand, kmax, cap):
+    """Least perimeters over the connected subsets of the pool ``cand``.
+
+    A subset is connected when the graph induced on it is.  Sizes run
+    from 1 to ``kmax``; a size with more than ``cap`` connected sets is
+    not finished, nor is any larger one.  Returns ``(best, count,
+    witnesses, limit)``: per size j (index j, entry 0 unused) the least
+    perimeter (``NO_RESULT`` if no connected j-set exists), the number of
+    connected j-sets, and the lexicographically least minimizer, sorted;
+    ``limit`` is the largest size whose entries are complete.
+    """
+    m = cand.shape[0]
+    pptr, pidx, score = _pool_csr(indptr, indices, cand)
+    # level d > 0 holds at most min(m, d * maxdeg) untried positions
+    room = kmax * min(m, kmax * int(np.diff(pptr).max(initial=0))) + 1
+    state = [
+        np.full(kmax + 1, NO_RESULT, np.int64),  # best
+        np.zeros(kmax + 1, np.int64),  # count
+        np.full((kmax + 1) * kmax, -1, np.int64),  # wit: size j at j * kmax
+        np.zeros(m, np.uint8),  # mark
+        np.zeros(room, np.int64),  # ext
+        # members, then per level lo, hi, nst and end, then a sort buffer
+        *(np.zeros(kmax, np.int64) for _ in range(6)),
+    ]
+    arrays = [pptr, pidx, score]
+    if not HAS_NUMBA:
+        arrays = [a.tolist() for a in arrays]
+        state = [a.tolist() for a in state]
+    limit = _connected_loop(*arrays, int(kmax), int(cap), *state)
+    best, count, wit = ([int(x) for x in a] for a in state[:3])
+    witnesses = [None] + [
+        tuple(int(v) for v in cand[wit[j * kmax:j * kmax + j]]) if best[j] < NO_RESULT else None
+        for j in range(1, kmax + 1)
+    ]
+    return best, count, witnesses, int(limit)
 
 
 @_compiled

@@ -318,8 +318,11 @@ def uncertainty_ascent(
     fields.  On an incomplete window the support is confined two levels
     inside the horizon so every reported quantity matches the ambient
     graph; on a complete graph fields are projected to zero sum.  Only
-    improving steps are accepted, so each trace is monotone.
+    improving steps are accepted, so each trace is monotone.  A window
+    without edges has no gradient to divide by and raises ValueError.
     """
+    if ball.num_edges == 0:
+        raise ValueError(f"{ball.name}: the window has no edges, so the uncertainty quotient is undefined")
     weight = canonical_weight(ball).astype(np.float64) if weight is None else np.asarray(
         weight, np.float64
     )

@@ -67,6 +67,15 @@ def test_isoperimetry_table():
     assert [r[1] for r in rows] == ["8", "12", "16"]
 
 
+def test_isoperimetry_connected_rows_past_the_scan():
+    # the scan raises from k = 6 on; connected sets certify every row
+    out = run_cli("isoperimetry", "--instance", "z2", "--kmax", "9")
+    rows = [l.split() for l in out.stdout.splitlines()[2:]]
+    assert [r[0] for r in rows] == [str(k) for k in range(1, 10)]
+    assert [int(r[1]) for r in rows] == [8, 12, 16, 16, 20, 20, 24, 24, 24]
+    assert all(r[-2:] == ["no", "yes"] for r in rows)
+
+
 def test_isoperimetry_worker_bytes():
     a = run_cli("isoperimetry", "--instance", "z2", "--kmax", "3", "--workers", "1")
     b = run_cli("isoperimetry", "--instance", "z2", "--kmax", "3", "--workers", "7")
@@ -190,6 +199,19 @@ def test_bad_spec_verify_is_an_error(tmp_path, spec):
     _one_error_line(run_cli("verify", "--spec", str(path), "--fields", "3", check=False))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "symmetric", "n": 1, "horizon": 2}, {"kind": "explicit", "vertices": 1, "edges": []}],
+)
+def test_edgeless_constants_is_an_error(tmp_path, spec):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps(spec))
+    out = run_cli("constants", "--spec", str(path), check=False)
+    _one_error_line(out)
+    assert "no edges" in out.stderr
+    assert out.stdout == ""
+
+
 def test_zero_fields_verify_is_an_error():
     _one_error_line(run_cli("verify", "--instance", "c6", "--fields", "0", check=False))
 
@@ -249,7 +271,10 @@ def test_translation_over_the_map_limit_is_reported(tmp_path, n, line):
 #: output path; the c6 and path3 verify hashes were captured after the
 #: vacuous additive-link count joined the detail, the only byte that
 #: changed, and the z2 and heisenberg ones before the float reports came
-#: to cover the whole (p, alpha) grid in one call.
+#: to cover the whole (p, alpha) grid in one call.  The exact z2 profile
+#: and the c16 constants were captured after connected sets came to
+#: decide exact rows: their leaves count connected sets, and the c16
+#: rows past the subset cap turned exact.
 GOLDEN = [
     (("build", "--instance", "c6"), {
         "stdout": "8d3014ed5eae970f13f386cf6bfe5cea502e9188a23b3ad926862a71048120d2",
@@ -265,9 +290,9 @@ GOLDEN = [
         "json": "66327ea50183e8c3d15d7c230d105486c7a7441816567869005d6fcef665ee81",
     }),
     (("isoperimetry", "--instance", "z2", "--kmax", "3"), {
-        "stdout": "cbd2f29613a9afc26aba657b8345342681e26853a5e2f47ccaaebd09bfa86b6e",
-        "csv": "94c8e6d084d59c618367d0ef6e13b910b510d8902b3fa4b11778362844876790",
-        "json": "9f794e101d35996e5b1c797a253bdc8ee1f125ce7d0baa1abeea030ff452a140",
+        "stdout": "8dfb7d78f6a15ff6feed25878d3f309c6317b74107da06cc462dc5fd964982a2",
+        "csv": "7b8b43159722de1111633da09ddd589600c7d4b81d3d0d3f1849e73ef619dbf9",
+        "json": "2ce17258ac85601177128604cad92b630b55df8ecefd6f4653a3ea634f7660d0",
     }),
     (("isoperimetry", "--instance", "c64", "--kmax", "4", "--anneal", "--chains", "2",
       "--budget", "2000", "--seed", "3"), {
@@ -275,11 +300,11 @@ GOLDEN = [
         "csv": "b8143f8eee0eac708504c559dfb0bc7479c2876986573b91d02671c5961a947b",
         "json": "41d0248e6fd2a20aa22b531dc7301a17c0cc16526a41c6befbafc9f158fef50e",
     }),
-    # k >= 4 exceeds the cap, so those rows are annealed
+    # k >= 4 exceeds the subset cap; the connected arcs still decide those rows
     (("constants", "--instance", "c16", "--kmax", "8", "--cap", "1000", "--starts", "1",
       "--iters", "30"), {
-        "stdout": "95d382d022c32fbd465346d2c06b7a05662c5a61ad6368d120b1735dc2d2dbc7",
-        "json": "6a963c1ce95ff212377559787216995f1716ebb9dcc1615f95821017af46e116",
+        "stdout": "0bab300b6b9ca30d23acaf3a001f6491a0975bfdf56a9b5272588e0ad5905875",
+        "json": "fd820223b47fc52d735750bd6808d029c3cc7492e6d7496a5f6eff73c91aab87",
     }),
     (("verify", "--instance", "c6", "--fields", "5"), {
         "stdout": "33dfa32347c97a3e08f3c6b153bd309f556ea24a6e8cb3598381a2de5e4fabe7",

@@ -1,13 +1,15 @@
 """Perimeters, exhaustive profiles, annealing, double counting."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from groupiso import catalogue
+from groupiso import catalogue, kernels
 from groupiso.fields import grad_modulus_exact, l1_norm_exact
-from groupiso.groups import right_translations
+from groupiso.groups import ball_from_edges, right_translations
 from groupiso.isoperimetry import (
     WorkCapError,
     anneal_min_perimeter,
@@ -66,13 +68,51 @@ def test_profile_cube_facet(cube):
     assert e4.perimeter == 8
     assert e4.witness == (0, 1, 2, 4)
     assert {cube.labels[i] for i in e4.witness} == {0, 1, 2, 3}
-    assert e4.leaves == 70
+    # the connected 4-sets of the cube, not the C(8, 4) = 70 subsets
+    assert e4.leaves == 38
 
 
 def test_profile_worker_independence(plane):
     runs = [profile(plane, 3, workers=w) for w in (1, 2, 3, 5, 8)]
     for other in runs[1:]:
         assert other == runs[0]
+
+
+@pytest.mark.parametrize("name", catalogue.names())
+def test_connected_rows_match_the_scan(name):
+    ball = catalogue.build(name)
+    cand = default_candidates(ball)
+    m = cand.shape[0]
+    ks = [k for k in range(1, min(4, m) + 1) if math.comb(m, k) <= 3_000_000]
+    for entry in profile(ball, ks[-1]):
+        # every row the scan reaches is certified, and agrees with it
+        assert entry.exact and not entry.capped
+        firsts = np.arange(m - entry.k + 1, dtype=np.int64)
+        best, _, _, wit = kernels.min_perimeter_scan(
+            ball.indptr, ball.indices, cand, entry.k, firsts, np.int64(3_000_001)
+        )
+        assert (entry.perimeter, entry.witness) == (best, tuple(wit.tolist()))
+
+
+@pytest.mark.parametrize(
+    "n,edges,perimeter,witness",
+    [
+        # K5 with pendants on hubs 0 and 1: the two pendants have
+        # perimeter 2 + 2, every connected pair at least 8
+        (7, [*itertools.combinations(range(5), 2), (0, 5), (1, 6)], 4, (5, 6)),
+        # a star centred on vertex 3: the edge {0, 3} ties the two leaves
+        # {0, 1} at perimeter 4, and the leaves come first
+        (4, [(0, 3), (1, 3), (2, 3)], 4, (0, 1)),
+    ],
+    ids=["disconnected", "tie"],
+)
+def test_uncertified_pair_falls_back_to_the_scan(n, edges, perimeter, witness):
+    ball = ball_from_edges("graph", n, edges)
+    entry = min_perimeter(ball, 2)
+    # the leaves count the scanned subsets, so the scan decided the row
+    assert (entry.perimeter, entry.witness, entry.exact) == (perimeter, witness, True)
+    assert entry.leaves == math.comb(n, 2)
+    assert profile(ball, 2)[1] == entry
 
 
 def test_min_perimeter_rejects_bad_k(line):

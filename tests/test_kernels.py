@@ -65,6 +65,47 @@ def test_scan_matches_brute_force(name, whole, k, cap, step):
     assert (best, leaves, capped, tuple(wit.tolist())) == _oracle(name, whole, k, firsts, cap)
 
 
+@functools.lru_cache(maxsize=None)
+def _connected_subsets(name, whole, kmax):
+    # per size: (perimeter, vertices) of every connected subset, in lexicographic order
+    import networkx as nx
+
+    ball = _ball(name)
+    graph = nx.Graph((int(v), int(w)) for v, w in zip(ball.rows, ball.indices))
+    graph.add_nodes_from(range(ball.num_vertices))
+    cand = _pool(ball, whole)
+    out = {}
+    for k in range(1, kmax + 1):
+        out[k] = [
+            (set_perimeter(ball, combo), combo)
+            for combo in itertools.combinations(cand.tolist(), k)
+            if nx.is_connected(graph.subgraph(combo))
+        ]
+    return out
+
+
+CONNECTED_CASES = [
+    ("z", False, 4), ("z2", False, 3), ("z2", True, 3), ("c64", False, 3), ("q3", False, 4),
+    ("q4", False, 4), ("d8", False, 4), ("s4", False, 4), ("s4_points", False, 4),
+]
+
+
+@pytest.mark.parametrize("name,whole,kmax", CONNECTED_CASES)
+@pytest.mark.parametrize("cap", [1, 7, 100, UNBOUNDED])
+def test_connected_profile_matches_brute_force(name, whole, kmax, cap):
+    ball = _ball(name)
+    cand = _pool(ball, whole).astype(np.int64)
+    best, count, witnesses, limit = kernels.connected_profile(ball.indptr, ball.indices, cand, kmax, cap)
+    sets = _connected_subsets(name, whole, kmax)
+    # a size is finished when it and every smaller size have at most cap sets
+    want_limit = next((k - 1 for k in range(1, kmax + 1) if len(sets[k]) > cap), kmax)
+    assert limit == want_limit
+    for k in range(1, limit + 1):
+        least = min(sets[k], default=None, key=lambda s: s[0])  # min keeps the first
+        want = (least[0], least[1]) if least else (kernels.NO_RESULT, None)
+        assert (best[k], witnesses[k], count[k]) == (*want, len(sets[k]))
+
+
 def _chain_args(name, k, seed=123, budget=2000):
     ball = _ball(name)
     cand = np.flatnonzero(ball.interior).astype(np.int64)
@@ -100,6 +141,18 @@ def test_scan_jit_matches_source(monkeypatch):
     src = kernels.min_perimeter_scan(*args)
     assert jit[:3] == src[:3]
     assert np.array_equal(jit[3], src[3])
+
+
+@needs_numba
+def test_connected_jit_matches_source(monkeypatch):
+    ball = _ball("z2")
+    cand = np.flatnonzero(ball.interior).astype(np.int64)
+    args = (ball.indptr, ball.indices, cand, 6, 5000)
+    jit = kernels.connected_profile(*args)
+    monkeypatch.setattr(kernels, "HAS_NUMBA", False)
+    monkeypatch.setattr(kernels, "_connected_loop", kernels._connected_loop.py_func)
+    monkeypatch.setattr(kernels, "_offer", kernels._offer.py_func)
+    assert kernels.connected_profile(*args) == jit
 
 
 @needs_numba
