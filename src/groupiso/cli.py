@@ -104,16 +104,15 @@ def cmd_growth(args) -> int:
     return 0 if sa["all_ok"] else 1
 
 
-def _anneal(ball, k, args) -> isoperimetry.ProfileEntry:
-    return isoperimetry.anneal_min_perimeter(
-        ball, k, seed=args.seed, chains=args.chains, budget=args.budget, workers=args.workers
-    )
-
-
 def cmd_isoperimetry(args) -> int:
     _, ball = _resolve(args)
     if args.anneal:
-        entries = [_anneal(ball, k, args) for k in range(1, args.kmax + 1)]
+        entries = [
+            isoperimetry.anneal_min_perimeter(
+                ball, k, seed=args.seed, chains=args.chains, budget=args.budget, workers=args.workers
+            )
+            for k in range(1, args.kmax + 1)
+        ]
     else:
         entries = isoperimetry.profile(
             ball, args.kmax, cap=args.cap, workers=args.workers, on_cap=args.on_cap
@@ -128,13 +127,10 @@ def cmd_isoperimetry(args) -> int:
 
 def cmd_constants(args) -> int:
     _, ball = _resolve(args)
-    cand = isoperimetry.default_candidates(ball)
-    entries = []
-    for k in range(1, min(args.kmax, cand.shape[0]) + 1):
-        try:
-            entries.append(isoperimetry.min_perimeter(ball, k, cand, cap=args.cap, workers=args.workers))
-        except isoperimetry.WorkCapError:
-            entries.append(_anneal(ball, k, args))
+    entries = isoperimetry.profile_or_anneal(
+        ball, args.kmax, seed=args.seed, chains=args.chains, budget=args.budget, cap=args.cap,
+        workers=args.workers,
+    )
     trace = uncertainty.isoperimetric_constant_trace(ball, entries)
     ascent = uncertainty.uncertainty_ascent(
         ball, seed=args.seed, starts=args.starts, iters=args.iters

@@ -131,13 +131,17 @@ def _connected_entries(ball, kmax, cand, cap) -> dict[int, ProfileEntry]:
     }
 
 
-def _scan_entry(ball, k, cand, cap, workers, on_cap) -> ProfileEntry:
-    """Exact minimum by the exhaustive subset scan, under the cap rules."""
+def _check_cardinality(k: int, m: int) -> None:
     if k < 1:
         raise ValueError("cardinality must be positive")
-    m = cand.shape[0]
     if k > m:
         raise ValueError(f"cardinality {k} exceeds the candidate pool ({m})")
+
+
+def _scan_entry(ball, k, cand, cap, workers, on_cap) -> ProfileEntry:
+    """Exact minimum by the exhaustive subset scan, under the cap rules."""
+    m = cand.shape[0]
+    _check_cardinality(k, m)
     total = math.comb(m, k)
     capped = total > cap
     if capped and on_cap == "raise":
@@ -204,11 +208,15 @@ def profile(
     certifies; the other rows are scanned as in :func:`min_perimeter`.
     """
     cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
+    return _profile_rows(
+        ball, kmax, cand, cap, lambda k: _scan_entry(ball, k, cand, cap, workers, on_cap)
+    )
+
+
+def _profile_rows(ball, kmax, cand, cap, fallback) -> list[ProfileEntry]:
+    """Rows 1 .. kmax: certified by one connected enumeration, else ``fallback(k)``."""
     connected = _connected_entries(ball, kmax, cand, cap)
-    return [
-        connected[k] if k in connected else _scan_entry(ball, k, cand, cap, workers, on_cap)
-        for k in range(1, kmax + 1)
-    ]
+    return [connected[k] if k in connected else fallback(k) for k in range(1, kmax + 1)]
 
 
 def _chain_inputs(rng: np.random.Generator, cand: np.ndarray, k: int, budget: int):
@@ -258,8 +266,7 @@ def anneal_min_perimeter(
     reproducible for any ``workers`` value.
     """
     cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
-    if k < 1 or k > cand.shape[0]:
-        raise ValueError("cardinality outside the candidate pool")
+    _check_cardinality(k, cand.shape[0])
     cand_mask = np.zeros(ball.num_vertices, np.uint8)
     cand_mask[cand] = 1
     sweep = max(k, 1)
@@ -280,6 +287,33 @@ def anneal_min_perimeter(
             results = list(pool.map(run_chain, range(chains)))
     perim, wit = min(results)
     return ProfileEntry(k, perim, wit, budget * chains, False, False)
+
+
+def profile_or_anneal(
+    ball: ExploredBall,
+    kmax: int,
+    seed: int = 0,
+    chains: int = 8,
+    budget: int = 20_000,
+    cap: int = 20_000_000,
+    workers: int = 1,
+) -> list[ProfileEntry]:
+    """Profile over the default pool for k = 1 .. min(kmax, pool size).
+
+    Rows are exact where :func:`profile` decides them within ``cap``:
+    certified by one connected-set enumeration up to kmax, or scanned.
+    A row whose scan would exceed the cap gets the annealed upper bound
+    of :func:`anneal_min_perimeter` instead.
+    """
+    cand = default_candidates(ball)
+
+    def fallback(k):
+        try:
+            return _scan_entry(ball, k, cand, cap, workers, "raise")
+        except WorkCapError:
+            return anneal_min_perimeter(ball, k, seed, chains, budget, cand, workers)
+
+    return _profile_rows(ball, min(kmax, cand.shape[0]), cand, cap, fallback)
 
 
 # ---------------------------------------------------------------------------

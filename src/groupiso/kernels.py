@@ -3,8 +3,12 @@
 The two gradient passes are numpy expressions.  The subset scan, the
 connected-set enumeration and the annealer are loops written in numba's
 nopython subset: when numba imports they are compiled with ``njit``,
-otherwise the same functions run as plain Python on lists and
-memoryviews, which index faster than numpy scalars.  Only the public
+otherwise the same functions run as plain Python, where lists,
+bytearrays and memoryviews index and iterate to plain ints and floats,
+faster than numpy scalars.  Graph arrays and scratch state become lists
+or bytearrays.  The annealer's per-step arrays stay memoryviews: they
+are read once each, in one ``zip``, and list copies would box every
+value, raising peak memory by megabytes per chain.  Only the public
 wrappers know which of the two runs; they convert the inputs and
 allocate the scratch state to suit.  The choice is exposed as
 :data:`BACKEND` (``"numba"`` or ``"numpy"``).
@@ -301,68 +305,69 @@ def connected_profile(indptr, indices, cand, kmax, cap):
 @_compiled
 def _anneal_loop(
     indptr, indices, cand_mask, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u,
-    t0, cool, sweep, in_set, cur, best_set,
+    t0, cool, sweep, in_set, inside, cur, best_set,
 ):
     # Fixed cardinality Metropolis chain.  All randomness is precomputed
-    # by the caller so the walk is identical on both backends.
-    nsteps = len(rem_idx)
+    # by the caller so the walk is identical on both backends.  inside[v]
+    # is the number of members adjacent to v, built once here; the graph
+    # is simple, so a step that swaps member u for w reads the in-set
+    # neighbour counts of both without walking their rows.  Only an
+    # accepted swap writes: in_set, cur, and inside along the rows of u
+    # and w.  A rejected step writes nothing.
     k = len(cur)
-    for i in range(k):
-        in_set[cur[i]] = 1
-    degsum = 0
-    inside2 = 0
+    perim = 0
     for i in range(k):
         v = cur[i]
-        degsum += indptr[v + 1] - indptr[v]
-        for e in range(indptr[v], indptr[v + 1]):
-            if in_set[indices[e]] != 0:
-                inside2 += 1
-    perim = 2 * degsum - 2 * inside2
+        in_set[v] = 1
+        perim += 2 * (indptr[v + 1] - indptr[v])
+        for x in indices[indptr[v]:indptr[v + 1]]:
+            inside[x] += 1
+    for i in range(k):
+        perim -= 2 * inside[cur[i]]
     best = perim  # best_set arrives as a copy of cur
     t = t0
-    for s in range(nsteps):
+    for s, ri, si, nb, fi, au in zip(range(len(rem_idx)), rem_idx, src_idx, nb_u, fb_idx, acc_u):
         if s > 0 and s % sweep == 0:
             t *= cool
-        ri = rem_idx[s]
         u = cur[ri]
-        src = cur[src_idx[s]]
+        src = cur[si]
         w = -1
         dsrc = indptr[src + 1] - indptr[src]
         if dsrc > 0:
-            cnd = indices[indptr[src] + int(nb_u[s] * dsrc)]
+            cnd = indices[indptr[src] + int(nb * dsrc)]
             if cand_mask[cnd] != 0 and in_set[cnd] == 0:
                 w = cnd
         if w < 0:
-            cf = cand_list[fb_idx[s]]
+            cf = cand_list[fi]
             if in_set[cf] == 0:
                 w = cf
         if w < 0:
             continue
+        lo_w = indptr[w]
+        hi_w = indptr[w + 1]
         deg_u = indptr[u + 1] - indptr[u]
-        deg_w = indptr[w + 1] - indptr[w]
-        cnt_u = 0
-        for e in range(indptr[u], indptr[u + 1]):
-            if in_set[indices[e]] != 0:
-                cnt_u += 1
-        in_set[u] = 0
-        cnt_w = 0
-        for e in range(indptr[w], indptr[w + 1]):
-            if in_set[indices[e]] != 0:
-                cnt_w += 1
+        deg_w = hi_w - lo_w
+        cnt_u = inside[u]
+        # u leaves as w joins: w's count drops u
+        cnt_w = inside[w]
+        if u in indices[lo_w:hi_w]:
+            cnt_w -= 1
         delta = 2 * ((deg_w - deg_u) - 2 * (cnt_w - cnt_u))
         accept = delta <= 0
         if not accept and t > 0.0:
-            accept = acc_u[s] < math.exp(-delta / t)
+            accept = au < math.exp(-delta / t)
         if accept:
+            in_set[u] = 0
             in_set[w] = 1
+            for x in indices[indptr[u]:indptr[u + 1]]:
+                inside[x] -= 1
+            for x in indices[lo_w:hi_w]:
+                inside[x] += 1
             cur[ri] = w
             perim += delta
             if perim < best:
                 best = perim
-                for i in range(k):
-                    best_set[i] = cur[i]
-        else:
-            in_set[u] = 1
+                best_set[:] = cur
     return best
 
 
@@ -375,18 +380,21 @@ def anneal_chain(
     Step s swaps member ``rem_idx[s]`` for a pool neighbour of member
     ``src_idx[s]`` (or pool vertex ``fb_idx[s]``), accepting against
     ``acc_u[s]``; the temperature starts at ``t0`` and is multiplied by
-    ``cool`` every ``sweep`` steps.
+    ``cool`` every ``sweep`` steps.  The graph must be simple.
     """
-    arrays = (indptr, indices, cand_mask, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u)
+    graph = (indptr, indices, cand_mask, cand_list)
+    steps = (rem_idx, src_idx, nb_u, fb_idx, acc_u)
     nverts = indptr.shape[0] - 1
     if HAS_NUMBA:
         in_set = np.zeros(nverts, np.uint8)
+        inside = np.zeros(nverts, np.int64)
         cur = np.array(members, np.int64)
     else:
-        # memoryviews index to plain ints and floats without copying
-        arrays = [memoryview(np.ascontiguousarray(a)) for a in arrays]
+        graph = [a.tolist() for a in graph]
+        steps = [memoryview(np.ascontiguousarray(a)) for a in steps]
         in_set = bytearray(nverts)
+        inside = [0] * nverts
         cur = [int(v) for v in members]
     best_set = cur.copy()
-    best = _anneal_loop(*arrays, t0, cool, sweep, in_set, cur, best_set)
+    best = _anneal_loop(*graph, *steps, t0, cool, sweep, in_set, inside, cur, best_set)
     return best, np.asarray(best_set, np.int64)

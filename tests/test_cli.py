@@ -212,6 +212,40 @@ def test_edgeless_constants_is_an_error(tmp_path, spec):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("extra", [(), ("--anneal",)], ids=["scan", "anneal"])
+def test_cardinality_past_the_pool_is_an_error(extra):
+    # c6 has a pool of six vertices; rows 1 to 6 pass, row 7 stops the command
+    out = run_cli("isoperimetry", "--instance", "c6", "--kmax", "10", *extra, check=False)
+    _one_error_line(out)
+    assert out.stderr == "error: cardinality 7 exceeds the candidate pool (6)\n"
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--instance", "c16", "--kmax", "8", "--cap", "1000"),
+        # rows 5 and 6 are annealed
+        ("--instance", "z2", "--kmax", "6", "--cap", "2000", "--chains", "1", "--budget", "100"),
+    ],
+    ids=["c16", "z2"],
+)
+def test_constants_enumerates_connected_sets_once(monkeypatch, capsys, extra):
+    from groupiso import cli, kernels
+
+    calls = []
+    real = kernels.connected_profile
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "connected_profile", counted)
+    assert cli.main(["constants", *extra, "--starts", "1", "--iters", "5"]) == 0
+    assert len(calls) == 1
+    assert "isoperimetric constant estimate" in capsys.readouterr().out
+
+
 def test_zero_fields_verify_is_an_error():
     _one_error_line(run_cli("verify", "--instance", "c6", "--fields", "0", check=False))
 
@@ -274,7 +308,9 @@ def test_translation_over_the_map_limit_is_reported(tmp_path, n, line):
 #: to cover the whole (p, alpha) grid in one call.  The exact z2 profile
 #: and the c16 constants were captured after connected sets came to
 #: decide exact rows: their leaves count connected sets, and the c16
-#: rows past the subset cap turned exact.
+#: rows past the subset cap turned exact.  The two anneal commands of the
+#: benchmark (c64 to k = 10, z2 to k = 8) were captured before the anneal
+#: kernel came to keep in-set neighbour counts.
 GOLDEN = [
     (("build", "--instance", "c6"), {
         "stdout": "8d3014ed5eae970f13f386cf6bfe5cea502e9188a23b3ad926862a71048120d2",
@@ -299,6 +335,18 @@ GOLDEN = [
         "stdout": "2c03aac17a99cccdcc49190909a52342013996d5e4b419a490f01025b1b29756",
         "csv": "b8143f8eee0eac708504c559dfb0bc7479c2876986573b91d02671c5961a947b",
         "json": "41d0248e6fd2a20aa22b531dc7301a17c0cc16526a41c6befbafc9f158fef50e",
+    }),
+    (("isoperimetry", "--instance", "c64", "--kmax", "10", "--anneal", "--chains", "2",
+      "--seed", "3"), {
+        "stdout": "7fcead25497af33bb8601be39d1f0c47f21203eb64f9085010456c788f03fa4a",
+        "csv": "b24f06508f45945858fb0ec0bd29c8973b08e0ece1f1f1ab6d96178b4a3c6f18",
+        "json": "e174107e914091311d719de0e6ee436c82582a2d0aa690ae018322b46d564a52",
+    }),
+    (("isoperimetry", "--instance", "z2", "--kmax", "8", "--anneal", "--chains", "2",
+      "--seed", "3"), {
+        "stdout": "ff6d64a3f7a790ffd9212eb44d329672c1529cd16f2d4f20b268d40b9851ee44",
+        "csv": "b9628b01818f447e94b2e8428bcdd876210b69ab15a4f77df9873d25e83438bf",
+        "json": "3774e8b30bde7f7f14052dcfc1b6ae7681a02ef110d29536c93ec28c58c06de7",
     }),
     # k >= 4 exceeds the subset cap; the connected arcs still decide those rows
     (("constants", "--instance", "c16", "--kmax", "8", "--cap", "1000", "--starts", "1",

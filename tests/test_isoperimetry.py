@@ -18,6 +18,7 @@ from groupiso.isoperimetry import (
     double_counting_report,
     min_perimeter,
     profile,
+    profile_or_anneal,
     set_perimeter,
     shift_deficit,
 )
@@ -132,6 +133,34 @@ def test_work_cap_partial(plane):
     assert entry.capped
     assert not entry.exact
     assert entry.perimeter >= 8
+
+
+@pytest.mark.parametrize(
+    "name,kmax,cap",
+    # certified rows past the subset cap; annealed rows past the certified
+    # ones; a pool smaller than kmax; every row annealed
+    [("c16", 8, 1000), ("z2", 6, 2000), ("s4_points", 5, 10), ("heisenberg", 3, 500)],
+)
+def test_profile_or_anneal_matches_rows_one_at_a_time(name, kmax, cap):
+    ball = catalogue.build(name)
+
+    def row(k):
+        try:
+            return min_perimeter(ball, k, cap=cap)
+        except WorkCapError:
+            return anneal_min_perimeter(ball, k, seed=5, chains=2, budget=300)
+
+    want = [row(k) for k in range(1, min(kmax, default_candidates(ball).shape[0]) + 1)]
+    assert profile_or_anneal(ball, kmax, seed=5, chains=2, budget=300, cap=cap) == want
+
+
+def test_anneal_rejects_bad_k(line):
+    with pytest.raises(ValueError, match="^cardinality must be positive$"):
+        anneal_min_perimeter(line, 0)
+    m = default_candidates(line).shape[0]
+    message = rf"^cardinality {m + 1} exceeds the candidate pool \({m}\)$"
+    with pytest.raises(ValueError, match=message):
+        anneal_min_perimeter(line, m + 1)
 
 
 def test_anneal_matches_exact_on_small(ring16):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import subprocess
 import sys
 
@@ -106,9 +107,9 @@ def test_connected_profile_matches_brute_force(name, whole, kmax, cap):
         assert (best[k], witnesses[k], count[k]) == (*want, len(sets[k]))
 
 
-def _chain_args(name, k, seed=123, budget=2000):
+def _chain_args(name, k, seed=123, budget=2000, whole=False):
     ball = _ball(name)
-    cand = np.flatnonzero(ball.interior).astype(np.int64)
+    cand = _pool(ball, whole).astype(np.int64)
     mask = np.zeros(ball.num_vertices, np.uint8)
     mask[cand] = 1
     init, probe_rem, probe_add, walk = _chain_inputs(np.random.default_rng(seed), cand, k, budget)
@@ -128,6 +129,51 @@ def test_anneal_chain_pinned(name, k, best, members):
     got, got_members = kernels.anneal_chain(*args)
     assert (got, tuple(sorted(got_members.tolist()))) == (best, members)
     assert set_perimeter(_ball(name), got_members) == got
+
+
+def _replay_chain(
+    ball, cand_mask, cand_list, members, t0, cool, sweep, rem_idx, src_idx, nb_u, fb_idx, acc_u,
+):
+    # anneal_chain step by step, each trial set's perimeter from scratch
+    cur = [int(v) for v in members]
+    perim = set_perimeter(ball, cur)
+    best, best_set = perim, sorted(cur)
+    t = t0
+    for s in range(len(rem_idx)):
+        if s > 0 and s % sweep == 0:
+            t *= cool
+        u = cur[rem_idx[s]]
+        src = cur[src_idx[s]]
+        row = ball.indices[ball.indptr[src]:ball.indptr[src + 1]]
+        w = int(row[int(nb_u[s] * row.size)]) if row.size else -1
+        if w < 0 or not cand_mask[w] or w in cur:
+            w = int(cand_list[fb_idx[s]])
+            if w in cur:
+                continue
+        trial = [w if v == u else v for v in cur]
+        delta = set_perimeter(ball, trial) - perim
+        if delta <= 0 or (t > 0.0 and acc_u[s] < math.exp(-delta / t)):
+            cur = trial
+            perim += delta
+            if perim < best:
+                best, best_set = perim, sorted(cur)
+    return best, tuple(best_set)
+
+
+#: (window, whole pool): complete windows, and windows whose boundary
+#: vertices have lower degree, with those vertices in the pool
+ORACLE_WINDOWS = [
+    ("z2", False), ("z2", True), ("c64", False), ("q6", False), ("f2", True), ("heisenberg", True),
+]
+
+
+@pytest.mark.parametrize("name,whole", ORACLE_WINDOWS)
+@pytest.mark.parametrize("k", [1, 4, 9])
+@pytest.mark.parametrize("seed", [5, 41])
+def test_anneal_chain_matches_replay(name, whole, k, seed):
+    args = _chain_args(name, k, seed=seed, whole=whole)
+    got, members = kernels.anneal_chain(*args)
+    assert (got, tuple(sorted(members.tolist()))) == _replay_chain(_ball(name), *args[2:])
 
 
 @needs_numba
