@@ -12,8 +12,7 @@ spec file (``--spec``); both are specs, built by :mod:`groupiso.specio`,
 and ``--horizon`` and ``--max-vertices`` override either.  Count
 arguments must be at least 1 and ``--seed`` at least 0; a bad value,
 like a bad spec, ends in one ``error:`` line and exit code 2.  All
-output is deterministic for fixed arguments; in particular the worker
-count never changes any reported byte.
+output is deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .uncertainty import EXPONENTS, WEIGHT_POWERS
 
 #: least accepted value of each count argument a subcommand has
 _LEAST = dict.fromkeys(
-    ("kmax", "cap", "workers", "chains", "budget", "starts", "iters", "fields", "horizon", "max_vertices"),
+    ("kmax", "cap", "chains", "budget", "starts", "iters", "fields", "horizon", "max_vertices"),
     1,
 ) | {"seed": 0}
 
@@ -109,14 +108,12 @@ def cmd_isoperimetry(args) -> int:
     if args.anneal:
         entries = [
             isoperimetry.anneal_min_perimeter(
-                ball, k, seed=args.seed, chains=args.chains, budget=args.budget, workers=args.workers
+                ball, k, seed=args.seed, chains=args.chains, budget=args.budget
             )
             for k in range(1, args.kmax + 1)
         ]
     else:
-        entries = isoperimetry.profile(
-            ball, args.kmax, cap=args.cap, workers=args.workers, on_cap=args.on_cap
-        )
+        entries = isoperimetry.profile(ball, args.kmax, cap=args.cap, on_cap=args.on_cap)
     # one record per entry, in the field order of ProfileEntry
     records = [dataclasses.asdict(e) | {"witness": list(e.witness or ())} for e in entries]
     headers = [f.name for f in dataclasses.fields(isoperimetry.ProfileEntry)]
@@ -128,8 +125,7 @@ def cmd_isoperimetry(args) -> int:
 def cmd_constants(args) -> int:
     _, ball = _resolve(args)
     entries = isoperimetry.profile_or_anneal(
-        ball, args.kmax, seed=args.seed, chains=args.chains, budget=args.budget, cap=args.cap,
-        workers=args.workers,
+        ball, args.kmax, seed=args.seed, chains=args.chains, budget=args.budget, cap=args.cap
     )
     trace = uncertainty.isoperimetric_constant_trace(ball, entries)
     ascent = uncertainty.uncertainty_ascent(
@@ -322,7 +318,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--cap", type=int, default=20_000_000)
     p.add_argument("--on-cap", choices=("raise", "partial"), default="raise")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--anneal", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chains", type=int, default=8)
@@ -334,7 +329,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--cap", type=int, default=2_000_000)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chains", type=int, default=8)
     p.add_argument("--budget", type=int, default=20_000)

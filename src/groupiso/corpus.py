@@ -1,8 +1,8 @@
 """Deterministic corpora of test fields.
 
 Every field is derived from a seed and a stream index through a seed
-sequence, so a corpus is identical across runs, platforms, backends,
-and worker counts.  Fields on an incomplete window are supported two
+sequence, so a corpus is identical across runs, platforms and
+backends.  Fields on an incomplete window are supported two
 levels inside the horizon, where window quantities agree with the
 ambient graph; zero sum corpora are only defined on complete windows.
 """

@@ -9,13 +9,12 @@ bound certifies them, and by the exhaustive subset scan otherwise; an
 annealer provides upper bounds where enumeration is out of reach.
 
 Enumeration and annealing results are deterministic: the same seed and
-instance give byte identical output for any worker count.
+instance give byte identical output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -82,21 +81,6 @@ def default_candidates(ball: ExploredBall) -> np.ndarray:
     return np.nonzero(ball.interior)[0].astype(np.int64)
 
 
-def _merge(results):
-    best = None
-    leaves = 0
-    capped = False
-    for perim, nleaves, was_capped, wit in results:
-        leaves += int(nleaves)
-        capped = capped or bool(was_capped)
-        if perim >= kernels.NO_RESULT:
-            continue
-        key = (int(perim), tuple(int(v) for v in wit))
-        if best is None or key < best:
-            best = key
-    return best, leaves, capped
-
-
 def _certified(best: list[int], limit: int) -> list[bool]:
     """Sizes whose least connected perimeter is the least of all sets.
 
@@ -138,7 +122,12 @@ def _check_cardinality(k: int, m: int) -> None:
         raise ValueError(f"cardinality {k} exceeds the candidate pool ({m})")
 
 
-def _scan_entry(ball, k, cand, cap, workers, on_cap) -> ProfileEntry:
+def _check_on_cap(on_cap: str) -> None:
+    if on_cap not in ("raise", "partial"):
+        raise ValueError(f"on_cap must be 'raise' or 'partial', not {on_cap!r}")
+
+
+def _scan_entry(ball, k, cand, cap, on_cap) -> ProfileEntry:
     """Exact minimum by the exhaustive subset scan, under the cap rules."""
     m = cand.shape[0]
     _check_cardinality(k, m)
@@ -149,22 +138,13 @@ def _scan_entry(ball, k, cand, cap, workers, on_cap) -> ProfileEntry:
             f"{total} subsets of size {k} exceed the cap of {cap}; "
             "raise the cap, shrink the pool, or anneal instead"
         )
-    budget = np.int64(cap if capped else total + 1)
-    firsts = np.arange(0, m - k + 1, dtype=np.int64)
-    threads = 1 if capped else max(workers, 1)
-    chunks = [firsts[i::threads] for i in range(threads) if firsts[i::threads].size]
-
-    def scan(chunk):
-        return kernels.min_perimeter_scan(ball.indptr, ball.indices, cand, k, chunk, budget)
-
-    if len(chunks) == 1:
-        parts = [scan(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(scan, chunks))
-    best, leaves, hit_cap = _merge(parts)
-    perim, wit = best if best is not None else (None, None)
-    return ProfileEntry(k, perim, wit, leaves, hit_cap, not capped)
+    budget = cap if capped else total + 1
+    best, leaves, hit_cap, wit = kernels.min_perimeter_scan(
+        ball.indptr, ball.indices, cand, k, budget
+    )
+    found = best < kernels.NO_RESULT
+    perim, witness = (int(best), tuple(int(v) for v in wit)) if found else (None, None)
+    return ProfileEntry(k, perim, witness, int(leaves), bool(hit_cap), not capped)
 
 
 def min_perimeter(
@@ -172,7 +152,6 @@ def min_perimeter(
     k: int,
     candidates: np.ndarray | None = None,
     cap: int = 20_000_000,
-    workers: int = 1,
     on_cap: str = "raise",
 ) -> ProfileEntry:
     """Exact minimum perimeter over all k-subsets of the candidate pool.
@@ -185,13 +164,13 @@ def min_perimeter(
     :param cap: work budget: connected sets of one size, or subsets
         scanned.  A pool whose k-subset count exceeds it either raises
         :class:`WorkCapError` or, with ``on_cap="partial"``, returns the
-        best of the first ``cap`` subsets in lexicographic order (single
-        threaded, so the answer does not depend on the worker count).
-    :param workers: kernel threads for the exhaustive scan.
+        best of the first ``cap`` subsets in lexicographic order.  Any
+        other ``on_cap`` raises :class:`ValueError`.
     """
+    _check_on_cap(on_cap)
     cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
     entry = _connected_entries(ball, k, cand, cap).get(k)
-    return entry if entry is not None else _scan_entry(ball, k, cand, cap, workers, on_cap)
+    return entry if entry is not None else _scan_entry(ball, k, cand, cap, on_cap)
 
 
 def profile(
@@ -199,7 +178,6 @@ def profile(
     kmax: int,
     candidates: np.ndarray | None = None,
     cap: int = 20_000_000,
-    workers: int = 1,
     on_cap: str = "raise",
 ) -> list[ProfileEntry]:
     """Exact isoperimetric profile for k = 1 .. kmax.
@@ -207,10 +185,9 @@ def profile(
     One connected-set enumeration up to kmax serves every row it
     certifies; the other rows are scanned as in :func:`min_perimeter`.
     """
+    _check_on_cap(on_cap)
     cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
-    return _profile_rows(
-        ball, kmax, cand, cap, lambda k: _scan_entry(ball, k, cand, cap, workers, on_cap)
-    )
+    return _profile_rows(ball, kmax, cand, cap, lambda k: _scan_entry(ball, k, cand, cap, on_cap))
 
 
 def _profile_rows(ball, kmax, cand, cap, fallback) -> list[ProfileEntry]:
@@ -258,12 +235,10 @@ def anneal_min_perimeter(
     chains: int = 8,
     budget: int = 20_000,
     candidates: np.ndarray | None = None,
-    workers: int = 1,
 ) -> ProfileEntry:
     """Annealed upper bound on the minimum perimeter at cardinality k.
 
-    Chains are seeded independently of the worker layout, so results are
-    reproducible for any ``workers`` value.
+    Chain c is seeded from ``(seed, k, c)``, so results are reproducible.
     """
     cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
     _check_cardinality(k, cand.shape[0])
@@ -280,12 +255,7 @@ def anneal_min_perimeter(
         )
         return int(best), tuple(sorted(int(v) for v in members))
 
-    if workers <= 1 or chains <= 1:
-        results = [run_chain(c) for c in range(chains)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, chains)) as pool:
-            results = list(pool.map(run_chain, range(chains)))
-    perim, wit = min(results)
+    perim, wit = min(run_chain(c) for c in range(chains))
     return ProfileEntry(k, perim, wit, budget * chains, False, False)
 
 
@@ -296,7 +266,6 @@ def profile_or_anneal(
     chains: int = 8,
     budget: int = 20_000,
     cap: int = 20_000_000,
-    workers: int = 1,
 ) -> list[ProfileEntry]:
     """Profile over the default pool for k = 1 .. min(kmax, pool size).
 
@@ -309,9 +278,9 @@ def profile_or_anneal(
 
     def fallback(k):
         try:
-            return _scan_entry(ball, k, cand, cap, workers, "raise")
+            return _scan_entry(ball, k, cand, cap, "raise")
         except WorkCapError:
-            return anneal_min_perimeter(ball, k, seed, chains, budget, cand, workers)
+            return anneal_min_perimeter(ball, k, seed, chains, budget, cand)
 
     return _profile_rows(ball, min(kmax, cand.shape[0]), cand, cap, fallback)
 

@@ -37,7 +37,7 @@ NO_RESULT = 1 << 62
 
 
 def _compiled(loop):
-    return njit(cache=True, nogil=True)(loop) if HAS_NUMBA else loop
+    return njit(cache=True)(loop) if HAS_NUMBA else loop
 
 
 def grad_modulus_csr(indptr, indices, values, out, rows):
@@ -59,20 +59,19 @@ def energy_subgrad_csr(indptr, indices, values, gmod, out, rows):
 
 
 @_compiled
-def _scan_loop(pptr, pidx, score, cand, firsts, k, cap, pos, wit):
+def _scan_loop(pptr, pidx, score, cand, k, cap, pos, wit):
     # Depth first walk over k-subsets of pool positions in lexicographic
-    # order, the first member taken from ``firsts``.  score[q] is the
+    # order, one root (first member) at a time.  score[q] is the
     # perimeter added by joining q to the current set: 2 deg(q) minus 4
     # per in-pool neighbour already in the set.  The walk places the
     # first k - 1 members; the last one is a single pass over the rest.
     m = len(cand)
     best = NO_RESULT
     leaves = 0
-    for fi in range(len(firsts)):
-        first = firsts[fi]
-        # a cap below 1 scans nothing
-        if first > m - k or leaves >= cap:
-            continue
+    # a cap below 1 scans nothing; any other cap returns as it is reached
+    if cap < 1:
+        return best, leaves, 0
+    for first in range(m - k + 1):
         if k == 1:
             leaves += 1
             if score[first] < best:
@@ -137,16 +136,15 @@ def _pool_csr(indptr, indices, cand):
     return pptr, nb[keep], 2 * counts
 
 
-def min_perimeter_scan(indptr, indices, cand, k, firsts, cap):
+def min_perimeter_scan(indptr, indices, cand, k, cap):
     """Least perimeter over k-subsets of the pool ``cand``, in lexicographic order.
 
-    Only subsets whose first pool position is in ``firsts`` are scanned,
-    and at most ``cap`` of them.  Returns ``(best, leaves, capped,
-    witness)``: the first strict minimum and its vertices (``NO_RESULT``
-    and -1s if no subset was scanned), the number of subsets scanned, and
-    1 if the cap stopped the scan, else 0.
+    At most the first ``cap`` subsets are scanned.  Returns ``(best,
+    leaves, capped, witness)``: the first strict minimum and its vertices
+    (``NO_RESULT`` and -1s if no subset was scanned), the number of
+    subsets scanned, and 1 if the cap stopped the scan, else 0.
     """
-    arrays = (*_pool_csr(indptr, indices, cand), cand, firsts)
+    arrays = (*_pool_csr(indptr, indices, cand), cand)
     if HAS_NUMBA:
         pos = np.zeros(k, np.int64)
         wit = np.full(k, -1, np.int64)

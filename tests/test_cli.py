@@ -76,12 +76,6 @@ def test_isoperimetry_connected_rows_past_the_scan():
     assert all(r[-2:] == ["no", "yes"] for r in rows)
 
 
-def test_isoperimetry_worker_bytes():
-    a = run_cli("isoperimetry", "--instance", "z2", "--kmax", "3", "--workers", "1")
-    b = run_cli("isoperimetry", "--instance", "z2", "--kmax", "3", "--workers", "7")
-    assert a.stdout == b.stdout
-
-
 def test_isoperimetry_cap_exit():
     out = run_cli(
         "isoperimetry", "--instance", "z2", "--kmax", "9", "--cap", "1000",
@@ -254,7 +248,6 @@ def test_zero_fields_verify_is_an_error():
 BAD_COUNTS = {
     "--kmax": ("isoperimetry", "--instance", "z2", "--kmax", "0"),
     "--cap": ("isoperimetry", "--instance", "z2", "--kmax", "2", "--cap", "0", "--on-cap", "partial"),
-    "--workers": ("isoperimetry", "--instance", "z2", "--workers", "0"),
     "--chains": ("isoperimetry", "--instance", "z2", "--kmax", "2", "--anneal", "--chains", "0"),
     "--budget": ("isoperimetry", "--instance", "z2", "--kmax", "2", "--anneal", "--budget", "0"),
     "--starts": ("constants", "--instance", "c6", "--starts", "0"),

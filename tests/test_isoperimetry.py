@@ -59,7 +59,7 @@ def test_profile_line(line):
 
 
 def test_profile_plane(plane):
-    entries = profile(plane, 4, workers=2)
+    entries = profile(plane, 4)
     assert [e.perimeter for e in entries] == [8, 12, 16, 16]
 
 
@@ -73,12 +73,6 @@ def test_profile_cube_facet(cube):
     assert e4.leaves == 38
 
 
-def test_profile_worker_independence(plane):
-    runs = [profile(plane, 3, workers=w) for w in (1, 2, 3, 5, 8)]
-    for other in runs[1:]:
-        assert other == runs[0]
-
-
 @pytest.mark.parametrize("name", catalogue.names())
 def test_connected_rows_match_the_scan(name):
     ball = catalogue.build(name)
@@ -88,9 +82,8 @@ def test_connected_rows_match_the_scan(name):
     for entry in profile(ball, ks[-1]):
         # every row the scan reaches is certified, and agrees with it
         assert entry.exact and not entry.capped
-        firsts = np.arange(m - entry.k + 1, dtype=np.int64)
         best, _, _, wit = kernels.min_perimeter_scan(
-            ball.indptr, ball.indices, cand, entry.k, firsts, np.int64(3_000_001)
+            ball.indptr, ball.indices, cand, entry.k, np.int64(3_000_001)
         )
         assert (entry.perimeter, entry.witness) == (best, tuple(wit.tolist()))
 
@@ -135,6 +128,14 @@ def test_work_cap_partial(plane):
     assert entry.perimeter >= 8
 
 
+@pytest.mark.parametrize("on_cap", ["Raise", "", "anneal"])
+def test_unknown_on_cap_is_an_error(plane, on_cap):
+    with pytest.raises(ValueError, match="on_cap must be 'raise' or 'partial'"):
+        min_perimeter(plane, 10, cap=1000, on_cap=on_cap)
+    with pytest.raises(ValueError, match="on_cap must be 'raise' or 'partial'"):
+        profile(plane, 2, on_cap=on_cap)
+
+
 @pytest.mark.parametrize(
     "name,kmax,cap",
     # certified rows past the subset cap; annealed rows past the certified
@@ -168,14 +169,6 @@ def test_anneal_matches_exact_on_small(ring16):
     for k, ent in enumerate(exact, start=1):
         annealed = anneal_min_perimeter(ring16, k, seed=3, chains=4, budget=4000)
         assert annealed.perimeter == ent.perimeter
-
-
-def test_anneal_worker_independence(ring16):
-    runs = [
-        anneal_min_perimeter(ring16, 6, seed=11, chains=6, budget=3000, workers=w)
-        for w in (1, 2, 4)
-    ]
-    assert runs[1:] == runs[:-1]
 
 
 def test_anneal_seed_sensitivity(cube):
