@@ -6,6 +6,11 @@ are group elements and each move is left multiplication by a generator;
 for a Schreier construction the states are points of an orbit and each
 move applies a generator permutation.
 
+Every Cayley construction here is built one way, by :func:`_cayley` from
+an identity, a symmetric generator list and the group law; a new group
+needs nothing else.  The acting group of a Schreier system is such a
+Cayley system too, so :func:`explore` enumerates it.
+
 :func:`explore` walks the system breadth first out to a horizon and
 returns the induced graph on every state within that distance, stored in
 CSR form.  Vertices are indexed in discovery order, the base state is
@@ -14,12 +19,16 @@ vertex 0.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import add, xor
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
+
+
+_MAX_VERTICES = 500_000
 
 
 class ResourceCapError(RuntimeError):
@@ -30,11 +39,11 @@ class ResourceCapError(RuntimeError):
 class GeneratedSystem:
     """Base state plus a symmetric tuple of generator moves.
 
-    ``multiply`` is optional and only present for finite group
-    constructions, where whole-group translation is meaningful, and
-    for Heisenberg, whose moves are built from it.  For permutation
-    actions ``acting_perms`` holds the generator permutations so the
-    acting group can be enumerated on demand.
+    ``multiply`` is the group law.  Every Cayley system carries it (its
+    moves are left multiplications built from it); on a Schreier system
+    it is None.  For permutation actions ``acting_perms`` holds the
+    generator permutations so the acting group can be enumerated on
+    demand.
     """
 
     name: str
@@ -150,7 +159,7 @@ def _csr(num_vertices: int, tails, heads) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def explore(system: GeneratedSystem, horizon: int, max_vertices: int = 500_000) -> ExploredBall:
+def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERTICES) -> ExploredBall:
     """Breadth first exploration of ``system`` out to ``horizon`` moves.
 
     Every state at distance <= horizon becomes a vertex; every edge whose
@@ -164,40 +173,41 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = 500_000) 
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    base = system.base
-    index = {base: 0}
-    labels = [base]
-    dist = [0]
-    tails: list[int] = []
+    moves = system.moves
+
+    def images(level):
+        # where every move takes every vertex of level, vertex by vertex
+        return chain.from_iterable(zip(*[map(move, level) for move in moves]))
+
+    index = {system.base: 0}
+    labels = [system.base]
+    sizes = [1]  # sizes[d] counts the vertices at distance d
+    # heads[i * len(moves) + j] is where move j takes vertex i, -1 if outside
     heads: list[int] = []
-    queue = deque([0])
-    dropped = False
-    while queue:
-        iu = queue.popleft()
-        du = dist[iu]
-        u = labels[iu]
-        for move in system.moves:
-            v = move(u)
-            iv = index.get(v)
-            if iv is None:
-                if du >= horizon:
-                    dropped = True
-                    continue
-                if len(labels) >= max_vertices:
+    claim, push = index.setdefault, heads.append
+    while len(sizes) <= horizon and sizes[-1]:
+        known = len(labels)
+        for v in images(labels[known - sizes[-1] :]):
+            n = len(labels)
+            iv = claim(v, n)
+            if iv == n:
+                if n >= max_vertices:
                     raise ResourceCapError(
                         f"{system.name}: exploration exceeded {max_vertices} vertices"
                     )
-                iv = len(labels)
-                index[v] = iv
                 labels.append(v)
-                dist.append(du + 1)
-                queue.append(iv)
-            tails.append(iu)
-            heads.append(iv)
-    indptr, indices = _csr(len(labels), tails, heads)
+            push(iv)
+        sizes.append(len(labels) - known)
+    # the last level adds no vertex: a move that leaves the window gets -1
+    heads.extend(map(index.get, images(labels[len(labels) - sizes[-1] :]), repeat(-1)))
+    heads = np.asarray(heads, np.int64)
+    tails = np.repeat(np.arange(len(labels)), len(moves))
+    inside = heads >= 0
+    indptr, indices = _csr(len(labels), tails[inside], heads[inside])
+    dist = np.repeat(np.arange(len(sizes)), sizes)
     # Schreier quotients lose regularity when loops at fixed points drop out
     return ExploredBall(
-        system.name, horizon, dist, indptr, indices, not dropped, labels,
+        system.name, horizon, dist, indptr, indices, inside.all(), labels,
         regular=system.kind == "cayley",
     )
 
@@ -321,7 +331,7 @@ def validate_ball(ball: ExploredBall) -> list[str]:
 
 def right_translations(system: GeneratedSystem, ball: ExploredBall) -> list[list[int]]:
     """Right translations of a complete Cayley window: row b maps a to a*b."""
-    if system.kind != "cayley" or system.multiply is None:
+    if system.kind != "cayley":
         raise ValueError("right translations need a Cayley system")
     if not ball.complete:
         raise ValueError("right translations need the whole group")
@@ -334,19 +344,26 @@ def right_translations(system: GeneratedSystem, ball: ExploredBall) -> list[list
 # Concrete constructions
 
 
+def _cayley(name: str, identity: Hashable, gens: Sequence[Hashable], mul) -> GeneratedSystem:
+    """Cayley system of a group law: generator g moves x to g*x."""
+    return GeneratedSystem(name, identity, tuple(partial(mul, g) for g in gens), "cayley", mul)
+
+
+def _add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, x, y))
+
+
 def free_abelian(rank: int) -> GeneratedSystem:
     """Free abelian group of the given rank with standard generators."""
+    gens = [tuple(s if j == i else 0 for j in range(rank)) for i in range(rank) for s in (1, -1)]
+    return _cayley(f"free_abelian_{rank}", (0,) * rank, gens, _add)
 
-    def shift(i, s):
-        def move(x):
-            y = list(x)
-            y[i] += s
-            return tuple(y)
 
-        return move
-
-    moves = tuple(shift(i, s) for i in range(rank) for s in (1, -1))
-    return GeneratedSystem(f"free_abelian_{rank}", (0,) * rank, moves, "cayley")
+def _reduced_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    # the letters x ends with cancel against the ones y starts with
+    while x and y and x[-1] == -y[0]:
+        x, y = x[:-1], y[1:]
+    return x + y
 
 
 def free_group(rank: int) -> GeneratedSystem:
@@ -355,18 +372,12 @@ def free_group(rank: int) -> GeneratedSystem:
     A word is a tuple of nonzero ints, letter ``i`` is ``i+1`` and its
     inverse ``-(i+1)``.
     """
+    gens = [(s * (i + 1),) for i in range(rank) for s in (1, -1)]
+    return _cayley(f"free_group_{rank}", (), gens, _reduced_product)
 
-    def prepend(letter):
-        def move(w):
-            if w and w[0] == -letter:
-                return w[1:]
-            return (letter,) + w
 
-        return move
-
-    letters = [i + 1 for i in range(rank)]
-    moves = tuple(prepend(s * l) for l in letters for s in (1, -1))
-    return GeneratedSystem(f"free_group_{rank}", (), moves, "cayley")
+def _heisenberg_product(x, y):
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
 
 
 def heisenberg() -> GeneratedSystem:
@@ -376,20 +387,8 @@ def heisenberg() -> GeneratedSystem:
     the first diagonal and c in the corner, so
     (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2).
     """
-
-    def mul(x, y):
-        return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
-
-    def inv(x):
-        return (-x[0], -x[1], -x[2] + x[0] * x[1])
-
-    gens = [(1, 0, 0), (0, 1, 0)]
-    gens = gens + [inv(g) for g in gens]
-
-    def left(g):
-        return lambda x: mul(g, x)
-
-    return GeneratedSystem("heisenberg", (0, 0, 0), tuple(left(g) for g in gens), "cayley", mul)
+    gens = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+    return _cayley("heisenberg", (0, 0, 0), gens, _heisenberg_product)
 
 
 def cyclic(n: int) -> GeneratedSystem:
@@ -400,8 +399,7 @@ def cyclic(n: int) -> GeneratedSystem:
     def mul(a, b):
         return (a + b) % n
 
-    moves = (lambda x: (x + 1) % n, lambda x: (x - 1) % n)
-    return GeneratedSystem(f"cyclic_{n}", 0, moves, "cayley", mul)
+    return _cayley(f"cyclic_{n}", 0, [1, n - 1], mul)
 
 
 def dihedral(n: int) -> GeneratedSystem:
@@ -417,24 +415,14 @@ def dihedral(n: int) -> GeneratedSystem:
             return ((r1 + r2) % n, s2)
         return ((r1 - r2) % n, 1 - s2)
 
-    gens = [(1, 0), ((n - 1) % n, 0), (0, 1)]
-
-    def left(g):
-        return lambda x: mul(g, x)
-
-    return GeneratedSystem(f"dihedral_{n}", (0, 0), tuple(left(g) for g in gens), "cayley", mul)
+    return _cayley(f"dihedral_{n}", (0, 0), [(1, 0), (n - 1, 0), (0, 1)], mul)
 
 
 def hypercube(dim: int) -> GeneratedSystem:
     """Elementary abelian 2-group on ``dim`` bits; the graph is the cube."""
     if dim < 1:
         raise ValueError("hypercube needs dimension at least 1")
-
-    def mul(a, b):
-        return a ^ b
-
-    moves = tuple((lambda i: lambda x: x ^ (1 << i))(i) for i in range(dim))
-    return GeneratedSystem(f"hypercube_{dim}", 0, moves, "cayley", mul)
+    return _cayley(f"hypercube_{dim}", 0, [1 << i for i in range(dim)], xor)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -467,17 +455,7 @@ def symmetric_group(n: int, generators: str = "transpositions") -> GeneratedSyst
         gens = [_transposition(n, i, i + 1) for i in range(n - 1)]
     else:
         raise ValueError(f"unknown generator set {generators!r}")
-
-    def left(g):
-        return lambda x: _compose(g, x)
-
-    return GeneratedSystem(
-        f"symmetric_{n}_{generators}",
-        tuple(range(n)),
-        tuple(left(g) for g in gens),
-        "cayley",
-        _compose,
-    )
+    return _cayley(f"symmetric_{n}_{generators}", tuple(range(n)), gens, _compose)
 
 
 def permutation_action(
@@ -496,34 +474,26 @@ def permutation_action(
         for q in (t, _perm_inverse(t)):
             if q not in gens:
                 gens.append(q)
-
-    def act(g):
-        return lambda x: g[x]
-
     return GeneratedSystem(
-        name,
-        base_point,
-        tuple(act(g) for g in gens),
-        "schreier",
-        acting_perms=tuple(gens),
+        name, base_point, tuple(g.__getitem__ for g in gens), "schreier", acting_perms=tuple(gens)
     )
 
 
-def acting_group_elements(system: GeneratedSystem) -> list[tuple[int, ...]]:
-    """Enumerate the full group generated by ``acting_perms`` (word closure)."""
+def _acting_group(system: GeneratedSystem) -> GeneratedSystem:
+    """Cayley system of the group that the generator permutations of a
+    Schreier system generate."""
     if system.acting_perms is None:
         raise ValueError("system has no acting permutations")
-    first = system.acting_perms[0]
-    identity = tuple(range(len(first)))
-    seen = {identity}
-    order = [identity]
-    queue = deque([identity])
-    while queue:
-        g = queue.popleft()
-        for s in system.acting_perms:
-            h = _compose(s, g)
-            if h not in seen:
-                seen.add(h)
-                order.append(h)
-                queue.append(h)
-    return order
+    identity = tuple(range(len(system.acting_perms[0])))
+    return _cayley(f"{system.name}_acting_group", identity, system.acting_perms, _compose)
+
+
+def acting_group_elements(system: GeneratedSystem) -> list[tuple[int, ...]]:
+    """Every element of the group generated by ``acting_perms``, in
+    breadth first order from the identity.
+
+    Raises :class:`ResourceCapError` past the default vertex budget of
+    :func:`explore`.
+    """
+    # no element lies farther out than the budget, so the walk is whole or raises
+    return explore(_acting_group(system), _MAX_VERTICES).labels

@@ -22,10 +22,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .groups import ExploredBall, GeneratedSystem, explore, right_translations
+from .groups import ExploredBall, GeneratedSystem, right_translations
 
 #: Annealing temperature factor, applied once per sweep of k steps.
 _COOL = 0.97
+
+#: Largest group order :func:`double_counting_report` checks: it visits
+#: every pair of nonempty subsets, about 4**order pairs.
+_DOUBLE_COUNTING_ORDER = 10
 
 
 class WorkCapError(RuntimeError):
@@ -305,20 +309,20 @@ def shift_deficit(columns: list[list[int]], a_mask: int, b_members: Sequence[int
     return Fraction(sum(_deficit(columns[b], a_mask) for b in b_members), len(b_members))
 
 
-def double_counting_report(
-    system: GeneratedSystem, horizon: int = 64, max_order: int = 10
-) -> dict:
+def double_counting_report(system: GeneratedSystem, ball: ExploredBall) -> dict:
     """Exhaustive shift deficit check over all admissible subset pairs.
 
-    For every nonempty A, B with 2|A| <= |B| the mean shift deficit must
-    be at least |A|/2.  Exact rational arithmetic throughout.
+    ``ball`` is the complete window of the finite group ``system``.  For
+    every nonempty A, B with 2|A| <= |B| the mean shift deficit must be
+    at least |A|/2.  Exact rational arithmetic throughout.
     """
-    ball = explore(system, horizon)
     if not ball.complete:
         raise ValueError("double counting needs a finite group")
     n = ball.num_vertices
-    if n > max_order:
-        raise WorkCapError(f"group order {n} exceeds the exhaustive limit {max_order}")
+    if n > _DOUBLE_COUNTING_ORDER:
+        raise WorkCapError(
+            f"group order {n} exceeds the exhaustive limit {_DOUBLE_COUNTING_ORDER}"
+        )
     columns = right_translations(system, ball)
     checked = 0
     equalities = 0

@@ -140,7 +140,7 @@ def test_05_double_counting():
     total = 0
     bad = []
     for name in ("c6", "c8", "s3"):
-        rep = double_counting_report(catalogue.system(name))
+        rep = double_counting_report(catalogue.system(name), catalogue.build(name))
         total += rep["checked"]
         if not rep["all_ok"]:
             bad.append(name)

@@ -293,6 +293,26 @@ def test_translation_over_the_map_limit_is_reported(tmp_path, n, line):
     assert line in out.stdout.splitlines()
 
 
+def test_schreier_over_the_map_limit_builds_no_map(tmp_path, monkeypatch, capsys):
+    # S9 on nine points: 362880 acting group elements, one map each
+    from groupiso import cli, growth
+
+    path = tmp_path / "s9.json"
+    path.write_text(json.dumps({
+        "kind": "permutation_action",
+        "perms": [[1, 0, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 0]],
+        "horizon": 9,
+    }))
+
+    def no_maps(*_):
+        raise AssertionError("the limit is checked before any map is built")
+
+    monkeypatch.setattr(growth, "translation_maps", no_maps)
+    cli.main(["verify", "--spec", str(path), "--fields", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "translation: PASS (skipped: more than 64 maps, over the limit of 64)" in lines
+
+
 #: sha256 of stdout and of the --csv/--json files.  Captured before the
 #: command line wiring was rewritten on top of one instance, check and
 #: output path; the c6 and path3 verify hashes were captured after the

@@ -1,5 +1,7 @@
 """Window exploration: frozen counts, structure checks, budget caps."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from groupiso import catalogue
 from groupiso.groups import (
     ExploredBall,
     ResourceCapError,
+    _compose,
+    _reduced_product,
+    acting_group_elements,
     ball_from_edges,
     cyclic,
     diameter,
@@ -214,3 +219,45 @@ def test_dihedral_is_cyclic_times_flip():
     ball = explore(dihedral(6), 12)
     assert ball.num_vertices == 12
     assert ball.complete
+
+
+CAYLEY = [n for n in catalogue.names() if catalogue.system(n).kind == "cayley"]
+
+
+@pytest.mark.parametrize("name", CAYLEY)
+def test_moves_are_left_multiplications(name):
+    system = catalogue.system(name)
+    mul = system.multiply
+    gens = [move(system.base) for move in system.moves]
+    labels = catalogue.build(name).labels
+    for g, move in zip(gens, system.moves):
+        assert [move(x) for x in labels] == [mul(g, x) for x in labels]
+        # the generator list is symmetric
+        assert any(mul(g, h) == system.base for h in gens)
+
+
+@pytest.mark.parametrize("name", CAYLEY)
+def test_group_law(name):
+    system = catalogue.system(name)
+    e, mul = system.base, system.multiply
+    labels = catalogue.build(name).labels
+    for x in labels:
+        assert mul(e, x) == x == mul(x, e)
+    rng = random.Random(0)
+    for _ in range(300):
+        x, y, z = (rng.choice(labels) for _ in range(3))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+
+
+def test_reduced_product_cancels_across_the_seam():
+    assert _reduced_product((1, 2), (-2, -1, 2)) == (2,)
+    assert _reduced_product((1, -2), (2, -1)) == ()
+    assert _reduced_product((1,), (1, 2)) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("name, order", [("s3_points", 6), ("s4_points", 24)])
+def test_acting_group_is_closed(name, order):
+    elements = acting_group_elements(catalogue.system(name))
+    assert len(elements) == len(set(elements)) == order
+    assert elements[0] == tuple(range(len(elements[0])))
+    assert {_compose(g, h) for g in elements for h in elements} == set(elements)

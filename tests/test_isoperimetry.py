@@ -195,7 +195,7 @@ def test_double_counting_frozen():
 
 
 def test_double_counting_exhaustive():
-    rep = double_counting_report(catalogue.system("c6"))
+    rep = double_counting_report(catalogue.system("c6"), catalogue.build("c6"))
     assert rep["all_ok"]
     assert rep["checked"] == 692
     assert rep["min_slack"] == 0
@@ -204,11 +204,11 @@ def test_double_counting_exhaustive():
 
 
 def test_double_counting_symmetric_group():
-    rep = double_counting_report(catalogue.system("s3"))
+    rep = double_counting_report(catalogue.system("s3"), catalogue.build("s3"))
     assert rep["all_ok"]
     assert rep["min_slack"] >= 0
 
 
 def test_double_counting_rejects_large():
     with pytest.raises(WorkCapError):
-        double_counting_report(catalogue.system("c16"), max_order=10)
+        double_counting_report(catalogue.system("c16"), catalogue.build("c16"))
