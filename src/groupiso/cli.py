@@ -25,11 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalogue, corpus, fields, growth, isoperimetry, reporting, specio, uncertainty
-from .groups import ResourceCapError, _acting_group, explore, validate_ball
+# explore is not called here; perfbench/test_perfbench.py::test_wrappers_restore_the_originals reads it
+from .groups import ResourceCapError, explore, validate_ball  # noqa: F401
 from .uncertainty import EXPONENTS, WEIGHT_POWERS
-
-#: verify checks translations only up to this many maps, one per group element
-_MAP_LIMIT = 64
 
 #: least accepted value of each count argument a subcommand has
 _LEAST = dict.fromkeys(
@@ -170,26 +168,6 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _translation_skip(system, ball) -> str | None:
-    """Why verify skips the translation check, decided before any map is built.
-
-    A complete Cayley window has one map per vertex.  The walk of a
-    Schreier system's acting group stops at its first element past the
-    limit.
-    """
-    if system.kind == "cayley":
-        if ball.num_vertices <= _MAP_LIMIT:
-            return None
-        count = str(ball.num_vertices)
-    else:
-        try:
-            explore(_acting_group(system), _MAP_LIMIT, _MAP_LIMIT)
-            return None
-        except ResourceCapError:
-            count = f"more than {_MAP_LIMIT}"
-    return f"skipped: {count} maps, over the limit of {_MAP_LIMIT}"
-
-
 def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
     checks: list[dict] = []
 
@@ -264,17 +242,13 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
         add("poincare", bad == 0, f"{len(floats)} fields x {len(EXPONENTS)} exponents, {bad} failures")
 
         if system is not None and system.kind in ("cayley", "schreier"):
-            skip = _translation_skip(system, ball)
-            if skip is None:
-                maps = growth.translation_maps(system, ball)
-                if not maps[2]:
-                    skip = "skipped: translations are not graph automorphisms"
-            if skip:
-                add("translation", True, skip)
+            orbitals = growth.translation_maps(system, ball)
+            if not orbitals[1]:
+                add("translation", True, "skipped: translations are not graph automorphisms")
             else:
                 bad = count = 0
                 for f in exact[:20]:
-                    rows = growth.translation_report(system, ball, f, maps)["rows"]
+                    rows = growth.translation_report(system, ball, f, orbitals)["rows"]
                     count += len(rows)
                     bad += sum(not r["ok"] for r in rows)
                 add("translation", bad == 0, f"{count} translates, {bad} failures")

@@ -8,8 +8,9 @@ move applies a generator permutation.
 
 Every Cayley construction here is built one way, by :func:`_cayley` from
 an identity, a symmetric generator list and the group law; a new group
-needs nothing else.  The acting group of a Schreier system is such a
-Cayley system too, so :func:`explore` enumerates it.
+needs nothing else.  The acting group of a Schreier system is never
+listed: the translation check of :mod:`groupiso.growth` works on
+orbitals, found from the generator moves alone.
 
 :func:`explore` walks the system breadth first out to a horizon and
 returns the induced graph on every state within that distance, stored in
@@ -41,9 +42,8 @@ class GeneratedSystem:
 
     ``multiply`` is the group law.  Every Cayley system carries it (its
     moves are left multiplications built from it); on a Schreier system
-    it is None.  For permutation actions ``acting_perms`` holds the
-    generator permutations so the acting group can be enumerated on
-    demand.
+    it is None, and the moves, each a generator permutation applied to
+    a point, are all there is of the acting group.
     """
 
     name: str
@@ -51,7 +51,6 @@ class GeneratedSystem:
     moves: tuple[Callable[[Hashable], Hashable], ...]
     kind: str = "cayley"
     multiply: Callable[[Hashable, Hashable], Hashable] | None = None
-    acting_perms: tuple[tuple[int, ...], ...] | None = None
 
 
 def _frozen(values, dtype=np.int64) -> np.ndarray:
@@ -474,26 +473,4 @@ def permutation_action(
         for q in (t, _perm_inverse(t)):
             if q not in gens:
                 gens.append(q)
-    return GeneratedSystem(
-        name, base_point, tuple(g.__getitem__ for g in gens), "schreier", acting_perms=tuple(gens)
-    )
-
-
-def _acting_group(system: GeneratedSystem) -> GeneratedSystem:
-    """Cayley system of the group that the generator permutations of a
-    Schreier system generate."""
-    if system.acting_perms is None:
-        raise ValueError("system has no acting permutations")
-    identity = tuple(range(len(system.acting_perms[0])))
-    return _cayley(f"{system.name}_acting_group", identity, system.acting_perms, _compose)
-
-
-def acting_group_elements(system: GeneratedSystem) -> list[tuple[int, ...]]:
-    """Every element of the group generated by ``acting_perms``, in
-    breadth first order from the identity.
-
-    Raises :class:`ResourceCapError` past the default vertex budget of
-    :func:`explore`.
-    """
-    # no element lies farther out than the budget, so the walk is whole or raises
-    return explore(_acting_group(system), _MAX_VERTICES).labels
+    return GeneratedSystem(name, base_point, tuple(g.__getitem__ for g in gens), "schreier")

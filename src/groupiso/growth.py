@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .fields import grad_modulus_exact, l1_norm_exact
-from .groups import ExploredBall, GeneratedSystem, acting_group_elements, right_translations
+from .groups import ExploredBall, GeneratedSystem
 
 
 def growth_counts(ball: ExploredBall) -> np.ndarray:
@@ -104,62 +104,109 @@ def _is_automorphism(ball: ExploredBall, image: list[int]) -> bool:
     return np.array_equal(np.sort(image[ball.rows] * n + image[ball.indices]), keys)
 
 
-def translation_maps(system: GeneratedSystem, ball: ExploredBall) -> tuple[list[list[int]], int, bool]:
-    """Vertex maps of every group translation, with the stabilizer order.
+def _least_in_component(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Least vertex of each vertex's component, in the graph on 0..n-1
+    with edges tails[i]-heads[i]."""
+    root = np.arange(n, dtype=tails.dtype)
+    while not np.array_equal(root[tails], root[heads]):
+        low = np.minimum(root[tails], root[heads])
+        np.minimum.at(root, root[tails], low)
+        np.minimum.at(root, root[heads], low)
+        # root[v] <= v throughout, so jumping to the root's root settles
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+    return root
 
-    For a Cayley window the maps are the right translations; for a
-    Schreier window they apply each acting group element to the orbit.
-    Returns (maps, stabilizer_order, automorphic) where ``automorphic``
-    records whether every map preserved the edge set.
+
+def translation_maps(system: GeneratedSystem, ball: ExploredBall) -> tuple[np.ndarray, bool]:
+    """Orbitals of the pairs (base, t) under the translations of a
+    complete window, and whether the translations are automorphisms.
+
+    The translations are generated by one vertex map per move: right
+    multiplication by ``move(base)`` on a Cayley window, the move itself
+    on a Schreier window.  A breadth first walk under them carries the
+    pairs along: reaching y = p(x) first labels (y, p(z)) like (x, z),
+    and a later arrival merges the labels it meets.  Returns (orbital,
+    automorphic): ``orbital[x, y]`` is the least t with (base, t) in the
+    orbit of (x, y); ``automorphic`` says whether every generator, hence
+    (automorphisms form a group) every translation, preserves the edges.
     """
     if not ball.complete:
         raise ValueError("translation maps need a complete window")
+    labels = ball.labels
     if system.kind == "cayley":
-        maps = right_translations(system, ball)
-        stab = 1
+        images = [[system.multiply(a, move(system.base)) for a in labels] for move in system.moves]
     elif system.kind == "schreier":
-        elements = acting_group_elements(system)
-        if len(elements) % ball.num_vertices != 0:
-            raise ValueError("orbit size does not divide the acting group order")
-        stab = len(elements) // ball.num_vertices
-        maps = [[ball.index_of[g[pt]] for pt in ball.labels] for g in elements]
+        images = [list(map(move, labels)) for move in system.moves]
     else:
         raise ValueError(f"no translations for kind {system.kind!r}")
-    automorphic = all(_is_automorphism(ball, m) for m in maps)
-    return maps, stab, automorphic
+    idx = ball.index_of
+    perms = np.array([[idx[v] for v in image] for image in images], np.int32)
+    automorphic = all(_is_automorphism(ball, p) for p in perms)
+    n, base = ball.num_vertices, ball.base_index
+    orbital = np.full((n, n), -1, np.int32)
+    orbital[base] = np.arange(n)
+    order = [base]
+    # labels found to name one orbital, one array pair per later arrival
+    tails, heads = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    for x in order:
+        row = orbital[x]
+        for p, y in zip(perms, perms[:, x].tolist()):
+            if orbital[y, 0] < 0:  # the first arrival at y
+                order.append(y)
+                orbital[y, p] = row
+            else:
+                met = orbital[y, p]
+                differ = met != row
+                tails.append(met[differ])
+                heads.append(row[differ])
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    if tails.size:
+        orbital = _least_in_component(n, tails, heads)[orbital]
+    return orbital, automorphic
 
 
 def translation_report(
     system: GeneratedSystem,
     ball: ExploredBall,
     field: Mapping[int, Fraction],
-    maps_stab: tuple[list[list[int]], int, bool] | None = None,
+    orbitals: tuple[np.ndarray, bool] | None = None,
 ) -> dict:
     """Exact check that moving a field by any translation costs at most
     distance times its total gradient.
 
     Row t is the translation that takes the base to vertex t.  Its left
-    side averages |f(y . t) - f(y . base)| over the whole acting group,
-    one summand per group element, divided by the stabilizer order.
+    side, the mean of |f(g . t) - f(g . base)| over the acting group
+    divided by the stabilizer order, equals n/|O| times the sum of
+    |f(y) - f(x)| over the orbital O of (base, t); only pairs with an
+    end in the support of f add to that sum.  ``orbitals`` is what
+    :func:`translation_maps` returns, computed when not given.
     """
-    if maps_stab is None:
-        maps_stab = translation_maps(system, ball)
-    maps, stab, automorphic = maps_stab
+    if orbitals is None:
+        orbitals = translation_maps(system, ball)
+    orbital, automorphic = orbitals
     grad_l1 = l1_norm_exact(grad_modulus_exact(ball, field))
-    # integer numerators over the common denominator, all targets in one pass
+    n = ball.num_vertices
+    # integer numerators over the common denominator
     den = math.lcm(*(x.denominator for x in field.values()))
-    num = [0] * ball.num_vertices
+    num = [0] * n
     for v, x in field.items():
         num[v] = int(x * den)
-    sums = [0] * ball.num_vertices
-    base = ball.base_index
-    for m in maps:
-        moved = [num[i] for i in m]
-        at_base = moved[base]
-        sums = [s + abs(x - at_base) for s, x in zip(sums, moved)]
+    inside = np.zeros(n, np.bool_)
+    inside[list(field)] = True
+    support, outside = np.flatnonzero(inside), np.flatnonzero(~inside)
+    # the rows of the support, then its columns outside those rows
+    xs = np.concatenate([np.repeat(support, n), np.repeat(outside, support.size)])
+    ys = np.concatenate([np.tile(np.arange(n), support.size), np.tile(support, outside.size)])
+    sums = [0] * n
+    for o, x, y in zip(orbital[xs, ys].tolist(), xs.tolist(), ys.tolist()):
+        sums[o] += abs(num[y] - num[x])
+    # an orbital O holds |O| / n pairs (base, y)
+    at_base = orbital[ball.base_index].tolist()
+    share = np.bincount(at_base, minlength=n).tolist()
     rows = []
-    for target, total in enumerate(sums):
-        lhs = Fraction(total, den * stab)
+    for target, o in enumerate(at_base):
+        lhs = Fraction(sums[o], den * share[o])
         distance = int(ball.dist[target])
         rhs = distance * grad_l1
         ok = (lhs <= rhs) if automorphic else None
@@ -167,7 +214,6 @@ def translation_report(
     return {
         "rows": rows,
         "grad_l1": grad_l1,
-        "stabilizer": stab,
         "automorphic": automorphic,
         "ok": all(r["ok"] for r in rows) if automorphic else None,
     }

@@ -49,8 +49,6 @@ _KINDS = {
     "explicit": (("vertices", "edges"), lambda s: None),
 }
 
-_MAX_VERTICES = 500_000
-
 
 def load_spec(path: str | Path) -> dict:
     """Read a spec file; its keys are validated when it is built."""
@@ -107,7 +105,7 @@ def system_from_spec(spec: dict) -> GeneratedSystem | None:
 def instance_from_spec(spec: dict) -> tuple[GeneratedSystem | None, ExploredBall]:
     """The generated system (None for explicit graphs) and the explored window."""
     system = system_from_spec(spec)
-    max_vertices = spec.get("max_vertices", _MAX_VERTICES)
+    max_vertices = spec.get("max_vertices", groups._MAX_VERTICES)
     if system is None:
         name = spec.get("name", "explicit")
         if spec["vertices"] > max_vertices:

@@ -1,6 +1,7 @@
 import pytest
 
 from groupiso import catalogue
+from groupiso.groups import right_translations
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -36,3 +37,25 @@ def ring16():
 @pytest.fixture(scope="session")
 def cube():
     return catalogue.build("q3")
+
+
+def _every_translation(system, ball):
+    """Every translation of a complete window as a vertex map, listed
+    here and not by the library: the right translations of a Cayley
+    window, or the closure of the generator permutations of a Schreier
+    window under composition."""
+    if system.kind == "cayley":
+        return right_translations(system, ball)
+    idx = ball.index_of
+    gens = [[idx[move(a)] for a in ball.labels] for move in system.moves]
+    identity = tuple(range(ball.num_vertices))
+    elements, frontier = {identity}, {identity}
+    while frontier:
+        frontier = {tuple(p[i] for i in g) for g in frontier for p in gens} - elements
+        elements |= frontier
+    return sorted(elements)
+
+
+@pytest.fixture(scope="session")
+def every_translation():
+    return _every_translation

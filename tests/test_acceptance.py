@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -36,8 +37,11 @@ from groupiso.uncertainty import (
     poincare_report,
     uncertainty_ascent,
 )
+from groupiso.specio import instance_from_spec, load_spec
 
 LINES: list[str] = []
+
+ROOT = Path(__file__).resolve().parent.parent
 
 RTOL = 1e-9
 FROZEN_RTOL = 1e-12
@@ -154,18 +158,19 @@ def test_05_double_counting():
 
 def test_06_translation_bound():
     checked = failures = 0
-    for name in ("c12", "s4_points"):
-        ball = catalogue.build(name)
-        system = catalogue.system(name)
-        ms = translation_maps(system, ball)
-        assert ms[2], f"{name} translations must be automorphic"
+    windows = [(catalogue.system(name), catalogue.build(name)) for name in ("c12", "s4_points")]
+    # S7 on 3-subsets: a homogeneous space that is neither complete nor Cayley
+    windows.append(instance_from_spec(load_spec(ROOT / "specs" / "johnson_7_3.json")))
+    for system, ball in windows:
+        orbitals = translation_maps(system, ball)
+        assert orbitals[1], f"{ball.name} translations must be automorphic"
         for field in rational_fields(ball, 100, seed=6):
-            rows = translation_report(system, ball, field, ms)["rows"]
+            rows = translation_report(system, ball, field, orbitals)["rows"]
             checked += len(rows)
             failures += sum(not row["ok"] for row in rows)
     _verdict(
         6, "translation-bound", failures == 0,
-        f"{checked} exact translate comparisons, {failures} failures",
+        f"{checked} exact translate comparisons over c12/s4_points/johnson_7_3, {failures} failures",
     )
 
 

@@ -282,8 +282,8 @@ def test_max_vertices_applies(target):
     "n, line",
     [
         (64, "translation: PASS (128 translates, 0 failures)"),
-        (65, "translation: PASS (skipped: 65 maps, over the limit of 64)"),
-        (100, "translation: PASS (skipped: 100 maps, over the limit of 64)"),
+        (65, "translation: PASS (130 translates, 0 failures)"),
+        (100, "translation: PASS (200 translates, 0 failures)"),
     ],
 )
 def test_translation_over_the_map_limit_is_reported(tmp_path, n, line):
@@ -294,8 +294,9 @@ def test_translation_over_the_map_limit_is_reported(tmp_path, n, line):
 
 
 def test_schreier_over_the_map_limit_builds_no_map(tmp_path, monkeypatch, capsys):
-    # S9 on nine points: 362880 acting group elements, one map each
-    from groupiso import cli, growth
+    # S9 on nine points: 362880 group elements, but the generators alone
+    # show that the translations are not automorphisms
+    from groupiso import cli, groups, growth
 
     path = tmp_path / "s9.json"
     path.write_text(json.dumps({
@@ -303,14 +304,32 @@ def test_schreier_over_the_map_limit_builds_no_map(tmp_path, monkeypatch, capsys
         "perms": [[1, 0, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 0]],
         "horizon": 9,
     }))
+    explored, orbitals = [], []
 
-    def no_maps(*_):
-        raise AssertionError("the limit is checked before any map is built")
+    def explore(system, *args):
+        explored.append(system.name)
+        return real_explore(system, *args)
 
-    monkeypatch.setattr(growth, "translation_maps", no_maps)
+    def translation_maps(system, ball):
+        orbitals.append(real_maps(system, ball))
+        return orbitals[-1]
+
+    real_explore, real_maps = groups.explore, growth.translation_maps
+    monkeypatch.setattr(groups, "explore", explore)
+    monkeypatch.setattr(growth, "translation_maps", translation_maps)
     cli.main(["verify", "--spec", str(path), "--fields", "2"])
     lines = capsys.readouterr().out.splitlines()
-    assert "translation: PASS (skipped: more than 64 maps, over the limit of 64)" in lines
+    assert "translation: PASS (skipped: translations are not graph automorphisms)" in lines
+    # one walk, of the nine points; the orbitals are pairs of points
+    assert explored == ["permutation_action"]
+    assert [o[0].shape for o in orbitals] == [(9, 9)]
+
+
+def test_johnson_spec_verifies():
+    out = run_cli("verify", "--spec", os.path.join(SPECS, "johnson_7_3.json"), "--fields", "20")
+    lines = out.stdout.splitlines()
+    assert "translation: PASS (700 translates, 0 failures)" in lines
+    assert lines[-1] == "verify johnson_7_3: PASS"
 
 
 #: sha256 of stdout and of the --csv/--json files.  Captured before the

@@ -1,17 +1,17 @@
 """Window exploration: frozen counts, structure checks, budget caps."""
 
+import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groupiso import catalogue
+from groupiso import catalogue, specio
 from groupiso.groups import (
     ExploredBall,
     ResourceCapError,
-    _compose,
     _reduced_product,
-    acting_group_elements,
     ball_from_edges,
     cyclic,
     diameter,
@@ -207,6 +207,23 @@ def test_schreier_orbit():
     assert ball.num_edges == 4  # a 4-cycle
 
 
+def test_johnson_spec_is_s7_on_3_subsets():
+    # point i is the i-th 3-subset of 0..6 in lexicographic order, and
+    # transposition (a b) swaps a and b inside every subset
+    points = list(itertools.combinations(range(7), 3))
+    index = {p: i for i, p in enumerate(points)}
+    perms = [
+        [index[tuple(sorted({a: b, b: a}.get(x, x) for x in p))] for p in points]
+        for a, b in itertools.combinations(range(7), 2)
+    ]
+    spec = specio.load_spec(Path(__file__).resolve().parent.parent / "specs" / "johnson_7_3.json")
+    assert spec["perms"] == perms and spec["base_point"] == 0
+    ball = specio.build_from_spec(spec)
+    assert ball.complete and ball.num_vertices == 35
+    # the Johnson graph J(7, 3): subsets meeting in two points are adjacent
+    assert ball.num_edges == 35 * 3 * 4 // 2 and validate_ball(ball) == []
+
+
 def test_schreier_fixed_point_drops_loop():
     act = permutation_action("two", [(1, 0, 2), (2, 1, 0)])
     ball = explore(act, 3)
@@ -253,11 +270,3 @@ def test_reduced_product_cancels_across_the_seam():
     assert _reduced_product((1, 2), (-2, -1, 2)) == (2,)
     assert _reduced_product((1, -2), (2, -1)) == ()
     assert _reduced_product((1,), (1, 2)) == (1, 1, 2)
-
-
-@pytest.mark.parametrize("name, order", [("s3_points", 6), ("s4_points", 24)])
-def test_acting_group_is_closed(name, order):
-    elements = acting_group_elements(catalogue.system(name))
-    assert len(elements) == len(set(elements)) == order
-    assert elements[0] == tuple(range(len(elements[0])))
-    assert {_compose(g, h) for g in elements for h in elements} == set(elements)

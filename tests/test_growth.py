@@ -1,6 +1,7 @@
 """Growth tables, superadditivity, radius selectors, translation bounds."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from groupiso.growth import (
     translation_maps,
     translation_report,
 )
+from groupiso.specio import instance_from_spec, load_spec
+
+JOHNSON = Path(__file__).resolve().parent.parent / "specs" / "johnson_7_3.json"
 
 
 def test_line_growth(line):
@@ -92,21 +96,39 @@ def test_translation_dihedral_frozen():
     assert row["ok"] and rep["ok"]
 
 
-def test_translation_schreier_normalizes_by_stabilizer():
+def _reference_rows(ball, field, maps):
+    """Left sides as the definition reads: the sum over the whole group
+    of |f(g . t) - f(g . base)|, one Fraction per target, divided by the
+    stabilizer order |G| / n."""
+    value = [field.get(v, Fraction(0)) for v in range(ball.num_vertices)]
+    stabilizer = Fraction(len(maps), ball.num_vertices)
+    base = ball.base_index
+    return [
+        sum((abs(value[m[t]] - value[m[base]]) for m in maps), Fraction(0)) / stabilizer
+        for t in range(ball.num_vertices)
+    ]
+
+
+def test_translation_schreier_normalizes_by_stabilizer(every_translation):
+    from groupiso.corpus import rational_fields
+
     s3 = catalogue.build("s3_points")
     sys_ = catalogue.system("s3_points")
-    maps, stab, automorphic = translation_maps(sys_, s3)
-    assert automorphic
-    assert stab == 2  # |S3| / 3 points
-    assert len(maps) == 6
+    maps = every_translation(sys_, s3)
+    assert len(maps) == 6  # |S3|, so the stabilizer of a point has order 2
+    orbitals = translation_maps(sys_, s3)
+    assert orbitals[1]
+    for field in rational_fields(s3, 5, seed=3):
+        rep = translation_report(sys_, s3, field, orbitals)
+        assert [row["lhs"] for row in rep["rows"]] == _reference_rows(s3, field, maps)
 
 
 def test_translation_flags_non_automorphic():
     sys_ = permutation_action("s3_two", [(1, 0, 2), (2, 1, 0)])
     ball = explore(sys_, 4)
-    maps, stab, automorphic = translation_maps(sys_, ball)
-    assert not automorphic
-    rep = translation_report(sys_, ball, {0: Fraction(1)}, (maps, stab, automorphic))
+    orbitals = translation_maps(sys_, ball)
+    assert not orbitals[1]
+    rep = translation_report(sys_, ball, {0: Fraction(1)}, orbitals)
     assert rep["ok"] is None
     assert all(row["ok"] is None for row in rep["rows"])
 
@@ -123,26 +145,20 @@ def test_translation_bound_over_corpus():
         assert rep["ok"]
 
 
-def test_translation_rows_match_reference():
+def test_translation_rows_match_reference(every_translation):
     from groupiso.corpus import rational_fields
     from groupiso.fields import grad_modulus_exact, l1_norm_exact
 
-    for name in ("c12", "d4", "s4_points"):
-        ball = catalogue.build(name)
-        system = catalogue.system(name)
-        ms = translation_maps(system, ball)
-        maps, stab, _ = ms
-        for field in rational_fields(ball, 5, seed=11):
-            rep = translation_report(system, ball, field, ms)
+    windows = [(catalogue.system(name), catalogue.build(name)) for name in ("c12", "d4", "s4_points")]
+    windows.append(instance_from_spec(load_spec(JOHNSON)))
+    for system, ball in windows:
+        maps = every_translation(system, ball)
+        orbitals = translation_maps(system, ball)
+        for field in rational_fields(ball, 2, seed=11):
+            rep = translation_report(system, ball, field, orbitals)
             grad_l1 = l1_norm_exact(grad_modulus_exact(ball, field))
-            assert rep["grad_l1"] == grad_l1 and rep["stabilizer"] == stab
+            assert rep["grad_l1"] == grad_l1
+            assert [row["lhs"] for row in rep["rows"]] == _reference_rows(ball, field, maps)
             for target, row in enumerate(rep["rows"]):
-                # one Fraction sum per target, as the definition reads
-                total = sum(
-                    (abs(field.get(m[target], Fraction(0)) - field.get(m[ball.base_index], Fraction(0)))
-                     for m in maps),
-                    Fraction(0),
-                )
-                assert row["lhs"] == total / stab
                 assert row["rhs"] == ball.dist[target] * grad_l1
                 assert row["ok"] == (row["lhs"] <= row["rhs"])

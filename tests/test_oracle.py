@@ -1,9 +1,11 @@
-"""networkx as an independent oracle: distances, diameters, translation automorphisms."""
+"""Independent oracles: networkx for distances, diameters and translation
+automorphisms; every group map listed by the tests for the orbitals."""
 
+import numpy as np
 import pytest
 
 from groupiso import catalogue, specio
-from groupiso.groups import diameter, distances_from
+from groupiso.groups import diameter, distances_from, explore, permutation_action
 from groupiso.growth import _is_automorphism, translation_maps
 
 nx = pytest.importorskip("networkx")
@@ -56,13 +58,14 @@ def _preserves_edges(g, image):
 
 
 @pytest.mark.parametrize("name", TRANSLATED)
-def test_translation_maps_match_networkx(name):
+def test_translation_maps_match_networkx(name, every_translation):
     ball = catalogue.build(name)
     g = _graph(ball)
-    maps, _, automorphic = translation_maps(catalogue.system(name), ball)
+    maps = every_translation(catalogue.system(name), ball)
     oracle = [_preserves_edges(g, m) for m in maps]
     assert [_is_automorphism(ball, m) for m in maps] == oracle
-    assert automorphic == all(oracle)
+    # the library looks at the generators only
+    assert translation_maps(catalogue.system(name), ball)[1] == all(oracle)
     # negative case: the first transposition of vertex 0 that moves an edge off the graph
     n = ball.num_vertices
     swaps = ([v, *range(1, v), 0, *range(v + 1, n)] for v in range(1, n))
@@ -74,3 +77,26 @@ def test_translation_maps_match_networkx(name):
         image = [0, 0, *range(2, n)]
         assert not _preserves_edges(g, image)
     assert not _is_automorphism(ball, image)
+
+
+def test_non_automorphic_generators_match_networkx(every_translation):
+    # two transpositions of S3 on three points: the Schreier graph is a path
+    system = permutation_action("s3_two", [(1, 0, 2), (2, 1, 0)])
+    ball = explore(system, 4)
+    g = _graph(ball)
+    oracle = [_preserves_edges(g, m) for m in every_translation(system, ball)]
+    assert not all(oracle)
+    assert translation_maps(system, ball)[1] is False
+
+
+@pytest.mark.parametrize("name", TRANSLATED)
+def test_orbitals_are_orbits_of_pairs(name, every_translation):
+    ball = catalogue.build(name)
+    maps = every_translation(catalogue.system(name), ball)
+    orbital, _ = translation_maps(catalogue.system(name), ball)
+    base = ball.base_index
+    for t in range(ball.num_vertices):
+        orbit = {(m[base], m[t]) for m in maps}
+        assert set(zip(*np.nonzero(orbital == orbital[base, t]))) == orbit
+        # each orbital is named by the least target it holds
+        assert orbital[base, t] == min(y for x, y in orbit if x == base)
