@@ -13,6 +13,7 @@ finite graph in its own right.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -30,20 +31,22 @@ ExactField = Mapping[int, Fraction]
 
 
 def grad_modulus_exact(ball: ExploredBall, field: ExactField) -> dict[int, Fraction]:
-    """Gradient modulus of a sparse exact field, on its closed support."""
-    touched = set(field)
+    """Gradient modulus of a sparse exact field, on its closed support.
+
+    The sums run on integer numerators over the common denominator.
+    """
+    den = math.lcm(*(x.denominator for x in field.values()))
+    num = {v: int(x * den) for v, x in field.items()}
     indptr, indices = ball.indptr, ball.indices
-    for v in list(field):
-        touched.update(int(w) for w in indices[indptr[v] : indptr[v + 1]])
+    touched = set(num)
+    for v in num:
+        touched.update(indices[indptr[v] : indptr[v + 1]].tolist())
     out: dict[int, Fraction] = {}
-    zero = Fraction(0)
     for v in touched:
-        fv = field.get(v, zero)
-        acc = Fraction(0)
-        for e in range(indptr[v], indptr[v + 1]):
-            acc += abs(fv - field.get(int(indices[e]), zero))
+        fv = num.get(v, 0)
+        acc = sum(abs(fv - num.get(w, 0)) for w in indices[indptr[v] : indptr[v + 1]].tolist())
         if acc:
-            out[v] = acc
+            out[v] = Fraction(acc, den)
     return out
 
 
@@ -130,18 +133,26 @@ def to_dense(ball: ExploredBall, field: ExactField) -> np.ndarray:
     return out
 
 
+def gradient_pass(ball: ExploredBall, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient modulus and the signed edge differences, one per CSR entry."""
+    out = np.empty(ball.num_vertices)
+    diffs = kernels.grad_modulus_csr(ball.indptr, ball.indices, np.asarray(values, np.float64), out, ball.rows)
+    return out, diffs
+
+
 def grad_modulus(ball: ExploredBall, values: np.ndarray) -> np.ndarray:
-    out = np.empty(ball.num_vertices)
-    kernels.grad_modulus_csr(ball.indptr, ball.indices, np.asarray(values, np.float64), out, ball.rows)
-    return out
+    return gradient_pass(ball, values)[0]
 
 
-def energy_subgradient(ball: ExploredBall, values: np.ndarray) -> np.ndarray:
-    """Subgradient of the squared 2-norm of the gradient modulus."""
-    values = np.asarray(values, np.float64)
-    gmod = grad_modulus(ball, values)
+def energy_subgradient(ball: ExploredBall, values: np.ndarray, *, _gradient=None) -> np.ndarray:
+    """Subgradient of the squared 2-norm of the gradient modulus.
+
+    ``_gradient`` is :func:`gradient_pass` of ``values``, when the caller
+    already has it.
+    """
+    gmod, diffs = gradient_pass(ball, values) if _gradient is None else _gradient
     out = np.empty(ball.num_vertices)
-    kernels.energy_subgrad_csr(ball.indptr, ball.indices, values, gmod, out, ball.rows)
+    kernels.energy_subgrad_csr(ball.indptr, ball.indices, diffs, gmod, out, ball.rows)
     return out
 
 

@@ -37,15 +37,17 @@ class WorkCapError(RuntimeError):
 
 
 def set_perimeter(ball: ExploredBall, subset: Iterable[int]) -> int:
-    """Perimeter of a vertex set: twice the number of cut edges."""
+    """Perimeter of a vertex set: twice the number of cut edges.
+
+    Only the members' rows are read.
+    """
+    members = {int(v) for v in subset}
+    idx = np.fromiter(members, np.int64, len(members))
+    at, _ = kernels.row_entries(ball.indptr, idx)
+    nbrs = ball.indices[at]
     mask = np.zeros(ball.num_vertices, np.bool_)
-    members = np.asarray(sorted(set(int(v) for v in subset)), np.int64)
-    if members.size == 0:
-        return 0
-    mask[members] = True
-    inside_ordered = int(np.count_nonzero(mask[ball.rows] & mask[ball.indices]))
-    degsum = int(ball.degrees[members].sum())
-    return 2 * degsum - 2 * inside_ordered
+    mask[idx] = True
+    return 2 * (nbrs.size - int(np.count_nonzero(mask[nbrs])))
 
 
 def cut_edges(ball: ExploredBall, subset: Iterable[int]) -> list[tuple[int, int]]:

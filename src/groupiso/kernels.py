@@ -1,17 +1,21 @@
 """Low level numeric kernels over flat CSR arrays, one source each.
 
-The two gradient passes are numpy expressions.  The subset scan, the
-connected-set enumeration and the annealer are loops written in numba's
-nopython subset: when numba imports they are compiled with ``njit``,
-otherwise the same functions run as plain Python, where lists,
-bytearrays and memoryviews index and iterate to plain ints and floats,
-faster than numpy scalars.  Graph arrays and scratch state become lists
-or bytearrays.  The annealer's per-step arrays stay memoryviews: they
-are read once each, in one ``zip``, and list copies would box every
-value, raising peak memory by megabytes per chain.  Only the public
-wrappers know which of the two runs; they convert the inputs and
-allocate the scratch state to suit.  The choice is exposed as
-:data:`BACKEND` (``"numba"`` or ``"numpy"``).
+The two gradient passes are numpy expressions; the first returns the
+signed edge differences, so a caller holding them can take the
+subgradient without a second pass.  The subset scan, the connected-set
+enumeration and the annealer are loops written in numba's nopython
+subset: when numba imports they are compiled with ``njit``, otherwise
+the same functions run as plain Python, where lists, tuples, bytearrays
+and memoryviews index and iterate to plain ints and floats, faster than
+numpy scalars.  Graph arrays and scratch state become lists or
+bytearrays.  The annealer reads each pool vertex's neighbours as one
+tuple (one array of a typed list under numba), built once per chain,
+and keeps per vertex a boundary score and a state byte.  Its per-step
+arrays stay memoryviews: they are read once each, in one ``zip``, and
+list copies would box every value, raising peak memory by megabytes per
+chain.  Only the public wrappers know which of the two runs; they
+convert the inputs and allocate the scratch state to suit.  The choice
+is exposed as :data:`BACKEND` (``"numba"`` or ``"numpy"``).
 
 Integer results (perimeters, witnesses, leaf and set counts) do not
 depend on the backend.
@@ -43,18 +47,23 @@ def _compiled(loop):
 def grad_modulus_csr(indptr, indices, values, out, rows):
     """``out[v]``: sum of ``|values[v] - values[u]|`` over the neighbours u of v.
 
-    ``rows`` holds the row index of every CSR entry.
+    ``rows`` holds the row index of every CSR entry.  Returns the signed
+    differences ``values[v] - values[u]``, one per entry.
     """
     n = indptr.shape[0] - 1
-    diffs = np.abs(values[rows] - values[indices])
-    out[:] = np.bincount(rows, weights=diffs, minlength=n)
+    diffs = values[rows] - values[indices]
+    out[:] = np.bincount(rows, weights=np.abs(diffs), minlength=n)
+    return diffs
 
 
-def energy_subgrad_csr(indptr, indices, values, gmod, out, rows):
-    """Subgradient of the squared 2-norm of the gradient modulus ``gmod``."""
+def energy_subgrad_csr(indptr, indices, diffs, gmod, out, rows):
+    """Subgradient of the squared 2-norm of the gradient modulus ``gmod``.
+
+    ``diffs`` are the signed edge differences :func:`grad_modulus_csr`
+    returned with ``gmod``.
+    """
     n = indptr.shape[0] - 1
-    sign = np.sign(values[rows] - values[indices])
-    contrib = 2.0 * sign * (gmod[rows] + gmod[indices])
+    contrib = 2.0 * np.sign(diffs) * (gmod[rows] + gmod[indices])
     out[:] = np.bincount(rows, weights=contrib, minlength=n)
 
 
@@ -117,6 +126,16 @@ def _scan_loop(pptr, pidx, score, cand, k, cap, pos, wit):
     return best, leaves, 0
 
 
+def row_entries(indptr, vertices):
+    """CSR entry positions of the rows of ``vertices``, row after row.
+
+    Returns ``(positions, counts)``, ``counts`` being the row lengths.
+    """
+    starts = indptr[vertices]
+    counts = indptr[vertices + 1] - starts
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts), counts
+
+
 def _pool_csr(indptr, indices, cand):
     """In-pool neighbour positions, one CSR row per position of the pool ``cand``.
 
@@ -124,11 +143,9 @@ def _pool_csr(indptr, indices, cand):
     each pool vertex in the whole graph: the perimeter of the singleton.
     """
     m = cand.shape[0]
-    starts = indptr[cand]
-    counts = indptr[cand + 1] - starts
+    at, counts = row_entries(indptr, cand)
     cpos = np.full(indptr.shape[0] - 1, -1, np.int64)
     cpos[cand] = np.arange(m)
-    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
     nb = cpos[indices[at]]
     keep = nb >= 0
     pptr = np.zeros(m + 1, np.int64)
@@ -302,70 +319,56 @@ def connected_profile(indptr, indices, cand, kmax, cap):
 
 @_compiled
 def _anneal_loop(
-    indptr, indices, cand_mask, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u,
-    t0, cool, sweep, in_set, inside, cur, best_set,
+    adj, state, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u, temp, score, cur, best_set,
 ):
-    # Fixed cardinality Metropolis chain.  All randomness is precomputed
-    # by the caller so the walk is identical on both backends.  inside[v]
-    # is the number of members adjacent to v, built once here; the graph
-    # is simple, so a step that swaps member u for w reads the in-set
-    # neighbour counts of both without walking their rows.  Only an
-    # accepted swap writes: in_set, cur, and inside along the rows of u
-    # and w.  A rejected step writes nothing.
+    # Fixed cardinality Metropolis chain.  All randomness and the
+    # temperature of every step are precomputed by the caller, so the
+    # walk is identical on both backends.  adj[v] lists the neighbours of
+    # a pool vertex v (no other row is read); state[v] is 0 outside the
+    # pool, 1 for a free pool vertex and 2 for a member.  score[v] is
+    # deg(v) minus twice the number of members next to v: the caller
+    # passes deg(v), and the members are counted in here.  The graph
+    # is simple, so swapping member u for w changes the perimeter by
+    # 2 (score[w] - score[u]), plus 4 when u and w are adjacent: u's edge
+    # to w stays cut.  Only an accepted swap writes: state, cur, and
+    # score along the rows of u and w.  A rejected step writes nothing.
     k = len(cur)
+    for i in range(k):
+        v = cur[i]
+        state[v] = 2
+        for x in adj[v]:
+            score[x] -= 2
     perim = 0
     for i in range(k):
         v = cur[i]
-        in_set[v] = 1
-        perim += 2 * (indptr[v + 1] - indptr[v])
-        for x in indices[indptr[v]:indptr[v + 1]]:
-            inside[x] += 1
-    for i in range(k):
-        perim -= 2 * inside[cur[i]]
+        perim += len(adj[v]) + score[v]
     best = perim  # best_set arrives as a copy of cur
-    t = t0
-    for s, ri, si, nb, fi, au in zip(range(len(rem_idx)), rem_idx, src_idx, nb_u, fb_idx, acc_u):
-        if s > 0 and s % sweep == 0:
-            t *= cool
-        u = cur[ri]
-        src = cur[si]
+    for ri, si, nb, fi, au, t in zip(rem_idx, src_idx, nb_u, fb_idx, acc_u, temp):
+        row = adj[cur[si]]
         w = -1
-        dsrc = indptr[src + 1] - indptr[src]
-        if dsrc > 0:
-            cnd = indices[indptr[src] + int(nb * dsrc)]
-            if cand_mask[cnd] != 0 and in_set[cnd] == 0:
-                w = cnd
-        if w < 0:
-            cf = cand_list[fi]
-            if in_set[cf] == 0:
-                w = cf
-        if w < 0:
+        if len(row) > 0:
+            w = row[int(nb * len(row))]
+        if w < 0 or state[w] != 1:
+            w = cand_list[fi]
+            if state[w] != 1:
+                continue
+        u = cur[ri]
+        delta = 2 * (score[w] - score[u])
+        if u in adj[w]:
+            delta += 4
+        if delta > 0 and not (t > 0.0 and au < math.exp(-delta / t)):
             continue
-        lo_w = indptr[w]
-        hi_w = indptr[w + 1]
-        deg_u = indptr[u + 1] - indptr[u]
-        deg_w = hi_w - lo_w
-        cnt_u = inside[u]
-        # u leaves as w joins: w's count drops u
-        cnt_w = inside[w]
-        if u in indices[lo_w:hi_w]:
-            cnt_w -= 1
-        delta = 2 * ((deg_w - deg_u) - 2 * (cnt_w - cnt_u))
-        accept = delta <= 0
-        if not accept and t > 0.0:
-            accept = au < math.exp(-delta / t)
-        if accept:
-            in_set[u] = 0
-            in_set[w] = 1
-            for x in indices[indptr[u]:indptr[u + 1]]:
-                inside[x] -= 1
-            for x in indices[lo_w:hi_w]:
-                inside[x] += 1
-            cur[ri] = w
-            perim += delta
-            if perim < best:
-                best = perim
-                best_set[:] = cur
+        state[u] = 1
+        state[w] = 2
+        for x in adj[u]:
+            score[x] += 2
+        for x in adj[w]:
+            score[x] -= 2
+        cur[ri] = w
+        perim += delta
+        if perim < best:
+            best = perim
+            best_set[:] = cur
     return best
 
 
@@ -378,21 +381,39 @@ def anneal_chain(
     Step s swaps member ``rem_idx[s]`` for a pool neighbour of member
     ``src_idx[s]`` (or pool vertex ``fb_idx[s]``), accepting against
     ``acc_u[s]``; the temperature starts at ``t0`` and is multiplied by
-    ``cool`` every ``sweep`` steps.  The graph must be simple.
+    ``cool`` every ``sweep`` steps.  ``cand_mask`` (nonzero on the pool)
+    and ``cand_list`` describe the same pool.  The graph must be simple.
     """
-    graph = (indptr, indices, cand_mask, cand_list)
-    steps = (rem_idx, src_idx, nb_u, fb_idx, acc_u)
     nverts = indptr.shape[0] - 1
+    nsteps = len(rem_idx)
+    # the running product t0, t0 cool, t0 cool cool, ..., one entry per sweep
+    factors = np.full(max(1, -(-nsteps // sweep)), cool, np.float64)
+    factors[0] = t0
+    temp = np.repeat(np.multiply.accumulate(factors), sweep)[:nsteps]
+    state = (np.asarray(cand_mask) != 0).astype(np.uint8)
+    score = np.diff(indptr)
+    steps = (rem_idx, src_idx, nb_u, fb_idx, acc_u, temp)
+    # the loop reads the rows of pool vertices only
+    pool = np.flatnonzero(state)
+    spans = zip(pool.tolist(), indptr[pool].tolist(), indptr[pool + 1].tolist())
     if HAS_NUMBA:
-        in_set = np.zeros(nverts, np.uint8)
-        inside = np.zeros(nverts, np.int64)
+        from numba.typed import List
+
+        adj = List([indices[:0]] * nverts)
+        for v, a, b in spans:
+            adj[v] = indices[a:b]
+        cand_list = np.asarray(cand_list, np.int64)
         cur = np.array(members, np.int64)
     else:
-        graph = [a.tolist() for a in graph]
+        ind = indices.tolist()
+        adj = [()] * nverts
+        for v, a, b in spans:
+            adj[v] = tuple(ind[a:b])
+        state = bytearray(state)
+        score = score.tolist()
+        cand_list = cand_list.tolist()
         steps = [memoryview(np.ascontiguousarray(a)) for a in steps]
-        in_set = bytearray(nverts)
-        inside = [0] * nverts
         cur = [int(v) for v in members]
     best_set = cur.copy()
-    best = _anneal_loop(*graph, *steps, t0, cool, sweep, in_set, inside, cur, best_set)
+    best = _anneal_loop(adj, state, cand_list, *steps, score, cur, best_set)
     return best, np.asarray(best_set, np.int64)

@@ -26,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .fields import (
-    grad_modulus,
     energy_subgradient,
+    grad_modulus,
+    gradient_pass,
     lp_norm,
     weighted_lp_norm,
     zero_sum,
@@ -297,12 +298,14 @@ class AscentResult:
 
 
 def _rayleigh(ball, values, weight):
+    """The quotient of ``values`` and its :func:`gradient_pass`."""
+    grad = gradient_pass(ball, values)
     n2 = float((values * values).sum())
-    g = lp_norm(grad_modulus(ball, values), 2)
+    g = lp_norm(grad[0], 2)
     w2 = lp_norm(weight * values, 2)
     if g == 0.0 or w2 == 0.0:
-        return 0.0
-    return n2 / (g * w2)
+        return 0.0, grad
+    return n2 / (g * w2), grad
 
 
 def uncertainty_ascent(
@@ -341,13 +344,16 @@ def uncertainty_ascent(
         norm = np.sqrt((vec * vec).sum())
         return vec / norm if norm > 0 else vec
 
-    def loggrad(vec):
+    weight2 = weight**2
+
+    def loggrad(vec, grad):
+        # grad: the gradient pass of vec, from the quotient that accepted it
         n2 = float((vec * vec).sum())
-        gmod = grad_modulus(ball, vec)
+        gmod = grad[0]
         s = float((gmod * gmod).sum())
         w2 = float(((weight * vec) ** 2).sum())
-        sub = energy_subgradient(ball, vec)
-        return 2.0 * vec / n2 - sub / (2.0 * s) - (weight**2) * vec / w2
+        sub = energy_subgradient(ball, vec, _gradient=grad)
+        return 2.0 * vec / n2 - sub / (2.0 * s) - weight2 * vec / w2
 
     best_value = -math.inf
     best_field = None
@@ -362,17 +368,17 @@ def uncertainty_ascent(
             rng = np.random.default_rng(np.random.SeedSequence([seed, s]))
             f = rng.standard_normal(n)
         f = project(f)
-        value = _rayleigh(ball, f, weight)
+        value, grad = _rayleigh(ball, f, weight)
         trace = [value]
         step = 0.5
         for _ in range(iters):
-            g = loggrad(f) * mask
+            g = loggrad(f, grad) * mask
             improved = False
             for _ in range(20):
                 trial = project(f + step * g)
-                tv = _rayleigh(ball, trial, weight)
+                tv, trial_grad = _rayleigh(ball, trial, weight)
                 if tv > value * (1.0 + 1e-12):
-                    f, value = trial, tv
+                    f, value, grad = trial, tv, trial_grad
                     trace.append(value)
                     step *= 1.2
                     improved = True

@@ -169,3 +169,42 @@ def test_coarea_layers_structure(ring16):
     levels = [layer["threshold"] for layer in rep["layers"]]
     assert levels == sorted(levels)
     assert all(layer["perimeter"] > 0 for layer in rep["layers"])
+
+
+def _reference_grad_modulus_exact(ball, field):
+    # the Fraction loop: one Fraction difference per CSR entry
+    touched = set(field)
+    for v in list(field):
+        touched.update(int(w) for w in ball.indices[ball.indptr[v] : ball.indptr[v + 1]])
+    out = {}
+    for v in touched:
+        fv = field.get(v, Fraction(0))
+        acc = Fraction(0)
+        for e in range(ball.indptr[v], ball.indptr[v + 1]):
+            acc += abs(fv - field.get(int(ball.indices[e]), Fraction(0)))
+        if acc:
+            out[v] = acc
+    return out
+
+
+@pytest.mark.parametrize("name", ["c16", "q6", "z2", "d8", "s4_points", "heisenberg"])
+def test_grad_modulus_exact_matches_fraction_loop(name):
+    from groupiso.corpus import rational_fields
+
+    ball = catalogue.build(name)
+    fields = rational_fields(ball, 20, seed=3)
+    if ball.complete:
+        fields += rational_fields(ball, 5, seed=4, zero_mean=True)
+    fields += [{}, {ball.base_index: Fraction(-7, 3)}, {ball.base_index: 2}]
+    for field in fields:
+        got = grad_modulus_exact(ball, field)
+        want = _reference_grad_modulus_exact(ball, field)
+        assert got == want
+        assert all(type(x) is Fraction for x in got.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_fields(16))
+def test_grad_modulus_exact_matches_fraction_loop_property(field):
+    ball = catalogue.build("c16")
+    assert grad_modulus_exact(ball, field) == _reference_grad_modulus_exact(ball, field)

@@ -1,5 +1,6 @@
-"""Independent oracles: networkx for distances, diameters and translation
-automorphisms; every group map listed by the tests for the orbitals."""
+"""Independent oracles: networkx for distances, diameters, perimeters and
+translation automorphisms; every group map listed by the tests for the
+orbitals."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from groupiso import catalogue, specio
 from groupiso.groups import diameter, distances_from, explore, permutation_action
 from groupiso.growth import _is_automorphism, translation_maps
+from groupiso.isoperimetry import set_perimeter
 
 nx = pytest.importorskip("networkx")
 
@@ -100,3 +102,18 @@ def test_orbitals_are_orbits_of_pairs(name, every_translation):
         assert set(zip(*np.nonzero(orbital == orbital[base, t]))) == orbit
         # each orbital is named by the least target it holds
         assert orbital[base, t] == min(y for x, y in orbit if x == base)
+
+
+@pytest.mark.parametrize("name", catalogue.names())
+def test_set_perimeter_is_twice_the_cut_size(name):
+    ball = catalogue.build(name)
+    g = _graph(ball)
+    n = ball.num_vertices
+    rng = np.random.default_rng(17)
+    for size in (0, 1, 2, 5, 12, n // 2, n):
+        for _ in range(4):
+            # unsorted, with repeats
+            members = rng.choice(n, size=size, replace=True).tolist()
+            want = 2 * nx.cut_size(g, set(members))
+            assert set_perimeter(ball, members) == want
+            assert set_perimeter(ball, np.asarray(members, np.int64)) == want

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from groupiso import catalogue
 from groupiso.corpus import float_fields
-from groupiso.fields import grad_lp_norm, grad_modulus, lp_norm, to_dense, weighted_lp_norm
+from groupiso.fields import (
+    energy_subgradient,
+    grad_lp_norm,
+    grad_modulus,
+    lp_norm,
+    to_dense,
+    weighted_lp_norm,
+)
 from groupiso.groups import cyclic, diameter, explore
 from groupiso.isoperimetry import profile
 from groupiso.uncertainty import (
@@ -297,3 +304,78 @@ def test_ascent_interior_support_on_window(plane):
     res = uncertainty_ascent(plane, seed=0, starts=2, iters=100)
     outside = ~plane.interior_within(1)
     assert np.all(res.values[outside] == 0.0)
+
+
+def _reference_ascent(ball, seed, starts, iters=300):
+    # the ascent with every gradient pass recomputed from its field: the
+    # quotient through grad_modulus, the step through grad_modulus and
+    # energy_subgradient, weight**2 on every step
+    weight = canonical_weight(ball).astype(np.float64)
+    n = ball.num_vertices
+    mask = np.ones(n, np.bool_) if ball.complete else ball.interior_within(1)
+
+    def project(vec):
+        vec = vec * mask
+        if ball.complete:
+            vec = vec - vec.mean()
+        norm = np.sqrt((vec * vec).sum())
+        return vec / norm if norm > 0 else vec
+
+    def rayleigh(vec):
+        n2 = float((vec * vec).sum())
+        g = lp_norm(grad_modulus(ball, vec), 2)
+        w2 = lp_norm(weight * vec, 2)
+        return 0.0 if g == 0.0 or w2 == 0.0 else n2 / (g * w2)
+
+    def loggrad(vec):
+        n2 = float((vec * vec).sum())
+        gmod = grad_modulus(ball, vec)
+        s = float((gmod * gmod).sum())
+        w2 = float(((weight * vec) ** 2).sum())
+        sub = energy_subgradient(ball, vec)
+        return 2.0 * vec / n2 - sub / (2.0 * s) - (weight**2) * vec / w2
+
+    best = (-math.inf, None, [], -1)
+    start_values = []
+    for s in range(starts):
+        if s == 0:
+            f = np.zeros(n)
+            f[ball.base_index] = 1.0
+        else:
+            f = np.random.default_rng(np.random.SeedSequence([seed, s])).standard_normal(n)
+        f = project(f)
+        value = rayleigh(f)
+        trace = [value]
+        step = 0.5
+        for _ in range(iters):
+            g = loggrad(f) * mask
+            improved = False
+            for _ in range(20):
+                trial = project(f + step * g)
+                tv = rayleigh(trial)
+                if tv > value * (1.0 + 1e-12):
+                    f, value = trial, tv
+                    trace.append(value)
+                    step *= 1.2
+                    improved = True
+                    break
+                step *= 0.5
+            if not improved and step < 1e-14:
+                break
+        start_values.append(value)
+        if value > best[0]:
+            best = (value, f, trace, s)
+    return best, start_values
+
+
+@pytest.mark.parametrize("name", ["c16", "q6", "z2", "heisenberg"])
+@pytest.mark.parametrize("starts", [1, 4])
+def test_ascent_matches_reference_bit_for_bit(name, starts):
+    ball = catalogue.build(name)
+    (value, values, trace, start), start_values = _reference_ascent(ball, 11, starts)
+    got = uncertainty_ascent(ball, seed=11, starts=starts)
+    assert got.value == value
+    assert got.trace == trace
+    assert got.start == start
+    assert got.start_values == start_values
+    assert np.array_equal(got.values, values)
