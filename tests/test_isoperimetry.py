@@ -88,6 +88,65 @@ def test_connected_rows_match_the_scan(name):
         assert (entry.perimeter, entry.witness) == (best, tuple(wit.tolist()))
 
 
+# (k, perimeter, witness, leaves) of every row: the connected-set
+# enumeration decides them all, and at these sizes minimizers tie, so the
+# witness pins the lexicographically least one
+PINNED_ROWS = {
+    ("z2", 10): [
+        (1, 8, (0,), 61),
+        (2, 12, (0, 1), 100),
+        (3, 16, (0, 1, 2), 262),
+        (4, 16, (0, 1, 3, 6), 716),
+        (5, 20, (0, 1, 2, 3, 6), 2051),
+        (6, 20, (0, 1, 2, 3, 6, 9), 6052),
+        (7, 24, (0, 1, 2, 3, 4, 6, 7), 18268),
+        (8, 24, (0, 1, 2, 3, 4, 6, 7, 9), 55889),
+        (9, 24, (0, 1, 2, 3, 4, 6, 7, 9, 10), 172142),
+        (10, 28, (0, 1, 2, 3, 4, 5, 6, 7, 9, 10), 530970),
+    ],
+    ("heisenberg", 6): [
+        (1, 8, (0,), 1069),
+        (2, 12, (0, 1), 1556),
+        (3, 16, (0, 1, 2), 3854),
+        (4, 20, (0, 1, 2, 3), 11524),
+        (5, 24, (0, 1, 2, 3, 4), 40479),
+        (6, 28, (0, 1, 2, 3, 4, 5), 155276),
+    ],
+    ("z3", 6): [
+        (1, 12, (0,), 231),
+        (2, 20, (0, 1), 510),
+        (3, 28, (0, 1, 2), 2127),
+        (4, 32, (0, 1, 3, 8), 10068),
+        (5, 40, (0, 1, 2, 3, 8), 52404),
+        (6, 44, (0, 1, 2, 3, 8, 13), 286264),
+    ],
+    ("f2", 7): [
+        (1, 8, (0,), 485),
+        (2, 12, (0, 1), 484),
+        (3, 16, (0, 1, 2), 966),
+        (4, 20, (0, 1, 2, 3), 2084),
+        (5, 24, (0, 1, 2, 3, 4), 5903),
+        (6, 28, (0, 1, 2, 3, 4, 5), 18060),
+        (7, 32, (0, 1, 2, 3, 4, 5, 6), 59298),
+    ],
+    ("q6", 6): [
+        (1, 12, (0,), 64),
+        (2, 20, (0, 1), 192),
+        (3, 28, (0, 1, 2), 960),
+        (4, 32, (0, 1, 2, 7), 5360),
+        (5, 40, (0, 1, 2, 3, 7), 31680),
+        (6, 44, (0, 1, 2, 3, 7, 8), 191104),
+    ],
+}
+
+
+@pytest.mark.parametrize("name,kmax", PINNED_ROWS, ids=[f"{n}-{k}" for n, k in PINNED_ROWS])
+def test_profile_rows_pinned(name, kmax):
+    rows = profile(catalogue.build(name), kmax)
+    assert all(r.exact and not r.capped for r in rows)
+    assert [(r.k, r.perimeter, r.witness, r.leaves) for r in rows] == PINNED_ROWS[name, kmax]
+
+
 @pytest.mark.parametrize(
     "n,edges,perimeter,witness",
     [
