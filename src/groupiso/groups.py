@@ -28,6 +28,8 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
+from .kernels import row_entries
+
 
 _MAX_VERTICES = 500_000
 
@@ -242,18 +244,13 @@ def ball_from_edges(
 
 def distances_from(ball: ExploredBall, sources: Sequence[int]) -> np.ndarray:
     """Graph distance from the nearest source, breadth first, within the window."""
-    indptr, indices = ball.indptr, ball.indices
     dist = np.full(ball.num_vertices, -1, np.int64)
     frontier = _unique(np.asarray(sources, np.int64))
     level = 0
     while frontier.size:
         dist[frontier] = level
         level += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        # CSR positions of every entry in the frontier rows
-        pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-        reached = indices[pos]
+        reached = ball.indices[row_entries(ball.indptr, frontier)[0]]
         frontier = _unique(reached[dist[reached] < 0])
     return dist
 

@@ -3,22 +3,15 @@
 The two gradient passes are numpy expressions; the first returns the
 signed edge differences, so a caller holding them can take the
 subgradient without a second pass.  The subset scan, the connected-set
-enumeration and the annealer are loops written in numba's nopython
-subset: when numba imports they are compiled with ``njit``, otherwise
-the same functions run as plain Python, where lists, tuples, bytearrays
-and memoryviews index and iterate to plain ints and floats, faster than
-numpy scalars.  Graph arrays and scratch state become lists or
-bytearrays.  The annealer reads each pool vertex's neighbours as one
-tuple (one array of a typed list under numba), built once per chain,
+enumeration and the annealer are plain Python loops: lists, tuples,
+bytearrays and memoryviews index and iterate to plain ints and floats,
+faster than numpy scalars, so the public wrappers hand the loops their
+graph arrays and scratch state as lists or bytearrays.  The annealer
+reads each pool vertex's neighbours as one tuple, built once per chain,
 and keeps per vertex a boundary score and a state byte.  Its per-step
 arrays stay memoryviews: they are read once each, in one ``zip``, and
 list copies would box every value, raising peak memory by megabytes per
-chain.  Only the public wrappers know which of the two runs; they
-convert the inputs and allocate the scratch state to suit.  The choice
-is exposed as :data:`BACKEND` (``"numba"`` or ``"numpy"``).
-
-Integer results (perimeters, witnesses, leaf and set counts) do not
-depend on the backend.
+chain.
 """
 
 from __future__ import annotations
@@ -27,21 +20,13 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+# The loops have one implementation, run uncompiled; benchmark records
+# name the backend with these two constants.
+BACKEND = "numpy"
+HAS_NUMBA = False
 
 #: Sentinel perimeter returned when an enumeration saw no leaf at all.
 NO_RESULT = 1 << 62
-
-
-def _compiled(loop):
-    return njit(cache=True)(loop) if HAS_NUMBA else loop
 
 
 def grad_modulus_csr(indptr, indices, values, out, rows):
@@ -67,7 +52,6 @@ def energy_subgrad_csr(indptr, indices, diffs, gmod, out, rows):
     out[:] = np.bincount(rows, weights=contrib, minlength=n)
 
 
-@_compiled
 def _scan_loop(pptr, pidx, score, cand, k, cap, pos, wit):
     # Depth first walk over k-subsets of pool positions in lexicographic
     # order, one root (first member) at a time.  score[q] is the
@@ -139,8 +123,9 @@ def row_entries(indptr, vertices):
 def _pool_csr(indptr, indices, cand):
     """In-pool neighbour positions, one CSR row per position of the pool ``cand``.
 
-    Returns ``(pptr, pidx, score)``, ``score`` being twice the degree of
-    each pool vertex in the whole graph: the perimeter of the singleton.
+    Returns ``(pptr, pidx, score)`` as lists, ``score`` being twice the
+    degree of each pool vertex in the whole graph: the perimeter of the
+    singleton.
     """
     m = cand.shape[0]
     at, counts = row_entries(indptr, cand)
@@ -150,7 +135,7 @@ def _pool_csr(indptr, indices, cand):
     keep = nb >= 0
     pptr = np.zeros(m + 1, np.int64)
     np.cumsum(np.bincount(np.repeat(np.arange(m), counts)[keep], minlength=m), out=pptr[1:])
-    return pptr, nb[keep], 2 * counts
+    return pptr.tolist(), nb[keep].tolist(), (2 * counts).tolist()
 
 
 def min_perimeter_scan(indptr, indices, cand, k, cap):
@@ -161,44 +146,15 @@ def min_perimeter_scan(indptr, indices, cand, k, cap):
     (``NO_RESULT`` and -1s if no subset was scanned), the number of
     subsets scanned, and 1 if the cap stopped the scan, else 0.
     """
-    arrays = (*_pool_csr(indptr, indices, cand), cand)
-    if HAS_NUMBA:
-        pos = np.zeros(k, np.int64)
-        wit = np.full(k, -1, np.int64)
-    else:
-        arrays = [a.tolist() for a in arrays]
-        pos = [0] * k
-        wit = [-1] * k
-    best, leaves, capped = _scan_loop(*arrays, int(k), int(cap), pos, wit)
+    wit = [-1] * k
+    best, leaves, capped = _scan_loop(
+        *_pool_csr(indptr, indices, cand), cand.tolist(), int(k), int(cap), [0] * k, wit
+    )
     return best, leaves, capped, np.asarray(wit, np.int64)
 
 
-@_compiled
-def _offer(members, s, perim, best, wit, kmax, buf):
-    # Keep the set members[:s] as the size-s witness if its perimeter is
-    # lower, or equal with a lexicographically smaller sorted tuple.
-    for i in range(s):
-        v = members[i]
-        j = i
-        while j > 0 and buf[j - 1] > v:
-            buf[j] = buf[j - 1]
-            j -= 1
-        buf[j] = v
-    at = s * kmax
-    if perim == best[s]:
-        i = 0
-        while i < s and buf[i] == wit[at + i]:
-            i += 1
-        if i == s or buf[i] > wit[at + i]:
-            return
-    best[s] = perim
-    for i in range(s):
-        wit[at + i] = buf[i]
-
-
-@_compiled
 def _connected_loop(
-    pptr, pidx, score, kmax, cap, best, count, wit, mark, ext, members, lo, hi, nst, end, buf,
+    pptr, pidx, score, kmax, cap, best, count, wit, mark, ext, members, lo, hi, nst, end,
 ):
     # ESU walk (Wernicke 2006) over the connected subsets of pool
     # positions with at most kmax members, each visited once: a set is
@@ -208,9 +164,11 @@ def _connected_loop(
     # a copy of what its parent has left plus the exclusive neighbours of
     # the new member: positions above the root that are neither in the
     # set nor next to it (mark).  score[q] is the perimeter added by
-    # joining q, as in _scan_loop.  When more than cap sets of one size
-    # turn up, that size and every larger one are dropped; the returned
-    # limit is the largest size left complete.
+    # joining q, as in _scan_loop.  wit[s] is the size-s witness, sorted:
+    # a set replaces it with a lower perimeter, or with an equal one and a
+    # lexicographically smaller sorted list.  When more than cap sets of
+    # one size turn up, that size and every larger one are dropped; the
+    # returned limit is the largest size left complete.
     limit = kmax
     for root in range(len(score)):
         if limit < 1:
@@ -247,7 +205,10 @@ def _connected_loop(
                     total = perim + score[w]
                     if total <= best[s]:
                         members[d] = w
-                        _offer(members, s, total, best, wit, kmax, buf)
+                        key = sorted(members[:s])
+                        if total < best[s] or key < wit[s]:
+                            best[s] = total
+                            wit[s] = key
                 hi[d] = lo[d]
                 continue
             if count[s] >= cap:
@@ -262,7 +223,10 @@ def _connected_loop(
             d += 1
             perim += score[w]
             if perim <= best[s]:
-                _offer(members, s, perim, best, wit, kmax, buf)
+                key = sorted(members[:s])
+                if perim < best[s] or key < wit[s]:
+                    best[s] = perim
+                    wit[s] = key
             for e in range(pptr[w], pptr[w + 1]):
                 score[pidx[e]] -= 4
             ext[c:c + n] = ext[lo[d - 1]:hi[d - 1]]
@@ -291,39 +255,29 @@ def connected_profile(indptr, indices, cand, kmax, cap):
     connected j-sets, and the lexicographically least minimizer, sorted;
     ``limit`` is the largest size whose entries are complete.
     """
+    kmax = int(kmax)
     m = cand.shape[0]
     pptr, pidx, score = _pool_csr(indptr, indices, cand)
     # level d > 0 holds at most min(m, d * maxdeg) untried positions
-    room = kmax * min(m, kmax * int(np.diff(pptr).max(initial=0))) + 1
-    state = [
-        np.full(kmax + 1, NO_RESULT, np.int64),  # best
-        np.zeros(kmax + 1, np.int64),  # count
-        np.full((kmax + 1) * kmax, -1, np.int64),  # wit: size j at j * kmax
-        np.zeros(m, np.uint8),  # mark
-        np.zeros(room, np.int64),  # ext
-        # members, then per level lo, hi, nst and end, then a sort buffer
-        *(np.zeros(kmax, np.int64) for _ in range(6)),
-    ]
-    arrays = [pptr, pidx, score]
-    if not HAS_NUMBA:
-        arrays = [a.tolist() for a in arrays]
-        state = [a.tolist() for a in state]
-    limit = _connected_loop(*arrays, int(kmax), int(cap), *state)
-    best, count, wit = ([int(x) for x in a] for a in state[:3])
-    witnesses = [None] + [
-        tuple(int(v) for v in cand[wit[j * kmax:j * kmax + j]]) if best[j] < NO_RESULT else None
-        for j in range(1, kmax + 1)
-    ]
-    return best, count, witnesses, int(limit)
+    maxdeg = max((b - a for a, b in zip(pptr, pptr[1:])), default=0)
+    room = kmax * min(m, kmax * maxdeg) + 1
+    best = [NO_RESULT] * (kmax + 1)
+    count = [0] * (kmax + 1)
+    wit = [None] * (kmax + 1)
+    # mark, ext, members, then per level lo, hi, nst and end
+    scratch = [[0] * m, [0] * room, *([0] * kmax for _ in range(5))]
+    limit = _connected_loop(pptr, pidx, score, kmax, int(cap), best, count, wit, *scratch)
+    vertices = cand.tolist()
+    witnesses = [None if w is None else tuple(vertices[p] for p in w) for w in wit]
+    return best, count, witnesses, limit
 
 
-@_compiled
 def _anneal_loop(
     adj, state, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u, temp, score, cur, best_set,
 ):
     # Fixed cardinality Metropolis chain.  All randomness and the
     # temperature of every step are precomputed by the caller, so the
-    # walk is identical on both backends.  adj[v] lists the neighbours of
+    # walk is reproducible step by step.  adj[v] lists the neighbours of
     # a pool vertex v (no other row is read); state[v] is 0 outside the
     # pool, 1 for a free pool vertex and 2 for a member.  score[v] is
     # deg(v) minus twice the number of members next to v: the caller
@@ -391,29 +345,17 @@ def anneal_chain(
     factors[0] = t0
     temp = np.repeat(np.multiply.accumulate(factors), sweep)[:nsteps]
     state = (np.asarray(cand_mask) != 0).astype(np.uint8)
-    score = np.diff(indptr)
     steps = (rem_idx, src_idx, nb_u, fb_idx, acc_u, temp)
+    steps = [memoryview(np.ascontiguousarray(a)) for a in steps]
     # the loop reads the rows of pool vertices only
     pool = np.flatnonzero(state)
-    spans = zip(pool.tolist(), indptr[pool].tolist(), indptr[pool + 1].tolist())
-    if HAS_NUMBA:
-        from numba.typed import List
-
-        adj = List([indices[:0]] * nverts)
-        for v, a, b in spans:
-            adj[v] = indices[a:b]
-        cand_list = np.asarray(cand_list, np.int64)
-        cur = np.array(members, np.int64)
-    else:
-        ind = indices.tolist()
-        adj = [()] * nverts
-        for v, a, b in spans:
-            adj[v] = tuple(ind[a:b])
-        state = bytearray(state)
-        score = score.tolist()
-        cand_list = cand_list.tolist()
-        steps = [memoryview(np.ascontiguousarray(a)) for a in steps]
-        cur = [int(v) for v in members]
+    ind = indices.tolist()
+    adj = [()] * nverts
+    for v, a, b in zip(pool.tolist(), indptr[pool].tolist(), indptr[pool + 1].tolist()):
+        adj[v] = tuple(ind[a:b])
+    cur = [int(v) for v in members]
     best_set = cur.copy()
-    best = _anneal_loop(adj, state, cand_list, *steps, score, cur, best_set)
+    best = _anneal_loop(
+        adj, bytearray(state), cand_list.tolist(), *steps, np.diff(indptr).tolist(), cur, best_set
+    )
     return best, np.asarray(best_set, np.int64)
