@@ -7,11 +7,16 @@ enumeration and the annealer are plain Python loops: lists, tuples,
 bytearrays and memoryviews index and iterate to plain ints and floats,
 faster than numpy scalars, so the public wrappers hand the loops their
 graph arrays and scratch state as lists or bytearrays.  The annealer
-reads each pool vertex's neighbours as one tuple, built once per chain,
-and keeps per vertex a boundary score and a state byte.  Its per-step
-arrays stay memoryviews: they are read once each, in one ``zip``, and
-list copies would box every value, raising peak memory by megabytes per
-chain.
+reads each pool vertex's neighbours as one tuple, padded with a sentinel
+vertex to the longest pool row and built once per pool, and keeps per
+vertex a boundary score and a state byte.  Everything in a step that
+does not depend on the chain's state is computed before the loop with
+numpy: the slot of the proposed neighbour, the fallback vertex and the
+largest even delta the Metropolis test accepts, so the loop calls no
+``math.exp``.  Its per-step arrays stay memoryviews, the prepared ones
+in the narrowest dtype that holds them: they are read once each, in one
+``zip``, and list copies would box every value, raising peak memory by
+megabytes per chain.
 """
 
 from __future__ import annotations
@@ -272,46 +277,44 @@ def connected_profile(indptr, indices, cand, kmax, cap):
     return best, count, witnesses, limit
 
 
-def _anneal_loop(
-    adj, state, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u, temp, score, cur, best_set,
-):
+def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur, best_set):
     # Fixed cardinality Metropolis chain.  All randomness and the
-    # temperature of every step are precomputed by the caller, so the
+    # acceptance rule of every step are precomputed by the caller, so the
     # walk is reproducible step by step.  adj[v] lists the neighbours of
-    # a pool vertex v (no other row is read); state[v] is 0 outside the
-    # pool, 1 for a free pool vertex and 2 for a member.  score[v] is
-    # deg(v) minus twice the number of members next to v: the caller
-    # passes deg(v), and the members are counted in here.  The graph
-    # is simple, so swapping member u for w changes the perimeter by
-    # 2 (score[w] - score[u]), plus 4 when u and w are adjacent: u's edge
-    # to w stays cut.  Only an accepted swap writes: state, cur, and
-    # score along the rows of u and w.  A rejected step writes nothing.
-    k = len(cur)
-    for i in range(k):
-        v = cur[i]
+    # a pool vertex v (no other row is read), padded to one width with the
+    # sentinel vertex; state[v] is 0 outside the pool and at the sentinel,
+    # 1 for a free pool vertex and 2 for a member.  A step proposes the
+    # vertex in slot[s] of a member's row, or fallback[s] when that is not
+    # a free pool vertex.  score[v] is deg(v) minus twice the number of
+    # members next to v: the caller passes deg(v), and the members are
+    # counted in here.  The graph is simple, so swapping member u for w
+    # changes the perimeter by delta = 2 (score[w] - score[u]), plus 4 when
+    # u and w are adjacent: u's edge to w stays cut.  delta is even, and
+    # the step is rejected when delta > dmax[s].  Only an accepted swap
+    # writes: state, cur, and score along the rows of u and w (the sentinel
+    # entries write a score no step reads).  A rejected step writes nothing.
+    # the perimeter is the sum over members of deg(v) + score[v]
+    perim = sum(score[v] for v in cur)
+    for v in cur:
         state[v] = 2
         for x in adj[v]:
             score[x] -= 2
-    perim = 0
-    for i in range(k):
-        v = cur[i]
-        perim += len(adj[v]) + score[v]
+    perim += sum(score[v] for v in cur)
     best = perim  # best_set arrives as a copy of cur
-    for ri, si, nb, fi, au, t in zip(rem_idx, src_idx, nb_u, fb_idx, acc_u, temp):
-        row = adj[cur[si]]
-        w = -1
-        if len(row) > 0:
-            w = row[int(nb * len(row))]
-        if w < 0 or state[w] != 1:
-            w = cand_list[fi]
+    for ri, si, j, fb, dm in zip(rem_idx, src_idx, slot, fallback, dmax):
+        w = adj[cur[si]][j]
+        if state[w] != 1:
+            w = fb
             if state[w] != 1:
                 continue
         u = cur[ri]
         delta = 2 * (score[w] - score[u])
+        if delta > dm:
+            continue
         if u in adj[w]:
             delta += 4
-        if delta > 0 and not (t > 0.0 and au < math.exp(-delta / t)):
-            continue
+            if delta > dm:
+                continue
         state[u] = 1
         state[w] = 2
         for x in adj[u]:
@@ -326,9 +329,70 @@ def _anneal_loop(
     return best
 
 
+def pool_rows(indptr, indices, cand_mask):
+    """Neighbour rows of the pool vertices for :func:`anneal_chain`, padded.
+
+    Returns ``(adj, width)``: ``width`` is the longest row among the pool
+    vertices (at least 1), and ``adj[v]`` is the row of pool vertex v as a
+    tuple of ``width`` entries, in CSR order, padded with the sentinel
+    vertex ``nverts``.  Rows outside the pool are empty.
+    """
+    nverts = indptr.shape[0] - 1
+    pool = np.flatnonzero(np.asarray(cand_mask))
+    at, counts = row_entries(indptr, pool)
+    width = max(int(counts.max(initial=0)), 1)
+    padded = np.full((pool.shape[0], width), nverts, np.int64)
+    # entry e of a row goes to column e - (start of its row)
+    padded[np.repeat(np.arange(pool.shape[0]), counts), at - np.repeat(indptr[pool], counts)] = indices[at]
+    adj = [()] * nverts
+    for v, row in zip(pool.tolist(), padded.tolist()):
+        adj[v] = tuple(row)
+    return adj, width
+
+
+#: Temperatures at or below this accept no positive delta: exp(-2 / t) is
+#: exp(-800) or less, which is 0.0 in double precision.
+_COLD = 2.0 / 800
+
+
+def _cutoffs(acc_u, temps, sweep, width, dtype):
+    """Per step, the largest even delta the Metropolis test accepts.
+
+    Step s runs at ``temps[s // sweep]`` and accepts a positive delta when
+    ``acc_u[s] < math.exp(-delta / t)`` (never when t <= 0).  Deltas are
+    even and at most ``4 width + 4``.  Entry s is the largest even d in
+    that range for which every even d' <= d is accepted, or 0.  The
+    exponentials are those the test computes, one per even delta and
+    sweep, for the sweeps warmer than ``_COLD`` only.
+    """
+    nsteps = acc_u.shape[0]
+    dmax = np.zeros(nsteps, dtype)
+    warm = temps > _COLD
+    if not warm.any():
+        return dmax
+    steps = np.flatnonzero(np.repeat(warm, sweep)[:nsteps])
+    # the table row of each warm step: only the last sweep can be short
+    at = np.repeat(np.arange(np.count_nonzero(warm)), sweep)[:steps.shape[0]]
+    deltas = range(2, 4 * width + 5, 2)
+    table = np.array([[math.exp(-d / t) for d in deltas] for t in temps[warm].tolist()])
+    au = acc_u[steps]
+    lead = np.zeros(steps.shape[0], np.int64)
+    passed = np.zeros(steps.shape[0], np.int64)
+    alive = np.ones(steps.shape[0], np.bool_)
+    for col in table.T:
+        ok = au < col[at]
+        alive &= ok
+        lead += alive
+        passed += ok
+    if not np.array_equal(lead, passed):
+        raise RuntimeError("accepted deltas are not a prefix of the even deltas")
+    dmax[steps] = 2 * lead
+    return dmax
+
+
 def anneal_chain(
     indptr, indices, cand_mask, cand_list, members, t0, cool, sweep,
-    rem_idx, src_idx, nb_u, fb_idx, acc_u,
+    rem_idx, src_idx, nb_u, fb_idx, acc_u, *, _rows=None,
 ):
     """One annealing chain from ``members``; returns ``(best, best_members)``.
 
@@ -337,25 +401,31 @@ def anneal_chain(
     ``acc_u[s]``; the temperature starts at ``t0`` and is multiplied by
     ``cool`` every ``sweep`` steps.  ``cand_mask`` (nonzero on the pool)
     and ``cand_list`` describe the same pool.  The graph must be simple.
+
+    The neighbour is the entry in slot ``int(nb_u[s] * width)`` of the
+    source's row, ``width`` being the longest row in the pool; where the
+    source's row is shorter than that and the slot is past its end, or the
+    vertex there is not a free pool vertex, the step proposes
+    ``cand_list[fb_idx[s]]``.  ``_rows`` is :func:`pool_rows` of the same
+    graph and pool, for callers that run many chains on one pool.
     """
-    nverts = indptr.shape[0] - 1
     nsteps = len(rem_idx)
+    adj, width = pool_rows(indptr, indices, cand_mask) if _rows is None else _rows
     # the running product t0, t0 cool, t0 cool cool, ..., one entry per sweep
-    factors = np.full(max(1, -(-nsteps // sweep)), cool, np.float64)
-    factors[0] = t0
-    temp = np.repeat(np.multiply.accumulate(factors), sweep)[:nsteps]
-    state = (np.asarray(cand_mask) != 0).astype(np.uint8)
-    steps = (rem_idx, src_idx, nb_u, fb_idx, acc_u, temp)
-    steps = [memoryview(np.ascontiguousarray(a)) for a in steps]
-    # the loop reads the rows of pool vertices only
-    pool = np.flatnonzero(state)
-    ind = indices.tolist()
-    adj = [()] * nverts
-    for v, a, b in zip(pool.tolist(), indptr[pool].tolist(), indptr[pool + 1].tolist()):
-        adj[v] = tuple(ind[a:b])
+    temps = np.full(max(1, -(-nsteps // sweep)), cool, np.float64)
+    temps[0] = t0
+    np.multiply.accumulate(temps, out=temps)
+    # narrow dtypes, and the float products truncated as they are written
+    small = np.min_scalar_type(4 * width + 4)
+    slot = np.empty(nsteps, small)
+    np.multiply(nb_u, width, out=slot, casting="unsafe")
+    fallback = np.asarray(cand_list).astype(np.min_scalar_type(indptr.shape[0] - 1))[fb_idx]
+    dmax = _cutoffs(np.asarray(acc_u), temps, sweep, width, small)
+    steps = [memoryview(np.ascontiguousarray(a)) for a in (rem_idx, src_idx, slot, fallback, dmax)]
+    # the sentinel vertex nverts: state 0, and a score the padded rows write
+    state = bytearray((np.asarray(cand_mask) != 0).tobytes() + b"\0")
+    score = np.diff(indptr).tolist() + [0]
     cur = [int(v) for v in members]
     best_set = cur.copy()
-    best = _anneal_loop(
-        adj, bytearray(state), cand_list.tolist(), *steps, np.diff(indptr).tolist(), cur, best_set
-    )
+    best = _anneal_loop(adj, state, score, *steps, cur, best_set)
     return best, np.asarray(best_set, np.int64)

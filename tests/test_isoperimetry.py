@@ -2,16 +2,19 @@
 
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from groupiso import catalogue, kernels
+from groupiso import catalogue, kernels, specio
 from groupiso.fields import grad_modulus_exact, l1_norm_exact
 from groupiso.groups import ball_from_edges, right_translations
 from groupiso.isoperimetry import (
     WorkCapError,
+    _chain_inputs,
+    _probe_temperature,
     anneal_min_perimeter,
     cut_edges,
     default_candidates,
@@ -228,6 +231,54 @@ def test_anneal_matches_exact_on_small(ring16):
     for k, ent in enumerate(exact, start=1):
         annealed = anneal_min_perimeter(ring16, k, seed=3, chains=4, budget=4000)
         assert annealed.perimeter == ent.perimeter
+
+
+def _probe_reference(ball, cand, init, probe_rem, probe_add):
+    # the probe from full perimeters: mean |change| over the trial swaps
+    base = set(int(v) for v in init)
+    p0 = set_perimeter(ball, base)
+    deltas = [
+        abs(set_perimeter(ball, (base - {int(init[ri])}) | {int(cand[ai])}) - p0)
+        for ri, ai in zip(probe_rem, probe_add)
+        if int(cand[ai]) not in base
+    ]
+    scale = float(np.mean(deltas)) if deltas else 0.0
+    return scale if scale > 0.0 else 2.0 * float(ball.degrees.max())
+
+
+@pytest.mark.parametrize("name", catalogue.names())
+def test_probe_temperature_matches_full_perimeters(name):
+    ball = catalogue.build(name)
+    cand = default_candidates(ball)
+    for k in (1, 4, 9):
+        if k > cand.shape[0]:
+            continue
+        for seed in (0, 7, 11):
+            init, probe_rem, probe_add, _ = _chain_inputs(np.random.default_rng(seed), cand, k, 1)
+            want = _probe_reference(ball, cand, init, probe_rem, probe_add)
+            assert _probe_temperature(ball, cand, init, probe_rem, probe_add) == want
+
+
+SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
+
+
+@pytest.mark.parametrize(
+    "ball",
+    [
+        specio.build_from_spec(specio.load_spec(os.path.join(SPECS, "path3.json"))),
+        specio.build_from_spec(specio.load_spec(os.path.join(SPECS, "s4_points.json"))),
+        catalogue.build("z2"),
+    ],
+    ids=["path3", "s4_points", "z2-whole"],
+)
+def test_anneal_matches_exact_on_irregular_pools(ball):
+    # the whole window: rows of several lengths, so some slots fall past
+    # the end of a row and the step takes its fallback vertex
+    whole = np.arange(ball.num_vertices)
+    for ent in profile(ball, min(4, ball.num_vertices), candidates=whole):
+        for seed in range(3):
+            annealed = anneal_min_perimeter(ball, ent.k, seed=seed, chains=4, budget=2000, candidates=whole)
+            assert annealed.perimeter == ent.perimeter
 
 
 def test_anneal_seed_sensitivity(cube):

@@ -133,6 +133,8 @@ def _replay_chain(
     ball, cand_mask, cand_list, members, t0, cool, sweep, rem_idx, src_idx, nb_u, fb_idx, acc_u,
 ):
     # anneal_chain step by step, each trial set's perimeter from scratch
+    pool = np.flatnonzero(cand_mask)
+    width = max(int(ball.degrees[pool].max()), 1)
     cur = [int(v) for v in members]
     perim = set_perimeter(ball, cur)
     best, best_set = perim, sorted(cur)
@@ -143,7 +145,10 @@ def _replay_chain(
         u = cur[rem_idx[s]]
         src = cur[src_idx[s]]
         row = ball.indices[ball.indptr[src]:ball.indptr[src + 1]]
-        w = int(row[int(nb_u[s] * row.size)]) if row.size else -1
+        # the slot is taken in the longest pool row; past the end of a
+        # shorter row the step takes its fallback vertex
+        j = int(nb_u[s] * width)
+        w = int(row[j]) if j < row.size else -1
         if w < 0 or not cand_mask[w] or w in cur:
             w = int(cand_list[fb_idx[s]])
             if w in cur:
@@ -172,6 +177,142 @@ def test_anneal_chain_matches_replay(name, whole, k, seed):
     args = _chain_args(name, k, seed=seed, whole=whole)
     got, members = kernels.anneal_chain(*args)
     assert (got, tuple(sorted(members.tolist()))) == _replay_chain(_ball(name), *args[2:])
+
+
+def _reference_loop(
+    adj, state, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u, temp, score, cur, best_set,
+):
+    # the annealer before slots and cutoffs: each step scales nb_u by its
+    # source's own row length and calls math.exp for a positive delta
+    k = len(cur)
+    for i in range(k):
+        v = cur[i]
+        state[v] = 2
+        for x in adj[v]:
+            score[x] -= 2
+    perim = 0
+    for i in range(k):
+        v = cur[i]
+        perim += len(adj[v]) + score[v]
+    best = perim
+    for ri, si, nb, fi, au, t in zip(rem_idx, src_idx, nb_u, fb_idx, acc_u, temp):
+        row = adj[cur[si]]
+        w = -1
+        if len(row) > 0:
+            w = row[int(nb * len(row))]
+        if w < 0 or state[w] != 1:
+            w = cand_list[fi]
+            if state[w] != 1:
+                continue
+        u = cur[ri]
+        delta = 2 * (score[w] - score[u])
+        if u in adj[w]:
+            delta += 4
+        if delta > 0 and not (t > 0.0 and au < math.exp(-delta / t)):
+            continue
+        state[u] = 1
+        state[w] = 2
+        for x in adj[u]:
+            score[x] += 2
+        for x in adj[w]:
+            score[x] -= 2
+        cur[ri] = w
+        perim += delta
+        if perim < best:
+            best = perim
+            best_set[:] = cur
+    return best
+
+
+def _reference_chain(
+    indptr, indices, cand_mask, cand_list, members, t0, cool, sweep,
+    rem_idx, src_idx, nb_u, fb_idx, acc_u,
+):
+    nsteps = len(rem_idx)
+    factors = np.full(max(1, -(-nsteps // sweep)), cool, np.float64)
+    factors[0] = t0
+    temp = np.repeat(np.multiply.accumulate(factors), sweep)[:nsteps]
+    state = (np.asarray(cand_mask) != 0).astype(np.uint8)
+    ind = indices.tolist()
+    adj = [()] * (indptr.shape[0] - 1)
+    for v in np.flatnonzero(state).tolist():
+        adj[v] = tuple(ind[indptr[v]:indptr[v + 1]])
+    cur = [int(v) for v in members]
+    best_set = cur.copy()
+    steps = (rem_idx.tolist(), src_idx.tolist(), nb_u.tolist(), fb_idx.tolist(), acc_u.tolist())
+    best = _reference_loop(
+        adj, bytearray(state), cand_list.tolist(), *steps, temp.tolist(), np.diff(indptr).tolist(),
+        cur, best_set,
+    )
+    return best, best_set
+
+
+@pytest.mark.parametrize("name", ["c64", "z2", "z3", "q6", "heisenberg", "f2"])
+@pytest.mark.parametrize("k", [1, 4, 9])
+@pytest.mark.parametrize("seed", [5, 41])
+def test_anneal_chain_matches_reference_on_default_pools(name, k, seed):
+    # every default pool row has the pool's full width, so slots and
+    # cutoffs change no proposal and no acceptance: the chains are equal
+    args = _chain_args(name, k, seed=seed)
+    got, members = kernels.anneal_chain(*args)
+    assert (got, members.tolist()) == _reference_chain(*args)
+
+
+@pytest.mark.parametrize("name,whole", [("z2", True), ("f2", True), ("c64", False)])
+def test_anneal_chain_with_prebuilt_rows(name, whole):
+    args = _chain_args(name, 4, whole=whole)
+    rows = kernels.pool_rows(*args[:3])
+    got, members = kernels.anneal_chain(*args, _rows=rows)
+    want, want_members = kernels.anneal_chain(*args)
+    assert (got, members.tolist()) == (want, want_members.tolist())
+
+
+def test_pool_rows_pad_with_the_sentinel():
+    # path 0 - 1 - 2 and an isolated vertex 3; the pool is 0, 1 and 3
+    indptr = np.array([0, 1, 3, 4, 4])
+    indices = np.array([1, 0, 2, 1])
+    adj, width = kernels.pool_rows(indptr, indices, np.array([1, 1, 0, 1], np.uint8))
+    assert width == 2
+    assert adj == [(1, 4), (0, 2), (), (4, 4)]
+
+
+def _cutoff_cases():
+    t = 2.0 / 800
+    return [
+        # (t0, cool): falling, flat and rising temperatures
+        (5.0, 0.97), (3.0, 1.0), (0.5, 1.01),
+        # warming up through the cold boundary, so the warm sweeps are no prefix
+        (t / 2, 1.01), (t / 1.2, 1.01),
+        # temperatures that underflow, the boundary itself and just above it
+        (1e-3, 0.97), (1e-300, 0.5), (t, 1.0), (np.nextafter(t, 1.0), 1.0),
+        (0.0, 0.97), (-1.0, 0.97), (4.0, -1.0),
+    ]
+
+
+@pytest.mark.parametrize("t0,cool", _cutoff_cases())
+@pytest.mark.parametrize("width", [1, 4, 6])
+def test_cutoffs_agree_with_the_metropolis_test(t0, cool, width):
+    sweep, nsteps = 3, 900
+    acc_u = np.random.default_rng(11).random(nsteps)
+    # one step in seven draws 0.0, which every exp above 0.0 accepts
+    acc_u[::7] = 0.0
+    factors = np.full(-(-nsteps // sweep), cool)
+    factors[0] = t0
+    temps = np.multiply.accumulate(factors)
+    dmax = kernels._cutoffs(acc_u, temps, sweep, width, np.min_scalar_type(4 * width + 4))
+    for s, (au, dm) in enumerate(zip(acc_u.tolist(), dmax.tolist())):
+        t = float(temps[s // sweep])
+        for delta in range(-4 * width - 4, 4 * width + 5, 2):
+            accept = delta <= 0 or (t > 0.0 and au < math.exp(-delta / t))
+            assert (delta > dm) == (not accept)
+
+
+def test_cutoffs_refuse_an_acceptance_that_is_no_prefix(monkeypatch):
+    # an exp that grows with delta would accept 4 where it rejects 2
+    monkeypatch.setattr(kernels.math, "exp", lambda x: min(1.0, -x / 10))
+    acc_u = np.array([0.3])
+    with pytest.raises(RuntimeError, match="not a prefix"):
+        kernels._cutoffs(acc_u, np.array([1.0]), 1, 1, np.uint8)
 
 
 def test_backend_default_subprocess():
