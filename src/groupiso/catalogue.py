@@ -65,6 +65,6 @@ def default_horizon(name: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def build(name: str, horizon: int | None = None, max_vertices: int = groups._MAX_VERTICES) -> groups.ExploredBall:
-    """Explore a named instance, memoized per (name, horizon, max_vertices)."""
-    return specio.build_from_spec(dict(spec(name), max_vertices=max_vertices), horizon)
+def build(name: str) -> groups.ExploredBall:
+    """Explore a named instance to its catalogue horizon, memoized per name."""
+    return specio.build_from_spec(spec(name))

@@ -248,15 +248,17 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
             else:
                 bad = count = 0
                 for f in exact[:20]:
-                    rows = growth.translation_report(system, ball, f, orbitals)["rows"]
+                    rows = growth.translation_report(ball, f, orbitals)["rows"]
                     count += len(rows)
                     bad += sum(not r["ok"] for r in rows)
                 add("translation", bad == 0, f"{count} translates, {bad} failures")
-
-        order_limit = isoperimetry._DOUBLE_COUNTING_ORDER
-        if system is not None and system.kind == "cayley" and ball.num_vertices <= order_limit:
-            dc = isoperimetry.double_counting_report(system, ball)
-            add("double-counting", dc["all_ok"], f"{dc['checked']} pairs, min slack {dc['min_slack']}")
+            if system.kind == "cayley":
+                try:
+                    dc = isoperimetry.double_counting_report(system, ball, orbitals)
+                except isoperimetry.WorkCapError:
+                    pass  # too large a group to check exhaustively: no line
+                else:
+                    add("double-counting", dc["all_ok"], f"{dc['checked']} pairs, min slack {dc['min_slack']}")
 
     return checks
 

@@ -43,9 +43,10 @@ class GeneratedSystem:
     """Base state plus a symmetric tuple of generator moves.
 
     ``multiply`` is the group law.  Every Cayley system carries it (its
-    moves are left multiplications built from it); on a Schreier system
-    it is None, and the moves, each a generator permutation applied to
-    a point, are all there is of the acting group.
+    moves are left multiplications built from it), and the translation
+    walk of :func:`groupiso.growth.translation_maps` reads it; on a
+    Schreier system it is None, and the moves, each a generator
+    permutation applied to a point, are all there is of the acting group.
     """
 
     name: str
@@ -323,17 +324,6 @@ def validate_ball(ball: ExploredBall) -> list[str]:
         if len(interior_degs) > 1:
             issues.append(f"interior degrees vary: {interior_degs}")
     return issues
-
-
-def right_translations(system: GeneratedSystem, ball: ExploredBall) -> list[list[int]]:
-    """Right translations of a complete Cayley window: row b maps a to a*b."""
-    if system.kind != "cayley":
-        raise ValueError("right translations need a Cayley system")
-    if not ball.complete:
-        raise ValueError("right translations need the whole group")
-    idx = ball.index_of
-    labels = ball.labels
-    return [[idx[system.multiply(a, b)] for a in labels] for b in labels]
 
 
 # ---------------------------------------------------------------------------

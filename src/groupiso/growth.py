@@ -36,7 +36,7 @@ def growth_value(ball: ExploredBall, r: int) -> int:
     raise ValueError(f"radius {r} is beyond the explored horizon")
 
 
-def superadditivity_report(ball: ExploredBall, limit: int | None = None) -> dict:
+def superadditivity_report(ball: ExploredBall) -> dict:
     """Check growth(r) + growth(s) <= growth(r+s) over the valid range.
 
     On an incomplete window every pair with r+s inside the table is
@@ -44,11 +44,7 @@ def superadditivity_report(ball: ExploredBall, limit: int | None = None) -> dict
     diameter, where stacking two disjoint balls is always possible.
     """
     table = growth_counts(ball)
-    if limit is None:
-        if ball.complete:
-            limit = int(ball.dist.max()) // 2
-        else:
-            limit = table.shape[0]
+    limit = int(ball.dist.max()) // 2 if ball.complete else table.shape[0]
     pairs = []
     all_ok = True
     for r in range(1, limit + 1):
@@ -167,10 +163,7 @@ def translation_maps(system: GeneratedSystem, ball: ExploredBall) -> tuple[np.nd
 
 
 def translation_report(
-    system: GeneratedSystem,
-    ball: ExploredBall,
-    field: Mapping[int, Fraction],
-    orbitals: tuple[np.ndarray, bool] | None = None,
+    ball: ExploredBall, field: Mapping[int, Fraction], orbitals: tuple[np.ndarray, bool]
 ) -> dict:
     """Exact check that moving a field by any translation costs at most
     distance times its total gradient.
@@ -180,10 +173,9 @@ def translation_report(
     divided by the stabilizer order, equals n/|O| times the sum of
     |f(y) - f(x)| over the orbital O of (base, t); only pairs with an
     end in the support of f add to that sum.  ``orbitals`` is what
-    :func:`translation_maps` returns, computed when not given.
+    :func:`translation_maps` returns on the window; build it once for
+    every field checked there.
     """
-    if orbitals is None:
-        orbitals = translation_maps(system, ball)
     orbital, automorphic = orbitals
     grad_l1 = l1_norm_exact(grad_modulus_exact(ball, field))
     n = ball.num_vertices

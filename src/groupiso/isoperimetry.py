@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import kernels
-from .groups import ExploredBall, GeneratedSystem, right_translations
+from .groups import ExploredBall, GeneratedSystem
 
 #: Annealing temperature factor, applied once per sweep of k steps.
 _COOL = 0.97
@@ -266,7 +266,7 @@ def anneal_min_perimeter(
         init, probe_rem, probe_add, walk = _chain_inputs(rng, cand, k, budget)
         t0 = _probe_temperature(ball, cand, init, probe_rem, probe_add)
         best, members = kernels.anneal_chain(
-            ball.indptr, ball.indices, cand_mask, cand, init, t0, _COOL, sweep, *walk, _rows=rows
+            ball.indptr, ball.indices, cand_mask, cand, init, t0, _COOL, sweep, *walk, rows=rows
         )
         return int(best), tuple(sorted(int(v) for v in members))
 
@@ -315,26 +315,28 @@ def _deficit(column: list[int], a_mask: int) -> int:
     return (shifted & ~a_mask).bit_count()
 
 
-def shift_deficit(columns: list[list[int]], a_mask: int, b_members: Sequence[int]) -> Fraction:
-    """Mean size of (A shifted by b) minus A over b in B, exactly."""
-    return Fraction(sum(_deficit(columns[b], a_mask) for b in b_members), len(b_members))
-
-
-def double_counting_report(system: GeneratedSystem, ball: ExploredBall) -> dict:
+def double_counting_report(
+    system: GeneratedSystem, ball: ExploredBall, orbitals: tuple[np.ndarray, bool]
+) -> dict:
     """Exhaustive shift deficit check over all admissible subset pairs.
 
-    ``ball`` is the complete window of the finite group ``system``.  For
-    every nonempty A, B with 2|A| <= |B| the mean shift deficit must be
-    at least |A|/2.  Exact rational arithmetic throughout.
+    ``ball`` is the complete window of the finite group ``system``, and
+    ``orbitals`` is what :func:`groupiso.growth.translation_maps` returns
+    on it.  Row y of the orbital array is the inverse of the right
+    translation by y, so its argsort shifts a set by y.  For every
+    nonempty A, B with 2|A| <= |B| the mean shift deficit must be at
+    least |A|/2.  Exact rational arithmetic throughout.  A group of order
+    above ``_DOUBLE_COUNTING_ORDER`` raises :class:`WorkCapError`.
     """
-    if not ball.complete:
-        raise ValueError("double counting needs a finite group")
+    if system.kind != "cayley" or not ball.complete:
+        raise ValueError("double counting needs the complete window of a Cayley system")
     n = ball.num_vertices
     if n > _DOUBLE_COUNTING_ORDER:
         raise WorkCapError(
             f"group order {n} exceeds the exhaustive limit {_DOUBLE_COUNTING_ORDER}"
         )
-    columns = right_translations(system, ball)
+    # column y maps a to a*y
+    columns = np.argsort(orbitals[0], axis=1).tolist()
     checked = 0
     equalities = 0
     min_slack: Fraction | None = None

@@ -392,7 +392,7 @@ def _cutoffs(acc_u, temps, sweep, width, dtype):
 
 def anneal_chain(
     indptr, indices, cand_mask, cand_list, members, t0, cool, sweep,
-    rem_idx, src_idx, nb_u, fb_idx, acc_u, *, _rows=None,
+    rem_idx, src_idx, nb_u, fb_idx, acc_u, *, rows,
 ):
     """One annealing chain from ``members``; returns ``(best, best_members)``.
 
@@ -406,11 +406,11 @@ def anneal_chain(
     source's row, ``width`` being the longest row in the pool; where the
     source's row is shorter than that and the slot is past its end, or the
     vertex there is not a free pool vertex, the step proposes
-    ``cand_list[fb_idx[s]]``.  ``_rows`` is :func:`pool_rows` of the same
-    graph and pool, for callers that run many chains on one pool.
+    ``cand_list[fb_idx[s]]``.  ``rows`` is :func:`pool_rows` of the same
+    graph and pool, built once by callers that run many chains on it.
     """
     nsteps = len(rem_idx)
-    adj, width = pool_rows(indptr, indices, cand_mask) if _rows is None else _rows
+    adj, width = rows
     # the running product t0, t0 cool, t0 cool cool, ..., one entry per sweep
     temps = np.full(max(1, -(-nsteps // sweep)), cool, np.float64)
     temps[0] = t0

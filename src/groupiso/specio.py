@@ -12,11 +12,12 @@ parameters:
      "base_point": 0, "horizon": 4}
     {"kind": "explicit", "vertices": 3, "edges": [[0,1],[1,2]]}
 
-Optional keys: ``name`` (display override), ``max_vertices`` (budget,
-default 500000), and for explicit graphs ``horizon``.  Catalogue entries
-are specs of this form too (:func:`groupiso.catalogue.spec`), so this
-module builds both; but a catalogue name is not a spec file, and the
-command line takes it with ``--instance``, not ``--spec``.
+Optional keys: ``name`` (display override, a non-empty string),
+``max_vertices`` (budget, default 500000), and for explicit graphs
+``horizon``.  Catalogue entries are specs of this form too
+(:func:`groupiso.catalogue.spec`), so this module builds both; but a
+catalogue name is not a spec file, and the command line takes it with
+``--instance``, not ``--spec``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def validate_spec(spec: dict) -> None:
     for key in ("horizon", "rank", "n", "dim", "vertices", "max_vertices"):
         if key in spec and not _is_count(spec[key]):
             raise ValueError(f"{key} must be a positive integer")
+    if "name" in spec and not (isinstance(spec["name"], str) and spec["name"]):
+        raise ValueError("name must be a non-empty string")
     if kind == "permutation_action":
         perms = spec["perms"]
         size = len(perms[0]) if isinstance(perms, list) and perms and isinstance(perms[0], list) else 0
@@ -118,8 +121,6 @@ def instance_from_spec(spec: dict) -> tuple[GeneratedSystem | None, ExploredBall
     return system, ball
 
 
-def build_from_spec(spec: dict, horizon: int | None = None) -> ExploredBall:
-    """Explore the instance a spec describes, optionally to another horizon."""
-    if horizon is not None:
-        spec = dict(spec, horizon=horizon)
+def build_from_spec(spec: dict) -> ExploredBall:
+    """Explore the instance a spec describes."""
     return instance_from_spec(spec)[1]

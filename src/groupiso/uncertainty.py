@@ -114,14 +114,11 @@ def balance_constant(alpha: float) -> float:
     return alpha ** (1.0 / (alpha + 1.0)) + alpha ** (-alpha / (alpha + 1.0))
 
 
-def poincare_constant(p: float, factors: dict | None = None) -> float:
-    f = FACTORS if factors is None else factors
-    return f["poincare_l1"] if p == 1 else f["poincare_lp"]
+def poincare_constant(p: float) -> float:
+    return FACTORS["poincare_l1"] if p == 1 else FACTORS["poincare_lp"]
 
 
-def certified_constant(
-    p: float, alpha: float, compact: bool, factors: dict | None = None
-) -> float:
+def certified_constant(p: float, alpha: float, compact: bool) -> float:
     """Certified bound on the uncertainty ratio for exponent p and weight
     power alpha.
 
@@ -134,7 +131,7 @@ def certified_constant(
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    f = FACTORS if factors is None else factors
+    f = FACTORS
     theta = alpha / (alpha + 1.0)
     if not compact:
         if p == 1:
@@ -145,7 +142,7 @@ def certified_constant(
     k1 = f["compact_gradient_link"]
     k2 = f["compact_weight_link"]
     in_range = f["grid"] * balance_constant(alpha) * k1**theta * k2 ** (1.0 - theta)
-    beyond = f["poincare_to_radius"] * poincare_constant(p, f) * (alpha * k2 / k1) ** (1.0 - theta)
+    beyond = f["poincare_to_radius"] * poincare_constant(p) * (alpha * k2 / k1) ** (1.0 - theta)
     below = (k1 / (alpha * k2)) ** theta
     return max(in_range, beyond, below)
 
@@ -308,14 +305,9 @@ def _rayleigh(ball, values, weight):
     return n2 / (g * w2), grad
 
 
-def uncertainty_ascent(
-    ball: ExploredBall,
-    weight: np.ndarray | None = None,
-    seed: int = 0,
-    starts: int = 4,
-    iters: int = 300,
-) -> AscentResult:
-    """Maximize ||f||_2^2 / (||grad f||_2 ||w f||_2) by subgradient ascent.
+def uncertainty_ascent(ball: ExploredBall, seed: int = 0, starts: int = 4, iters: int = 300) -> AscentResult:
+    """Maximize ||f||_2^2 / (||grad f||_2 ||w f||_2) by subgradient ascent,
+    w the :func:`canonical_weight` of the window.
 
     Start 0 is the base vertex spike; later starts are seeded Gaussian
     fields.  On an incomplete window the support is confined two levels
@@ -326,9 +318,7 @@ def uncertainty_ascent(
     """
     if ball.num_edges == 0:
         raise ValueError(f"{ball.name}: the window has no edges, so the uncertainty quotient is undefined")
-    weight = canonical_weight(ball).astype(np.float64) if weight is None else np.asarray(
-        weight, np.float64
-    )
+    weight = canonical_weight(ball).astype(np.float64)
     n = ball.num_vertices
     if ball.complete:
         mask = np.ones(n, np.bool_)

@@ -1,7 +1,6 @@
 import pytest
 
 from groupiso import catalogue
-from groupiso.groups import right_translations
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -42,11 +41,12 @@ def cube():
 def _every_translation(system, ball):
     """Every translation of a complete window as a vertex map, listed
     here and not by the library: the right translations of a Cayley
-    window, or the closure of the generator permutations of a Schreier
-    window under composition."""
-    if system.kind == "cayley":
-        return right_translations(system, ball)
+    window, row b mapping a to a*b by the group law itself, or the
+    closure of the generator permutations of a Schreier window under
+    composition."""
     idx = ball.index_of
+    if system.kind == "cayley":
+        return [[idx[system.multiply(a, b)] for a in ball.labels] for b in ball.labels]
     gens = [[idx[move(a)] for a in ball.labels] for move in system.moves]
     identity = tuple(range(ball.num_vertices))
     elements, frontier = {identity}, {identity}

@@ -144,7 +144,8 @@ def test_05_double_counting():
     total = 0
     bad = []
     for name in ("c6", "c8", "s3"):
-        rep = double_counting_report(catalogue.system(name), catalogue.build(name))
+        system, ball = catalogue.system(name), catalogue.build(name)
+        rep = double_counting_report(system, ball, translation_maps(system, ball))
         total += rep["checked"]
         if not rep["all_ok"]:
             bad.append(name)
@@ -165,7 +166,7 @@ def test_06_translation_bound():
         orbitals = translation_maps(system, ball)
         assert orbitals[1], f"{ball.name} translations must be automorphic"
         for field in rational_fields(ball, 100, seed=6):
-            rows = translation_report(system, ball, field, orbitals)["rows"]
+            rows = translation_report(ball, field, orbitals)["rows"]
             checked += len(rows)
             failures += sum(not row["ok"] for row in rows)
     _verdict(

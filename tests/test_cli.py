@@ -185,6 +185,8 @@ def test_boolean_spec_horizon_is_an_error(tmp_path):
         {"kind": "explicit", "vertices": 1, "edges": []},
         {"kind": "permutation_action", "perms": [], "horizon": 3},
         [{"kind": "cyclic", "n": 6, "horizon": 6}],
+        {"kind": "cyclic", "n": 6, "horizon": 6, "name": 5},
+        {"kind": "cyclic", "n": 6, "horizon": 6, "name": ["x"]},
     ],
 )
 def test_bad_spec_verify_is_an_error(tmp_path, spec):
@@ -323,6 +325,13 @@ def test_schreier_over_the_map_limit_builds_no_map(tmp_path, monkeypatch, capsys
     # one walk, of the nine points; the orbitals are pairs of points
     assert explored == ["permutation_action"]
     assert [o[0].shape for o in orbitals] == [(9, 9)]
+    # on c6 one orbital array serves the translation and double-counting lines
+    orbitals.clear()
+    cli.main(["verify", "--instance", "c6", "--fields", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "translation: PASS (12 translates, 0 failures)" in lines
+    assert "double-counting: PASS (692 pairs, min slack 0)" in lines
+    assert [o[0].shape for o in orbitals] == [(6, 6)]
 
 
 def test_johnson_spec_verifies():

@@ -100,7 +100,7 @@ def test_spec_explicit_graph(tmp_path):
 
 def test_spec_horizon_override():
     spec = {"name": "line", "kind": "free_abelian", "rank": 1, "horizon": 3}
-    ball = specio.build_from_spec(spec, horizon=5)
+    ball = specio.build_from_spec(dict(spec, horizon=5))
     assert ball.horizon == 5
     assert ball.num_vertices == 11
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from groupiso import catalogue
@@ -74,7 +75,7 @@ def test_half_mass_radius(ring16):
 def test_translation_cayley_frozen():
     c6 = catalogue.build("c6")
     field = {c6.base_index: Fraction(1)}
-    rep = translation_report(catalogue.system("c6"), c6, field)
+    rep = translation_report(c6, field, translation_maps(catalogue.system("c6"), c6))
     row = rep["rows"][c6.index_of[2]]
     assert rep["automorphic"]
     assert row["lhs"] == 2
@@ -88,7 +89,7 @@ def test_translation_dihedral_frozen():
     field = {d4.base_index: Fraction(1)}
     # target at distance 2 with degree-3 window: grad l1 = 6
     target = next(i for i in range(8) if d4.dist[i] == 2)
-    rep = translation_report(sys_, d4, field)
+    rep = translation_report(d4, field, translation_maps(sys_, d4))
     row = rep["rows"][target]
     assert rep["automorphic"]
     assert row["lhs"] == 2
@@ -119,7 +120,7 @@ def test_translation_schreier_normalizes_by_stabilizer(every_translation):
     orbitals = translation_maps(sys_, s3)
     assert orbitals[1]
     for field in rational_fields(s3, 5, seed=3):
-        rep = translation_report(sys_, s3, field, orbitals)
+        rep = translation_report(s3, field, orbitals)
         assert [row["lhs"] for row in rep["rows"]] == _reference_rows(s3, field, maps)
 
 
@@ -128,7 +129,7 @@ def test_translation_flags_non_automorphic():
     ball = explore(sys_, 4)
     orbitals = translation_maps(sys_, ball)
     assert not orbitals[1]
-    rep = translation_report(sys_, ball, {0: Fraction(1)}, orbitals)
+    rep = translation_report(ball, {0: Fraction(1)}, orbitals)
     assert rep["ok"] is None
     assert all(row["ok"] is None for row in rep["rows"])
 
@@ -140,7 +141,7 @@ def test_translation_bound_over_corpus():
     sys_ = catalogue.system("c12")
     ms = translation_maps(sys_, c12)
     for field in rational_fields(c12, 25, seed=5):
-        rep = translation_report(sys_, c12, field, ms)
+        rep = translation_report(c12, field, ms)
         assert [row["target"] for row in rep["rows"]] == list(range(c12.num_vertices))
         assert rep["ok"]
 
@@ -155,10 +156,27 @@ def test_translation_rows_match_reference(every_translation):
         maps = every_translation(system, ball)
         orbitals = translation_maps(system, ball)
         for field in rational_fields(ball, 2, seed=11):
-            rep = translation_report(system, ball, field, orbitals)
+            rep = translation_report(ball, field, orbitals)
             grad_l1 = l1_norm_exact(grad_modulus_exact(ball, field))
             assert rep["grad_l1"] == grad_l1
             assert [row["lhs"] for row in rep["rows"]] == _reference_rows(ball, field, maps)
             for target, row in enumerate(rep["rows"]):
                 assert row["rhs"] == ball.dist[target] * grad_l1
                 assert row["ok"] == (row["lhs"] <= row["rhs"])
+
+
+COMPLETE_CAYLEY = [
+    name for name in catalogue.names()
+    if catalogue.system(name).kind == "cayley" and catalogue.build(name).complete
+]
+
+
+def test_orbital_rows_invert_the_right_translations(every_translation):
+    # the double counting check shifts sets by argsort(orbital), not by a
+    # table of its own
+    assert len(COMPLETE_CAYLEY) == 13
+    for name in COMPLETE_CAYLEY:
+        system, ball = catalogue.system(name), catalogue.build(name)
+        orbital, automorphic = translation_maps(system, ball)
+        assert automorphic
+        assert np.argsort(orbital, axis=1).tolist() == every_translation(system, ball), name

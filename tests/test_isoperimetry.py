@@ -10,10 +10,12 @@ import pytest
 
 from groupiso import catalogue, kernels, specio
 from groupiso.fields import grad_modulus_exact, l1_norm_exact
-from groupiso.groups import ball_from_edges, right_translations
+from groupiso.groups import ball_from_edges
+from groupiso.growth import translation_maps
 from groupiso.isoperimetry import (
     WorkCapError,
     _chain_inputs,
+    _deficit,
     _probe_temperature,
     anneal_min_perimeter,
     cut_edges,
@@ -23,7 +25,6 @@ from groupiso.isoperimetry import (
     profile,
     profile_or_anneal,
     set_perimeter,
-    shift_deficit,
 )
 
 
@@ -293,19 +294,25 @@ def test_default_candidates_interior_only(plane):
     assert cand.shape[0] == 61
 
 
-def test_double_counting_frozen():
-    c6 = catalogue.build("c6")
-    sys_ = catalogue.system("c6")
-    cols = right_translations(sys_, c6)
-    full = (1 << 6) - 1
+def _double_counting(name):
+    system, ball = catalogue.system(name), catalogue.build(name)
+    return double_counting_report(system, ball, translation_maps(system, ball))
+
+
+def test_double_counting_frozen(every_translation):
+    cols = every_translation(catalogue.system("c6"), catalogue.build("c6"))
     a_mask = 1 << 0
-    assert shift_deficit(cols, a_mask, list(range(6))) == Fraction(5, 6)
+
+    def mean_deficit(b_members):
+        return Fraction(sum(_deficit(cols[b], a_mask) for b in b_members), len(b_members))
+
+    assert mean_deficit(range(6)) == Fraction(5, 6)
     # B = {identity, one other element}: deficit exactly 1/2
-    assert shift_deficit(cols, a_mask, [0, 1]) == Fraction(1, 2)
+    assert mean_deficit([0, 1]) == Fraction(1, 2)
 
 
 def test_double_counting_exhaustive():
-    rep = double_counting_report(catalogue.system("c6"), catalogue.build("c6"))
+    rep = _double_counting("c6")
     assert rep["all_ok"]
     assert rep["checked"] == 692
     assert rep["min_slack"] == 0
@@ -314,11 +321,28 @@ def test_double_counting_exhaustive():
 
 
 def test_double_counting_symmetric_group():
-    rep = double_counting_report(catalogue.system("s3"), catalogue.build("s3"))
+    rep = _double_counting("s3")
     assert rep["all_ok"]
     assert rep["min_slack"] >= 0
 
 
 def test_double_counting_rejects_large():
     with pytest.raises(WorkCapError):
-        double_counting_report(catalogue.system("c16"), catalogue.build("c16"))
+        _double_counting("c16")
+
+
+@pytest.mark.parametrize(
+    "name,checked,equalities",
+    [("c6", 692, 104), ("c8", 8682, 418), ("d4", 8682, 706), ("s3", 692, 122), ("q3", 8682, 882)],
+)
+def test_double_counting_pinned(name, checked, equalities):
+    # pinned from a table built by the group law, before the orbitals served
+    rep = _double_counting(name)
+    assert (rep["checked"], rep["equalities"], rep["min_slack"]) == (checked, equalities, 0)
+    assert rep["all_ok"] and rep["violations"] == []
+
+
+def test_double_counting_needs_a_cayley_window():
+    system, ball = catalogue.system("s3_points"), catalogue.build("s3_points")
+    with pytest.raises(ValueError):
+        double_counting_report(system, ball, translation_maps(system, ball))

@@ -115,6 +115,10 @@ def _chain_args(name, k, seed=123, budget=2000, whole=False):
     return (ball.indptr, ball.indices, mask, cand, init, t0, 0.97, k, *walk)
 
 
+def _anneal(args):
+    return kernels.anneal_chain(*args, rows=kernels.pool_rows(*args[:3]))
+
+
 @pytest.mark.parametrize(
     "name,k,best,members",
     [
@@ -124,7 +128,7 @@ def _chain_args(name, k, seed=123, budget=2000, whole=False):
 )
 def test_anneal_chain_pinned(name, k, best, members):
     args = _chain_args(name, k)
-    got, got_members = kernels.anneal_chain(*args)
+    got, got_members = _anneal(args)
     assert (got, tuple(sorted(got_members.tolist()))) == (best, members)
     assert set_perimeter(_ball(name), got_members) == got
 
@@ -175,7 +179,7 @@ ORACLE_WINDOWS = [
 @pytest.mark.parametrize("seed", [5, 41])
 def test_anneal_chain_matches_replay(name, whole, k, seed):
     args = _chain_args(name, k, seed=seed, whole=whole)
-    got, members = kernels.anneal_chain(*args)
+    got, members = _anneal(args)
     assert (got, tuple(sorted(members.tolist()))) == _replay_chain(_ball(name), *args[2:])
 
 
@@ -254,17 +258,8 @@ def test_anneal_chain_matches_reference_on_default_pools(name, k, seed):
     # every default pool row has the pool's full width, so slots and
     # cutoffs change no proposal and no acceptance: the chains are equal
     args = _chain_args(name, k, seed=seed)
-    got, members = kernels.anneal_chain(*args)
+    got, members = _anneal(args)
     assert (got, members.tolist()) == _reference_chain(*args)
-
-
-@pytest.mark.parametrize("name,whole", [("z2", True), ("f2", True), ("c64", False)])
-def test_anneal_chain_with_prebuilt_rows(name, whole):
-    args = _chain_args(name, 4, whole=whole)
-    rows = kernels.pool_rows(*args[:3])
-    got, members = kernels.anneal_chain(*args, _rows=rows)
-    want, want_members = kernels.anneal_chain(*args)
-    assert (got, members.tolist()) == (want, want_members.tolist())
 
 
 def test_pool_rows_pad_with_the_sentinel():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,10 +82,10 @@ def test_certified_compact_branches():
     st.floats(min_value=1.0, max_value=4.0),
 )
 def test_certified_monotone_under_joint_scaling(p, alpha, compact, lam):
+    # mock.patch.dict, as Hypothesis rejects the function-scoped monkeypatch
     base = certified_constant(p, alpha, compact)
-    scaled = certified_constant(
-        p, alpha, compact, factors={k: v * lam for k, v in FACTORS.items()}
-    )
+    with mock.patch.dict(FACTORS, {k: v * lam for k, v in FACTORS.items()}):
+        scaled = certified_constant(p, alpha, compact)
     assert scaled >= base * (1.0 - 1e-12)
 
 
@@ -102,11 +103,10 @@ def test_certified_monotone_in_slack_factors(p, alpha, compact, key, lam):
     # loosening any single proof step (except the compact link trade-off
     # pair, which moves two branches in opposite directions) cannot
     # tighten the final constant
-    factors = dict(FACTORS)
-    factors[key] = factors[key] * lam
-    assert certified_constant(p, alpha, compact, factors) >= certified_constant(
-        p, alpha, compact
-    ) * (1.0 - 1e-12)
+    base = certified_constant(p, alpha, compact)
+    with mock.patch.dict(FACTORS, {key: FACTORS[key] * lam}):
+        loosened = certified_constant(p, alpha, compact)
+    assert loosened >= base * (1.0 - 1e-12)
 
 
 def test_admissibility_canonical_tight(plane):
