@@ -168,6 +168,39 @@ def cmd_constants(args) -> int:
     return 0
 
 
+def _float_battery(ball, nfields: int, seed: int, canonical, usable) -> dict[str, int]:
+    """Failure counts of the float checks over the float corpus.
+
+    Fields are drawn one at a time and every check runs on a field before
+    the next is drawn, so memory does not grow with ``nfields``; each
+    field's gradients are computed once, for all checks.  ``canonical``
+    (for the additive links) and each of ``usable`` (the admissible
+    weights, for the ratios) is a weight with its
+    :class:`~groupiso.fields.WeightPowers`.
+    """
+    bad = dict.fromkeys(("links", "vacuous", "ratio_rows", "ratios", "rule", "poincare"), 0)
+    powers = [p for p in EXPONENTS if p > 1]
+    wcanon, wcanon_powers = canonical
+    for i in range(nfields):
+        f = corpus.float_field(ball, i, seed, zero_mean=ball.complete)
+        grads = fields.FieldGradients(ball, f)
+        # keep the counts only: the rows would outlive the field
+        for g in uncertainty.additive_link_report(
+            ball, f, wcanon, _gradients=grads, _weight_powers=wcanon_powers
+        )["grids"]:
+            bad["links"] += not g["all_ok"]
+            bad["vacuous"] += g["vacuous"]
+        for w, wpow in usable:
+            rows = uncertainty.hpw_report(ball, f, w, _gradients=grads, _weight_powers=wpow)["rows"]
+            bad["ratio_rows"] += len(rows)
+            bad["ratios"] += sum(not r["ok"] for r in rows)
+        bad["rule"] += sum(not fields.power_leibniz_report(ball, f, p, _gradients=grads)["ok"] for p in powers)
+        if ball.complete:
+            rows = uncertainty.poincare_report(ball, f, _gradients=grads)["rows"]
+            bad["poincare"] += sum(not r["ok"] for r in rows)
+    return bad
+
+
 def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
     checks: list[dict] = []
 
@@ -197,34 +230,23 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
     far = int(pool[np.argmax(ball.dist[pool])])
     if far != ball.base_index:
         weights.append(("multipoint", uncertainty.multipoint_weight(ball, [ball.base_index, far])))
+    # each weight's powers are taken once for the window
+    weights = [(wname, w, fields.WeightPowers(w)) for wname, w in weights]
     usable = []
-    for wname, w in weights:
+    for wname, w, wpow in weights:
         rep = uncertainty.admissibility_report(ball, w)
         add(f"admissibility-{wname}", rep["admissible"], f"{len(rep['rows'])} radii")
         if rep["admissible"]:
-            usable.append((wname, w.astype(np.float64)))
+            usable.append((w, wpow))
 
-    floats = corpus.float_fields(ball, nfields, seed, zero_mean=ball.complete)
-    wcanon = weights[0][1].astype(np.float64)
-    # keep the verdicts only: the rows of every field would raise peak memory
-    verdicts = [
-        (g["all_ok"], g["vacuous"])
-        for f in floats
-        for g in uncertainty.additive_link_report(ball, f, wcanon)["grids"]
-    ]
-    bad = sum(not ok for ok, _ in verdicts)
-    vacuous = sum(v for _, v in verdicts)
+    floats = _float_battery(ball, nfields, seed, weights[0][1:], usable)
     add(
-        "additive-links", bad == 0,
-        f"{len(floats)} fields x {len(EXPONENTS) * len(WEIGHT_POWERS)} grids, {bad} failures, {vacuous} vacuous",
+        "additive-links", floats["links"] == 0,
+        f"{nfields} fields x {len(EXPONENTS) * len(WEIGHT_POWERS)} grids, {floats['links']} failures,"
+        f" {floats['vacuous']} vacuous",
     )
-
-    oks = [r["ok"] for f in floats for _, w in usable for r in uncertainty.hpw_report(ball, f, w)["rows"]]
-    add("uncertainty-ratio", all(oks), f"{len(oks)} ratios, {oks.count(False)} failures")
-
-    powers = [p for p in EXPONENTS if p > 1]
-    bad = sum(not fields.power_leibniz_report(ball, f, p)["ok"] for f in floats for p in powers)
-    add("power-rule", bad == 0, f"{len(floats)} fields, {bad} failures")
+    add("uncertainty-ratio", floats["ratios"] == 0, f"{floats['ratio_rows']} ratios, {floats['ratios']} failures")
+    add("power-rule", floats["rule"] == 0, f"{nfields} fields, {floats['rule']} failures")
 
     if ball.complete:
         zexact = corpus.rational_fields(ball, nfields, seed + 1, zero_mean=True)
@@ -238,8 +260,10 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
         )
         add("median", bad == 0, f"{len(zexact)} fields, {bad} failures")
 
-        bad = sum(not r["ok"] for f in floats for r in uncertainty.poincare_report(ball, f)["rows"])
-        add("poincare", bad == 0, f"{len(floats)} fields x {len(EXPONENTS)} exponents, {bad} failures")
+        add(
+            "poincare", floats["poincare"] == 0,
+            f"{nfields} fields x {len(EXPONENTS)} exponents, {floats['poincare']} failures",
+        )
 
         if system is not None and system.kind in ("cayley", "schreier"):
             orbitals = growth.translation_maps(system, ball)

@@ -68,37 +68,46 @@ def rational_fields(
     return out
 
 
+def float_field(
+    ball: ExploredBall,
+    index: int,
+    seed: int = 0,
+    zero_mean: bool = False,
+) -> np.ndarray:
+    """Field ``index`` of the float corpus: the base spike at 0, then
+    dense and spiky fields, alternating."""
+    if zero_mean and not ball.complete:
+        raise ValueError("zero mean corpora need a complete window")
+    pool = field_pool(ball)
+    n = ball.num_vertices
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    if index == 0:
+        f = np.zeros(n)
+        f[ball.base_index] = 1.0
+    elif index % 2 == 1:
+        mask = np.zeros(n, np.bool_)
+        mask[pool] = True
+        f = rng.standard_normal(n) * mask
+    else:
+        f = np.zeros(n)
+        size = 1 + int(rng.integers(0, min(pool.size, 8)))
+        verts = rng.choice(pool, size=size, replace=False)
+        f[verts] = rng.standard_normal(size)
+    if zero_mean:
+        f = zero_sum(f)
+    if not np.any(f):
+        f[pool[0]] = 1.0
+    return f
+
+
 def float_fields(
     ball: ExploredBall,
     count: int,
     seed: int = 0,
     zero_mean: bool = False,
 ) -> list[np.ndarray]:
-    """Dense and spiky float fields, alternating; stream 0 is the base spike."""
-    if zero_mean and not ball.complete:
-        raise ValueError("zero mean corpora need a complete window")
-    pool = field_pool(ball)
-    mask = np.zeros(ball.num_vertices, np.bool_)
-    mask[pool] = True
-    out = []
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        if i == 0:
-            f = np.zeros(ball.num_vertices)
-            f[ball.base_index] = 1.0
-        elif i % 2 == 1:
-            f = rng.standard_normal(ball.num_vertices) * mask
-        else:
-            f = np.zeros(ball.num_vertices)
-            size = 1 + int(rng.integers(0, min(pool.size, 8)))
-            verts = rng.choice(pool, size=size, replace=False)
-            f[verts] = rng.standard_normal(size)
-        if zero_mean:
-            f = zero_sum(f)
-        if not np.any(f):
-            f[pool[0]] = 1.0
-        out.append(f)
-    return out
+    """Fields 0 to ``count`` - 1 of :func:`float_field`."""
+    return [float_field(ball, i, seed, zero_mean) for i in range(count)]
 
 
 def exact_rows(fields: list[dict[int, Fraction]]) -> list[tuple[int, int, str]]:

@@ -25,6 +25,9 @@ from .isoperimetry import set_perimeter
 
 ExactField = Mapping[int, Fraction]
 
+#: Relative float slack of every float report verdict.
+RTOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Exact layer
@@ -156,6 +159,44 @@ def energy_subgradient(ball: ExploredBall, values: np.ndarray, *, _gradient=None
     return out
 
 
+class FieldGradients(dict):
+    """Gradient moduli of one dense field, each computed on its first lookup.
+
+    Key None gives the gradient modulus of the field ``values``, key p
+    that of ``|values| ** p``.
+    """
+
+    def __init__(self, ball: ExploredBall, values: np.ndarray):
+        super().__init__()
+        self.ball = ball
+        self.values = np.asarray(values, np.float64)
+
+    def __missing__(self, p: float | None) -> np.ndarray:
+        value = self[p] = grad_modulus(self.ball, self.values if p is None else np.abs(self.values) ** p)
+        return value
+
+
+class WeightPowers:
+    """``weight ** e`` as float64, by exponent e.
+
+    The power is taken once per exponent, over the distinct weight values,
+    and each lookup gathers it back to the window, so no dense array per
+    exponent stays alive.  Weights take few distinct values (distances plus
+    one), and the power of a value does not depend on where it sits.
+    """
+
+    def __init__(self, weight: np.ndarray):
+        distinct, self._inverse = np.unique(weight, return_inverse=True)
+        self._distinct = distinct.astype(np.float64)
+        self._tables: dict[float, np.ndarray] = {}
+
+    def __getitem__(self, e: float) -> np.ndarray:
+        table = self._tables.get(e)
+        if table is None:
+            table = self._tables[e] = self._distinct**e
+        return table[self._inverse]
+
+
 def lp_norm(values: np.ndarray, p: float) -> float:
     a = np.abs(np.asarray(values, np.float64))
     if p == 1:
@@ -178,10 +219,13 @@ def zero_sum(values: np.ndarray) -> np.ndarray:
     return values - values.mean()
 
 
-def power_leibniz_report(ball: ExploredBall, values: np.ndarray, p: float) -> dict:
-    """Gradient of the p-th power of |f| against the product rule bound."""
-    values = np.asarray(values, np.float64)
-    absf = np.abs(values)
-    lhs = lp_norm(grad_modulus(ball, absf**p), 1)
-    rhs = 2.0 * p * lp_norm(values, p) ** (p - 1.0) * grad_lp_norm(ball, values, p)
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1 + 1e-12)}
+def power_leibniz_report(ball: ExploredBall, values: np.ndarray, p: float, *, _gradients=None) -> dict:
+    """Gradient of the p-th power of |f| against the product rule bound.
+
+    ``_gradients`` is :class:`FieldGradients` of ``values``, when the
+    caller already has it.
+    """
+    grads = FieldGradients(ball, values) if _gradients is None else _gradients
+    lhs = lp_norm(grads[p], 1)
+    rhs = 2.0 * p * lp_norm(grads.values, p) ** (p - 1.0) * lp_norm(grads[None], p)
+    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1.0 + RTOL)}

@@ -13,8 +13,10 @@ parameters:
     {"kind": "explicit", "vertices": 3, "edges": [[0,1],[1,2]]}
 
 Optional keys: ``name`` (display override, a non-empty string),
-``max_vertices`` (budget, default 500000), and for explicit graphs
-``horizon``.  Catalogue entries are specs of this form too
+``max_vertices`` (budget, default 500000), for explicit graphs
+``horizon``, for ``symmetric`` ``generators`` and for
+``permutation_action`` ``base_point``; any other key is an error.
+Catalogue entries are specs of this form too
 (:func:`groupiso.catalogue.spec`), so this module builds both; but a
 catalogue name is not a spec file, and the command line takes it with
 ``--instance``, not ``--spec``.
@@ -28,27 +30,31 @@ from pathlib import Path
 from . import groups
 from .groups import ExploredBall, GeneratedSystem, ResourceCapError
 
-#: kind -> (required keys, constructor of the generated system); explicit
-#: graphs have no system
+#: kind -> (required keys, optional keys of that kind alone, constructor of
+#: the generated system); explicit graphs have no system
 _KINDS = {
-    "free_abelian": (("rank",), lambda s: groups.free_abelian(s["rank"])),
-    "free_group": (("rank",), lambda s: groups.free_group(s["rank"])),
-    "heisenberg": ((), lambda s: groups.heisenberg()),
-    "cyclic": (("n",), lambda s: groups.cyclic(s["n"])),
-    "dihedral": (("n",), lambda s: groups.dihedral(s["n"])),
-    "hypercube": (("dim",), lambda s: groups.hypercube(s["dim"])),
+    "free_abelian": (("rank",), (), lambda s: groups.free_abelian(s["rank"])),
+    "free_group": (("rank",), (), lambda s: groups.free_group(s["rank"])),
+    "heisenberg": ((), (), lambda s: groups.heisenberg()),
+    "cyclic": (("n",), (), lambda s: groups.cyclic(s["n"])),
+    "dihedral": (("n",), (), lambda s: groups.dihedral(s["n"])),
+    "hypercube": (("dim",), (), lambda s: groups.hypercube(s["dim"])),
     "symmetric": (
         ("n",),
+        ("generators",),
         lambda s: groups.symmetric_group(s["n"], s.get("generators", "transpositions")),
     ),
     "permutation_action": (
         ("perms",),
+        ("base_point",),
         lambda s: groups.permutation_action(
             s.get("name", "permutation_action"), s["perms"], s.get("base_point", 0)
         ),
     ),
-    "explicit": (("vertices", "edges"), lambda s: None),
+    "explicit": (("vertices", "edges"), (), lambda s: None),
 }
+#: keys every kind takes
+_COMMON = ("kind", "name", "horizon", "max_vertices")
 
 
 def load_spec(path: str | Path) -> dict:
@@ -66,9 +72,16 @@ def validate_spec(spec: dict) -> None:
     kind = spec.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}; known: {', '.join(sorted(_KINDS))}")
-    for key in _KINDS[kind][0]:
+    required, optional, _ = _KINDS[kind]
+    for key in required:
         if key not in spec:
             raise ValueError(f"kind {kind!r} requires {key!r}")
+    known = (*_COMMON, *required, *optional)
+    unknown = [key for key in spec if key not in known]
+    if unknown:
+        raise ValueError(
+            f"kind {kind!r} takes no key {', '.join(map(repr, unknown))}; known: {', '.join(known)}"
+        )
     if kind != "explicit" and "horizon" not in spec:
         raise ValueError(f"kind {kind!r} requires a horizon")
     for key in ("horizon", "rank", "n", "dim", "vertices", "max_vertices"):
@@ -102,7 +115,7 @@ def _is_int_list(value) -> bool:
 def system_from_spec(spec: dict) -> GeneratedSystem | None:
     """The generated system behind a spec; None for explicit graphs."""
     validate_spec(spec)
-    return _KINDS[spec["kind"]][1](spec)
+    return _KINDS[spec["kind"]][2](spec)
 
 
 def instance_from_spec(spec: dict) -> tuple[GeneratedSystem | None, ExploredBall]:

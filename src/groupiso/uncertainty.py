@@ -26,11 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from .fields import (
+    RTOL,
+    FieldGradients,
+    WeightPowers,
     energy_subgradient,
-    grad_modulus,
     gradient_pass,
     lp_norm,
-    weighted_lp_norm,
     zero_sum,
 )
 from .groups import ExploredBall, diameter, distances_from
@@ -54,8 +55,6 @@ FACTORS = {
 #: The grid of exponents p and weight powers alpha every float report covers.
 EXPONENTS = (1.0, 2.0, 3.0)
 WEIGHT_POWERS = (0.5, 1.0, 2.0)
-#: Relative float slack of every float report verdict.
-RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -158,35 +157,41 @@ def uncertainty_ratio(
     return norm / denom
 
 
-def additive_link_report(ball: ExploredBall, values: np.ndarray, weight: np.ndarray) -> dict:
+def additive_link_report(
+    ball: ExploredBall, values: np.ndarray, weight: np.ndarray, *, _gradients=None, _weight_powers=None
+) -> dict:
     """Check the additive radius inequality at every certified integer radius,
     one grid of rows per (p, alpha) of ``EXPONENTS`` x ``WEIGHT_POWERS``.
 
     Infinite windows route through the p-th power of the field with
     weight power p*alpha; complete graphs check the recentred form for
     radii up to an eighth of the diameter (possibly an empty range).
+    ``_gradients`` is :class:`~groupiso.fields.FieldGradients` of
+    ``values`` and ``_weight_powers`` is
+    :class:`~groupiso.fields.WeightPowers` of ``weight``, when the caller
+    already has them.
     """
-    values = np.asarray(values, np.float64)
-    weight = np.asarray(weight, np.float64)
+    grads = FieldGradients(ball, values) if _gradients is None else _gradients
+    wpow = WeightPowers(weight) if _weight_powers is None else _weight_powers
+    values = grads.values
     if ball.complete:
         radii = range(1, diameter(ball) // 8 + 1)
-        gmod = grad_modulus(ball, values)
     else:
         radii = range(1, ball.horizon + 2)
     grids = []
     for p in EXPONENTS:
         if ball.complete:
-            lhs, g = lp_norm(values, p), lp_norm(gmod, p)
+            lhs, g = lp_norm(values, p), lp_norm(grads[None], p)
             c1, c2 = FACTORS["compact_gradient_link"] * p, FACTORS["compact_weight_link"]
         else:
             power = np.abs(values) ** p
-            lhs, g = float(power.sum()), lp_norm(grad_modulus(ball, power), 1)
+            lhs, g = float(power.sum()), lp_norm(grads[p], 1)
             c1, c2 = FACTORS["gradient_link"], 1.0
         for alpha in WEIGHT_POWERS:
             if ball.complete:
-                e, w = alpha, weighted_lp_norm(values, weight, alpha, p)
+                e, w = alpha, lp_norm(wpow[alpha] * values, p)
             else:
-                e, w = p * alpha, float((weight ** (p * alpha) * power).sum())
+                e, w = p * alpha, float((wpow[p * alpha] * power).sum())
             rows = []
             for r in radii:
                 rhs = c1 * r * g + c2 * r ** (-e) * w
@@ -196,12 +201,12 @@ def additive_link_report(ball: ExploredBall, values: np.ndarray, weight: np.ndar
     return {"grids": grids, "all_ok": all(grid["all_ok"] for grid in grids)}
 
 
-def poincare_report(ball: ExploredBall, values: np.ndarray) -> dict:
+def poincare_report(ball: ExploredBall, values: np.ndarray, *, _gradients=None) -> dict:
     """Zero sum mean-value bound on a complete graph, one row per p of
-    ``EXPONENTS``."""
-    values = np.asarray(values, np.float64)
+    ``EXPONENTS``; ``_gradients`` as in :func:`additive_link_report`."""
+    grads = FieldGradients(ball, values) if _gradients is None else _gradients
+    values, gmod = grads.values, grads[None]
     d0 = diameter(ball)
-    gmod = grad_modulus(ball, values)
     rows = []
     for p in EXPONENTS:
         norm, grad = lp_norm(values, p), lp_norm(gmod, p)
@@ -218,16 +223,20 @@ def poincare_report(ball: ExploredBall, values: np.ndarray) -> dict:
     return {"rows": rows, "ok": all(row["ok"] for row in rows)}
 
 
-def hpw_report(ball: ExploredBall, values: np.ndarray, weight: np.ndarray) -> dict:
+def hpw_report(
+    ball: ExploredBall, values: np.ndarray, weight: np.ndarray, *, _gradients=None, _weight_powers=None
+) -> dict:
     """Measured uncertainty ratios of one field against the certified
-    bounds, one row per (p, alpha) of ``EXPONENTS`` x ``WEIGHT_POWERS``."""
-    values = np.asarray(values, np.float64)
-    gmod = grad_modulus(ball, values)
+    bounds, one row per (p, alpha) of ``EXPONENTS`` x ``WEIGHT_POWERS``;
+    the caches as in :func:`additive_link_report`."""
+    grads = FieldGradients(ball, values) if _gradients is None else _gradients
+    wpow = WeightPowers(weight) if _weight_powers is None else _weight_powers
+    values, gmod = grads.values, grads[None]
     rows = []
     for p in EXPONENTS:
         norm, grad = lp_norm(values, p), lp_norm(gmod, p)
         for alpha in WEIGHT_POWERS:
-            wnorm = weighted_lp_norm(values, weight, alpha, p)
+            wnorm = lp_norm(wpow[alpha] * values, p)
             ratio = uncertainty_ratio(p, alpha, norm, grad, wnorm)
             certified = certified_constant(p, alpha, ball.complete)
             rows.append({

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
@@ -187,6 +188,9 @@ def test_boolean_spec_horizon_is_an_error(tmp_path):
         [{"kind": "cyclic", "n": 6, "horizon": 6}],
         {"kind": "cyclic", "n": 6, "horizon": 6, "name": 5},
         {"kind": "cyclic", "n": 6, "horizon": 6, "name": ["x"]},
+        # a misspelled key, and a key of another kind
+        {"kind": "cyclic", "n": 6, "horizon": 6, "max_vertice": 1},
+        {"kind": "explicit", "vertices": 3, "edges": [[0, 1], [1, 2]], "base_point": 1},
     ],
 )
 def test_bad_spec_verify_is_an_error(tmp_path, spec):
@@ -240,6 +244,87 @@ def test_constants_enumerates_connected_sets_once(monkeypatch, capsys, extra):
     assert cli.main(["constants", *extra, "--starts", "1", "--iters", "5"]) == 0
     assert len(calls) == 1
     assert "isoperimetric constant estimate" in capsys.readouterr().out
+
+
+def _list_composition(ball, nfields, seed):
+    """The float check lines as verify composed them over the whole
+    ``float_fields`` list, each report computing everything itself."""
+    from groupiso import corpus, fields, uncertainty
+    from groupiso.uncertainty import EXPONENTS
+
+    floats = corpus.float_fields(ball, nfields, seed, zero_mean=ball.complete)
+    weights = [uncertainty.canonical_weight(ball)]
+    pool = corpus.field_pool(ball)
+    far = int(pool[np.argmax(ball.dist[pool])])
+    if far != ball.base_index:
+        weights.append(uncertainty.multipoint_weight(ball, [ball.base_index, far]))
+    usable = [w.astype(np.float64) for w in weights if uncertainty.admissibility_report(ball, w)["admissible"]]
+    grids = [g for f in floats for g in uncertainty.additive_link_report(ball, f, weights[0].astype(np.float64))["grids"]]
+    bad = sum(not g["all_ok"] for g in grids)
+    checks = {"additive-links": (
+        bad == 0, f"{len(floats)} fields x 9 grids, {bad} failures, {sum(g['vacuous'] for g in grids)} vacuous"
+    )}
+    oks = [r["ok"] for f in floats for w in usable for r in uncertainty.hpw_report(ball, f, w)["rows"]]
+    checks["uncertainty-ratio"] = (all(oks), f"{len(oks)} ratios, {oks.count(False)} failures")
+    bad = sum(not fields.power_leibniz_report(ball, f, p)["ok"] for f in floats for p in (2.0, 3.0))
+    checks["power-rule"] = (bad == 0, f"{len(floats)} fields, {bad} failures")
+    if ball.complete:
+        bad = sum(not r["ok"] for f in floats for r in uncertainty.poincare_report(ball, f)["rows"])
+        checks["poincare"] = (bad == 0, f"{len(floats)} fields x {len(EXPONENTS)} exponents, {bad} failures")
+    return checks
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "c16", "q4", "s4_points"])
+def test_streamed_float_checks_match_the_list_composition(name):
+    from groupiso import catalogue, cli
+
+    ball = catalogue.build(name)
+    assert name != "f2" or ball.horizon == 6
+    for nfields, seed in ((12, 0), (7, 5)):
+        got = {
+            c["name"]: (c["ok"], c["detail"])
+            for c in cli._verify_checks(catalogue.system(name), ball, nfields, seed)
+            if c["name"] in ("additive-links", "uncertainty-ratio", "power-rule", "poincare")
+        }
+        assert got == _list_composition(ball, nfields, seed)
+
+
+@pytest.mark.parametrize("name, per_field", [("z2", 4), ("f2", 4), ("c16", 3), ("q4", 3)])
+def test_verify_takes_each_gradient_once_per_field(monkeypatch, capsys, name, per_field):
+    # infinite windows need the gradients of f, |f|, |f|^2 and |f|^3;
+    # complete ones of f, |f|^2 and |f|^3
+    from groupiso import cli, kernels
+
+    calls = []
+    real = kernels.grad_modulus_csr
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "grad_modulus_csr", counted)
+    assert cli.main(["verify", "--instance", name, "--fields", "9"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(calls) == per_field * 9
+
+
+def test_verify_memory_does_not_grow_with_fields():
+    import tracemalloc
+
+    from groupiso import catalogue, cli, specio
+
+    system, ball = specio.instance_from_spec(catalogue.spec("f2") | {"horizon": 8})
+    dense = 8 * ball.num_vertices
+    peaks = {}
+    cli._verify_checks(system, ball, 2, 0)  # caches on the window fill here, untraced
+    for nfields in (4, 40):
+        tracemalloc.start()
+        try:
+            cli._verify_checks(system, ball, nfields, 0)
+            peaks[nfields] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] - peaks[4] < 2 * dense, (peaks, dense)
 
 
 def test_zero_fields_verify_is_an_error():

@@ -10,6 +10,7 @@ from groupiso import catalogue, reporting, specio
 from groupiso.corpus import (
     exact_rows,
     field_pool,
+    float_field,
     float_fields,
     float_rows,
     rational_fields,
@@ -32,6 +33,17 @@ def test_float_corpus_deterministic(plane):
     a = float_fields(plane, 7, seed=1)
     b = float_fields(plane, 7, seed=1)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "c16", "q4", "s4_points"])
+def test_float_corpus_is_its_fields_one_by_one(name):
+    ball = catalogue.build(name)
+    for seed, zero_mean in ((0, False), (3, ball.complete)):
+        fields = float_fields(ball, 9, seed, zero_mean)
+        assert len(fields) == 9
+        for i, f in enumerate(fields):
+            g = float_field(ball, i, seed, zero_mean)
+            assert f.dtype == g.dtype and f.tobytes() == g.tobytes()
 
 
 def test_float_corpus_base_spike(plane):

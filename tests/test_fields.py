@@ -139,6 +139,17 @@ def test_power_leibniz_property(seed, p):
     assert rep["ok"]
 
 
+def test_power_rule_reads_the_shared_slack(monkeypatch):
+    from groupiso import fields
+
+    ball = catalogue.build("q4")
+    values = np.random.default_rng(0).standard_normal(ball.num_vertices)
+    assert power_leibniz_report(ball, values, 2.0)["ok"]
+    # a slack of -1 turns every bound into 0, which no gradient meets
+    monkeypatch.setattr(fields, "RTOL", -1.0)
+    assert not power_leibniz_report(ball, values, 2.0)["ok"]
+
+
 def test_lp_norm_special_cases():
     v = np.array([3.0, -4.0, 0.0])
     assert lp_norm(v, 1.0) == 7.0

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupiso import catalogue
-from groupiso.corpus import float_fields
+from groupiso import catalogue, fields, uncertainty
+from groupiso.corpus import field_pool, float_fields
 from groupiso.fields import (
+    FieldGradients,
+    WeightPowers,
     energy_subgradient,
     grad_lp_norm,
     grad_modulus,
     lp_norm,
+    power_leibniz_report,
     to_dense,
     weighted_lp_norm,
 )
@@ -254,6 +257,46 @@ def test_grid_rows_match_reference(name):
             ]
             got = poincare_report(ball, values)["rows"]
             assert [(r["norm"], r["grad_norm"], r["bound"]) for r in got] == expect
+
+
+def _weights(ball):
+    pool = field_pool(ball)
+    far = int(pool[np.argmax(ball.dist[pool])])
+    return [canonical_weight(ball), multipoint_weight(ball, [ball.base_index, far])]
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "heisenberg", "c16", "q6", "s4_points"])
+def test_weight_powers_are_the_dense_powers(name):
+    # a power gathered from the distinct values is the dense power, to the bit
+    ball = catalogue.build(name)
+    exponents = sorted({p * a for p in EXPONENTS for a in WEIGHT_POWERS})
+    for w in _weights(ball):
+        wpow = WeightPowers(w)
+        for e in exponents:
+            assert wpow[e].tobytes() == (w.astype(np.float64) ** e).tobytes()
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "c16", "q6", "s4_points"])
+def test_shared_caches_give_the_same_reports(name):
+    # one FieldGradients per field and one WeightPowers per weight, shared
+    # by every report, change no value of any report
+    ball = catalogue.build(name)
+    weights = [(w, WeightPowers(w)) for w in _weights(ball)]
+    for f in float_fields(ball, 6, seed=4, zero_mean=ball.complete):
+        grads = FieldGradients(ball, f)
+        for w, wpow in weights:
+            assert additive_link_report(ball, f, w, _gradients=grads, _weight_powers=wpow) == (
+                additive_link_report(ball, f, w)
+            )
+            assert hpw_report(ball, f, w, _gradients=grads, _weight_powers=wpow) == hpw_report(ball, f, w)
+        for p in EXPONENTS:
+            assert power_leibniz_report(ball, f, p, _gradients=grads) == power_leibniz_report(ball, f, p)
+        if ball.complete:
+            assert poincare_report(ball, f, _gradients=grads) == poincare_report(ball, f)
+
+
+def test_one_float_slack():
+    assert uncertainty.RTOL is fields.RTOL
 
 
 def test_trace_frozen_line(line):
