@@ -245,7 +245,10 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
         f"{nfields} fields x {len(EXPONENTS) * len(WEIGHT_POWERS)} grids, {floats['links']} failures,"
         f" {floats['vacuous']} vacuous",
     )
-    add("uncertainty-ratio", floats["ratios"] == 0, f"{floats['ratio_rows']} ratios, {floats['ratios']} failures")
+    add(
+        "uncertainty-ratio", floats["ratios"] == 0,
+        f"{floats['ratio_rows']} ratios, {floats['ratios']} failures",
+    )
     add("power-rule", floats["rule"] == 0, f"{nfields} fields, {floats['rule']} failures")
 
     if ball.complete:

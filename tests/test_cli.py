@@ -258,12 +258,12 @@ def _list_composition(ball, nfields, seed):
     far = int(pool[np.argmax(ball.dist[pool])])
     if far != ball.base_index:
         weights.append(uncertainty.multipoint_weight(ball, [ball.base_index, far]))
-    usable = [w.astype(np.float64) for w in weights if uncertainty.admissibility_report(ball, w)["admissible"]]
-    grids = [g for f in floats for g in uncertainty.additive_link_report(ball, f, weights[0].astype(np.float64))["grids"]]
+    weights = [w.astype(np.float64) for w in weights]
+    usable = [w for w in weights if uncertainty.admissibility_report(ball, w)["admissible"]]
+    grids = [g for f in floats for g in uncertainty.additive_link_report(ball, f, weights[0])["grids"]]
     bad = sum(not g["all_ok"] for g in grids)
-    checks = {"additive-links": (
-        bad == 0, f"{len(floats)} fields x 9 grids, {bad} failures, {sum(g['vacuous'] for g in grids)} vacuous"
-    )}
+    vacuous = sum(g["vacuous"] for g in grids)
+    checks = {"additive-links": (bad == 0, f"{len(floats)} fields x 9 grids, {bad} failures, {vacuous} vacuous")}
     oks = [r["ok"] for f in floats for w in usable for r in uncertainty.hpw_report(ball, f, w)["rows"]]
     checks["uncertainty-ratio"] = (all(oks), f"{len(oks)} ratios, {oks.count(False)} failures")
     bad = sum(not fields.power_leibniz_report(ball, f, p)["ok"] for f in floats for p in (2.0, 3.0))
