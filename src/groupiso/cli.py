@@ -172,31 +172,27 @@ def _float_battery(ball, nfields: int, seed: int, canonical, usable) -> dict[str
     """Failure counts of the float checks over the float corpus.
 
     Fields are drawn one at a time and every check runs on a field before
-    the next is drawn, so memory does not grow with ``nfields``; each
-    field's gradients are computed once, for all checks.  ``canonical``
-    (for the additive links) and each of ``usable`` (the admissible
-    weights, for the ratios) is a weight with its
-    :class:`~groupiso.fields.WeightPowers`.
+    the next is drawn, so memory does not grow with ``nfields``; the
+    checks of a field share one :class:`~groupiso.fields.FloatField`, so
+    its gradients and norms are computed once.  ``canonical`` (for the
+    additive links) and each of ``usable`` (the admissible weights, for
+    the ratios) is a :class:`~groupiso.fields.WeightPowers`.
     """
     bad = dict.fromkeys(("links", "vacuous", "ratio_rows", "ratios", "rule", "poincare"), 0)
     powers = [p for p in EXPONENTS if p > 1]
-    wcanon, wcanon_powers = canonical
     for i in range(nfields):
-        f = corpus.float_field(ball, i, seed, zero_mean=ball.complete)
-        grads = fields.FieldGradients(ball, f)
+        field = fields.FloatField(ball, corpus.float_field(ball, i, seed, zero_mean=ball.complete))
         # keep the counts only: the rows would outlive the field
-        for g in uncertainty.additive_link_report(
-            ball, f, wcanon, _gradients=grads, _weight_powers=wcanon_powers
-        )["grids"]:
+        for g in uncertainty.additive_link_report(field, canonical)["grids"]:
             bad["links"] += not g["all_ok"]
             bad["vacuous"] += g["vacuous"]
-        for w, wpow in usable:
-            rows = uncertainty.hpw_report(ball, f, w, _gradients=grads, _weight_powers=wpow)["rows"]
+        for weight in usable:
+            rows = uncertainty.hpw_report(field, weight)["rows"]
             bad["ratio_rows"] += len(rows)
             bad["ratios"] += sum(not r["ok"] for r in rows)
-        bad["rule"] += sum(not fields.power_leibniz_report(ball, f, p, _gradients=grads)["ok"] for p in powers)
+        bad["rule"] += sum(not fields.power_leibniz_report(field, p)["ok"] for p in powers)
         if ball.complete:
-            rows = uncertainty.poincare_report(ball, f, _gradients=grads)["rows"]
+            rows = uncertainty.poincare_report(field)["rows"]
             bad["poincare"] += sum(not r["ok"] for r in rows)
     return bad
 
@@ -237,9 +233,9 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
         rep = uncertainty.admissibility_report(ball, w)
         add(f"admissibility-{wname}", rep["admissible"], f"{len(rep['rows'])} radii")
         if rep["admissible"]:
-            usable.append((w, wpow))
+            usable.append(wpow)
 
-    floats = _float_battery(ball, nfields, seed, weights[0][1:], usable)
+    floats = _float_battery(ball, nfields, seed, weights[0][2], usable)
     add(
         "additive-links", floats["links"] == 0,
         f"{nfields} fields x {len(EXPONENTS) * len(WEIGHT_POWERS)} grids, {floats['links']} failures,"

@@ -44,6 +44,8 @@ def rational_fields(
     if zero_mean and not ball.complete:
         raise ValueError("zero mean corpora need a complete window")
     pool = field_pool(ball)
+    if zero_mean and pool.size < 2:
+        raise ValueError(f"{ball.name}: a zero mean field needs at least two vertices")
     n = ball.num_vertices
     out = []
     for i in range(count):
@@ -61,10 +63,9 @@ def rational_fields(
             mean = Fraction(sum(field.values(), Fraction(0)), n)
             field = {v: field.get(v, Fraction(0)) - mean for v in range(n)}
             field = {v: x for v, x in field.items() if x}
-        if field:
-            out.append(field)
-        else:
-            out.append({int(pool[0]): Fraction(1)})
+            # a draw that recentres to zero gives way to +1, -1 on two vertices
+            field = field or {int(pool[0]): Fraction(1), int(pool[1]): Fraction(-1)}
+        out.append(field)
     return out
 
 

@@ -3,7 +3,10 @@
 Two layers share the same graph: an exact layer for identities, where a
 field is a sparse mapping from vertex index to Fraction (absent vertices
 are zero), and a float layer for optimization and norm sweeps, where a
-field is a dense float64 array.
+field is a dense float64 array.  The float reports take a field as a
+:class:`FloatField` and a weight as a :class:`WeightPowers`; each
+gradient and unweighted norm of a field is computed once, however many
+reports read it.
 
 The gradient modulus at a vertex is the sum of |f(v) - f(n)| over the
 neighbors n of v.  On an incomplete window it is faithful only at
@@ -147,33 +150,53 @@ def grad_modulus(ball: ExploredBall, values: np.ndarray) -> np.ndarray:
     return gradient_pass(ball, values)[0]
 
 
-def energy_subgradient(ball: ExploredBall, values: np.ndarray, *, _gradient=None) -> np.ndarray:
-    """Subgradient of the squared 2-norm of the gradient modulus.
-
-    ``_gradient`` is :func:`gradient_pass` of ``values``, when the caller
-    already has it.
-    """
-    gmod, diffs = gradient_pass(ball, values) if _gradient is None else _gradient
+def energy_subgradient(ball: ExploredBall, gradient: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Subgradient of the squared 2-norm of the gradient modulus of a
+    field, from its :func:`gradient_pass` ``gradient``."""
+    gmod, diffs = gradient
     out = np.empty(ball.num_vertices)
     kernels.energy_subgrad_csr(ball.indptr, ball.indices, diffs, gmod, out, ball.rows)
     return out
 
 
-class FieldGradients(dict):
-    """Gradient moduli of one dense field, each computed on its first lookup.
+class FloatField:
+    """One dense field on a window, as the float reports read it.
 
-    Key None gives the gradient modulus of the field ``values``, key p
-    that of ``|values| ** p``.
+    ``values`` is the field as float64.  The gradient moduli and the
+    unweighted norms are each computed on first lookup and kept while
+    the object lives; weighted norms depend on a weight and are left to
+    the reports.
     """
 
     def __init__(self, ball: ExploredBall, values: np.ndarray):
-        super().__init__()
         self.ball = ball
         self.values = np.asarray(values, np.float64)
+        # gradients keyed by p, norms by (what, q)
+        self._memo: dict = {}
 
-    def __missing__(self, p: float | None) -> np.ndarray:
-        value = self[p] = grad_modulus(self.ball, self.values if p is None else np.abs(self.values) ** p)
-        return value
+    def _grad(self, p: float | None) -> np.ndarray:
+        """Gradient modulus of the field (p None) or of ``|field| ** p``."""
+        if p not in self._memo:
+            self._memo[p] = grad_modulus(self.ball, self.values if p is None else np.abs(self.values) ** p)
+        return self._memo[p]
+
+    def norm(self, p: float) -> float:
+        """||f||_p."""
+        return self._lp("values", p)
+
+    def grad_norm(self, p: float) -> float:
+        """||grad f||_p."""
+        return self._lp(None, p)
+
+    def power_grad_norm(self, p: float) -> float:
+        """||grad |f|^p||_1."""
+        return self._lp(p, 1)
+
+    def _lp(self, what, q: float) -> float:
+        # the q-norm of the values (what "values") or of _grad(what)
+        if (what, q) not in self._memo:
+            self._memo[what, q] = lp_norm(self.values if what == "values" else self._grad(what), q)
+        return self._memo[what, q]
 
 
 class WeightPowers:
@@ -219,13 +242,8 @@ def zero_sum(values: np.ndarray) -> np.ndarray:
     return values - values.mean()
 
 
-def power_leibniz_report(ball: ExploredBall, values: np.ndarray, p: float, *, _gradients=None) -> dict:
-    """Gradient of the p-th power of |f| against the product rule bound.
-
-    ``_gradients`` is :class:`FieldGradients` of ``values``, when the
-    caller already has it.
-    """
-    grads = FieldGradients(ball, values) if _gradients is None else _gradients
-    lhs = lp_norm(grads[p], 1)
-    rhs = 2.0 * p * lp_norm(grads.values, p) ** (p - 1.0) * lp_norm(grads[None], p)
+def power_leibniz_report(field: FloatField, p: float) -> dict:
+    """Gradient of the p-th power of |f| against the product rule bound."""
+    lhs = field.power_grad_norm(p)
+    rhs = 2.0 * p * field.norm(p) ** (p - 1.0) * field.grad_norm(p)
     return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs * (1.0 + RTOL)}

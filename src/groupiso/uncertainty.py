@@ -25,15 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import (
-    RTOL,
-    FieldGradients,
-    WeightPowers,
-    energy_subgradient,
-    gradient_pass,
-    lp_norm,
-    zero_sum,
-)
+from .fields import RTOL, FloatField, WeightPowers, energy_subgradient, gradient_pass, lp_norm, zero_sum
 from .groups import ExploredBall, diameter, distances_from
 from .growth import growth_counts, growth_value, half_mass_radius, mass_radius
 from .isoperimetry import ProfileEntry
@@ -157,41 +149,32 @@ def uncertainty_ratio(
     return norm / denom
 
 
-def additive_link_report(
-    ball: ExploredBall, values: np.ndarray, weight: np.ndarray, *, _gradients=None, _weight_powers=None
-) -> dict:
+def additive_link_report(field: FloatField, weight: WeightPowers) -> dict:
     """Check the additive radius inequality at every certified integer radius,
     one grid of rows per (p, alpha) of ``EXPONENTS`` x ``WEIGHT_POWERS``.
 
     Infinite windows route through the p-th power of the field with
     weight power p*alpha; complete graphs check the recentred form for
     radii up to an eighth of the diameter (possibly an empty range).
-    ``_gradients`` is :class:`~groupiso.fields.FieldGradients` of
-    ``values`` and ``_weight_powers`` is
-    :class:`~groupiso.fields.WeightPowers` of ``weight``, when the caller
-    already has them.
+    Reports that share one ``field`` and one ``weight`` take each
+    gradient, unweighted norm and weight power once.
     """
-    grads = FieldGradients(ball, values) if _gradients is None else _gradients
-    wpow = WeightPowers(weight) if _weight_powers is None else _weight_powers
-    values = grads.values
-    if ball.complete:
-        radii = range(1, diameter(ball) // 8 + 1)
-    else:
-        radii = range(1, ball.horizon + 2)
+    ball, values = field.ball, field.values
+    radii = range(1, diameter(ball) // 8 + 1 if ball.complete else ball.horizon + 2)
     grids = []
     for p in EXPONENTS:
         if ball.complete:
-            lhs, g = lp_norm(values, p), lp_norm(grads[None], p)
+            lhs, g = field.norm(p), field.grad_norm(p)
             c1, c2 = FACTORS["compact_gradient_link"] * p, FACTORS["compact_weight_link"]
         else:
             power = np.abs(values) ** p
-            lhs, g = float(power.sum()), lp_norm(grads[p], 1)
+            lhs, g = float(power.sum()), field.power_grad_norm(p)
             c1, c2 = FACTORS["gradient_link"], 1.0
         for alpha in WEIGHT_POWERS:
             if ball.complete:
-                e, w = alpha, lp_norm(wpow[alpha] * values, p)
+                e, w = alpha, lp_norm(weight[alpha] * values, p)
             else:
-                e, w = p * alpha, float((wpow[p * alpha] * power).sum())
+                e, w = p * alpha, float((weight[p * alpha] * power).sum())
             rows = []
             for r in radii:
                 rhs = c1 * r * g + c2 * r ** (-e) * w
@@ -201,15 +184,13 @@ def additive_link_report(
     return {"grids": grids, "all_ok": all(grid["all_ok"] for grid in grids)}
 
 
-def poincare_report(ball: ExploredBall, values: np.ndarray, *, _gradients=None) -> dict:
+def poincare_report(field: FloatField) -> dict:
     """Zero sum mean-value bound on a complete graph, one row per p of
-    ``EXPONENTS``; ``_gradients`` as in :func:`additive_link_report`."""
-    grads = FieldGradients(ball, values) if _gradients is None else _gradients
-    values, gmod = grads.values, grads[None]
-    d0 = diameter(ball)
+    ``EXPONENTS``; ``field`` as in :func:`additive_link_report`."""
+    d0 = diameter(field.ball)
     rows = []
     for p in EXPONENTS:
-        norm, grad = lp_norm(values, p), lp_norm(gmod, p)
+        norm, grad = field.norm(p), field.grad_norm(p)
         bound = poincare_constant(p) * p * d0 * grad
         rows.append({
             "p": p,
@@ -223,22 +204,17 @@ def poincare_report(ball: ExploredBall, values: np.ndarray, *, _gradients=None) 
     return {"rows": rows, "ok": all(row["ok"] for row in rows)}
 
 
-def hpw_report(
-    ball: ExploredBall, values: np.ndarray, weight: np.ndarray, *, _gradients=None, _weight_powers=None
-) -> dict:
+def hpw_report(field: FloatField, weight: WeightPowers) -> dict:
     """Measured uncertainty ratios of one field against the certified
     bounds, one row per (p, alpha) of ``EXPONENTS`` x ``WEIGHT_POWERS``;
-    the caches as in :func:`additive_link_report`."""
-    grads = FieldGradients(ball, values) if _gradients is None else _gradients
-    wpow = WeightPowers(weight) if _weight_powers is None else _weight_powers
-    values, gmod = grads.values, grads[None]
+    the arguments as in :func:`additive_link_report`."""
     rows = []
     for p in EXPONENTS:
-        norm, grad = lp_norm(values, p), lp_norm(gmod, p)
+        norm, grad = field.norm(p), field.grad_norm(p)
         for alpha in WEIGHT_POWERS:
-            wnorm = lp_norm(wpow[alpha] * values, p)
+            wnorm = lp_norm(weight[alpha] * field.values, p)
             ratio = uncertainty_ratio(p, alpha, norm, grad, wnorm)
-            certified = certified_constant(p, alpha, ball.complete)
+            certified = certified_constant(p, alpha, field.ball.complete)
             rows.append({
                 "p": p,
                 "alpha": alpha,
@@ -351,7 +327,7 @@ def uncertainty_ascent(ball: ExploredBall, seed: int = 0, starts: int = 4, iters
         gmod = grad[0]
         s = float((gmod * gmod).sum())
         w2 = float(((weight * vec) ** 2).sum())
-        sub = energy_subgradient(ball, vec, _gradient=grad)
+        sub = energy_subgradient(ball, grad)
         return 2.0 * vec / n2 - sub / (2.0 * s) - weight2 * vec / w2
 
     best_value = -math.inf

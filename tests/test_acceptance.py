@@ -19,7 +19,7 @@ import numpy as np
 
 from groupiso import catalogue
 from groupiso.corpus import float_fields, rational_fields
-from groupiso.fields import coarea_report, median_report, to_dense
+from groupiso.fields import FloatField, WeightPowers, coarea_report, median_report, to_dense
 from groupiso.groups import explore, free_abelian, free_group, heisenberg
 from groupiso.growth import superadditivity_report, translation_maps, translation_report
 from groupiso.isoperimetry import (
@@ -181,14 +181,15 @@ def test_07_uncertainty_sweep():
     for name in INFINITE + COMPACT:
         ball = catalogue.build(name)
         compact = ball.complete
-        weights = [canonical_weight(ball).astype(np.float64), _two_point_weight(ball)]
+        weights = [WeightPowers(canonical_weight(ball)), WeightPowers(_two_point_weight(ball))]
         fields = float_fields(ball, 500, seed=20, zero_mean=compact)
         for values in fields:
-            grids = additive_link_report(ball, values, weights[0])["grids"]
+            field = FloatField(ball, values)
+            grids = additive_link_report(field, weights[0])["grids"]
             links += sum(len(g["rows"]) for g in grids)
             failures += sum(not g["all_ok"] for g in grids)
             for w in weights:
-                rows = hpw_report(ball, values, w)["rows"]
+                rows = hpw_report(field, w)["rows"]
                 ratios += len(rows)
                 failures += sum(not r["ok"] for r in rows)
     elapsed = time.monotonic() - t0
@@ -210,7 +211,7 @@ def test_08_compact_median_poincare():
             if not (rep["zero_sum"] and rep["markov_ok"] and rep["shift_ok"]):
                 failures += 1
         for values in float_fields(ball, 500, seed=31, zero_mean=True):
-            rows = poincare_report(ball, values)["rows"]
+            rows = poincare_report(FloatField(ball, values))["rows"]
             poincares += len(rows)
             failures += sum(not r["ok"] for r in rows)
     _verdict(

@@ -248,8 +248,9 @@ def test_constants_enumerates_connected_sets_once(monkeypatch, capsys, extra):
 
 def _list_composition(ball, nfields, seed):
     """The float check lines as verify composed them over the whole
-    ``float_fields`` list, each report computing everything itself."""
+    ``float_fields`` list, each report call on a fresh field and weight."""
     from groupiso import corpus, fields, uncertainty
+    from groupiso.fields import FloatField, WeightPowers
     from groupiso.uncertainty import EXPONENTS
 
     floats = corpus.float_fields(ball, nfields, seed, zero_mean=ball.complete)
@@ -260,16 +261,25 @@ def _list_composition(ball, nfields, seed):
         weights.append(uncertainty.multipoint_weight(ball, [ball.base_index, far]))
     weights = [w.astype(np.float64) for w in weights]
     usable = [w for w in weights if uncertainty.admissibility_report(ball, w)["admissible"]]
-    grids = [g for f in floats for g in uncertainty.additive_link_report(ball, f, weights[0])["grids"]]
+    grids = [
+        g for f in floats
+        for g in uncertainty.additive_link_report(FloatField(ball, f), WeightPowers(weights[0]))["grids"]
+    ]
     bad = sum(not g["all_ok"] for g in grids)
     vacuous = sum(g["vacuous"] for g in grids)
     checks = {"additive-links": (bad == 0, f"{len(floats)} fields x 9 grids, {bad} failures, {vacuous} vacuous")}
-    oks = [r["ok"] for f in floats for w in usable for r in uncertainty.hpw_report(ball, f, w)["rows"]]
+    oks = [
+        r["ok"] for f in floats for w in usable
+        for r in uncertainty.hpw_report(FloatField(ball, f), WeightPowers(w))["rows"]
+    ]
     checks["uncertainty-ratio"] = (all(oks), f"{len(oks)} ratios, {oks.count(False)} failures")
-    bad = sum(not fields.power_leibniz_report(ball, f, p)["ok"] for f in floats for p in (2.0, 3.0))
+    bad = sum(
+        not fields.power_leibniz_report(FloatField(ball, f), p)["ok"] for f in floats for p in (2.0, 3.0)
+    )
     checks["power-rule"] = (bad == 0, f"{len(floats)} fields, {bad} failures")
     if ball.complete:
-        bad = sum(not r["ok"] for f in floats for r in uncertainty.poincare_report(ball, f)["rows"])
+        reports = [uncertainty.poincare_report(FloatField(ball, f)) for f in floats]
+        bad = sum(not r["ok"] for rep in reports for r in rep["rows"])
         checks["poincare"] = (bad == 0, f"{len(floats)} fields x {len(EXPONENTS)} exponents, {bad} failures")
     return checks
 
@@ -303,6 +313,29 @@ def test_verify_takes_each_gradient_once_per_field(monkeypatch, capsys, name, pe
         return real(*args)
 
     monkeypatch.setattr(kernels, "grad_modulus_csr", counted)
+    assert cli.main(["verify", "--instance", name, "--fields", "9"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(calls) == per_field * 9
+
+
+@pytest.mark.parametrize("name, per_field", [("z2", 27), ("f2", 27), ("c16", 35), ("q4", 35)])
+def test_verify_takes_each_norm_once_per_field(monkeypatch, capsys, name, per_field):
+    # per field, the unweighted norms ||f||_p, ||grad f||_p and
+    # ||grad |f|^p||_1 once each (9; 8 on complete windows, where nothing
+    # reads ||grad |f|||_1), 9 weighted norms for each of the two
+    # admissible weights in the ratios and, on complete windows, 9 more
+    # for the canonical weight in the additive links
+    from groupiso import cli, fields, uncertainty
+
+    calls = []
+    real = fields.lp_norm
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (fields, uncertainty):
+        monkeypatch.setattr(module, "lp_norm", counted)
     assert cli.main(["verify", "--instance", name, "--fields", "9"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert len(calls) == per_field * 9

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from groupiso import catalogue, reporting, specio
+from groupiso.fields import median_report
+from groupiso.groups import ball_from_edges
 from groupiso.corpus import (
     exact_rows,
     field_pool,
@@ -65,6 +67,28 @@ def test_zero_mean_corpora(ring16):
         assert sum(f.values(), Fraction(0)) == 0
     for f in float_fields(ring16, 10, seed=0, zero_mean=True):
         assert abs(f.sum()) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "cyclic", "n": 2, "horizon": 1},
+        {"kind": "explicit", "vertices": 2, "edges": [[0, 1]]},
+    ],
+)
+def test_zero_mean_corpus_on_two_vertices(spec):
+    # a draw that recentres to the zero field is replaced by a zero sum
+    # field (seed 0 draws one at field 7), so every median check has a
+    # recentring bound to test
+    ball = specio.build_from_spec(spec)
+    for f in rational_fields(ball, 50, 0, zero_mean=True):
+        assert f and sum(f.values(), Fraction(0)) == 0
+        assert median_report(ball, f)["shift_ok"] is True
+
+
+def test_zero_mean_needs_two_vertices():
+    with pytest.raises(ValueError, match="two vertices"):
+        rational_fields(ball_from_edges("point", 1, []), 1, zero_mean=True)
 
 
 def test_zero_mean_needs_complete(plane):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from groupiso import catalogue
 from groupiso.fields import (
+    FloatField,
     coarea_report,
     grad_lp_norm,
     grad_modulus,
@@ -135,7 +136,7 @@ def test_power_leibniz_property(seed, p):
     ball = catalogue.build("q4")
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(ball.num_vertices)
-    rep = power_leibniz_report(ball, values, p)
+    rep = power_leibniz_report(FloatField(ball, values), p)
     assert rep["ok"]
 
 
@@ -144,10 +145,10 @@ def test_power_rule_reads_the_shared_slack(monkeypatch):
 
     ball = catalogue.build("q4")
     values = np.random.default_rng(0).standard_normal(ball.num_vertices)
-    assert power_leibniz_report(ball, values, 2.0)["ok"]
+    assert power_leibniz_report(FloatField(ball, values), 2.0)["ok"]
     # a slack of -1 turns every bound into 0, which no gradient meets
     monkeypatch.setattr(fields, "RTOL", -1.0)
-    assert not power_leibniz_report(ball, values, 2.0)["ok"]
+    assert not power_leibniz_report(FloatField(ball, values), 2.0)["ok"]
 
 
 def test_lp_norm_special_cases():

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from groupiso import catalogue, fields, uncertainty
 from groupiso.corpus import field_pool, float_fields
 from groupiso.fields import (
-    FieldGradients,
+    FloatField,
     WeightPowers,
     energy_subgradient,
     grad_lp_norm,
     grad_modulus,
+    gradient_pass,
     lp_norm,
     power_leibniz_report,
     to_dense,
@@ -143,7 +144,7 @@ def test_admissibility_rejects_small_weights(ring16):
 def test_ratio_frozen_spike(line):
     values = to_dense(line, {line.base_index: Fraction(1)})
     w = canonical_weight(line).astype(np.float64)
-    rows = {(r["p"], r["alpha"]): r for r in hpw_report(line, values, w)["rows"]}
+    rows = {(r["p"], r["alpha"]): r for r in hpw_report(FloatField(line, values), WeightPowers(w))["rows"]}
     rep1 = rows[(1.0, 1.0)]
     assert math.isclose(rep1["ratio"], 0.5, rel_tol=1e-12)
     assert rep1["ok"]
@@ -160,7 +161,7 @@ def test_ratio_raises_on_degenerate():
 def test_additive_link_spike(line):
     values = to_dense(line, {line.base_index: Fraction(1)})
     w = canonical_weight(line).astype(np.float64)
-    grids = additive_link_report(line, values, w)["grids"]
+    grids = additive_link_report(FloatField(line, values), WeightPowers(w))["grids"]
     assert [(g["p"], g["alpha"]) for g in grids] == [
         (p, alpha) for p in (1.0, 2.0, 3.0) for alpha in (0.5, 1.0, 2.0)
     ]
@@ -173,7 +174,7 @@ def test_additive_link_spike(line):
 def test_additive_link_compact(ring16):
     w = canonical_weight(ring16).astype(np.float64)
     for values in float_fields(ring16, 20, seed=2, zero_mean=True):
-        for rep in additive_link_report(ring16, values, w)["grids"]:
+        for rep in additive_link_report(FloatField(ring16, values), WeightPowers(w))["grids"]:
             assert rep["all_ok"]
             assert len(rep["rows"]) == 1  # floor(8 / 8)
 
@@ -181,7 +182,7 @@ def test_additive_link_compact(ring16):
 def test_additive_link_vacuous_on_small(cube):
     w = canonical_weight(cube).astype(np.float64)
     values = to_dense(cube, {0: Fraction(1)})
-    for rep in additive_link_report(cube, values, w)["grids"]:
+    for rep in additive_link_report(FloatField(cube, values), WeightPowers(w))["grids"]:
         assert rep["vacuous"]
         assert rep["rows"] == []
         assert rep["all_ok"]
@@ -194,14 +195,14 @@ def test_poincare_frozen_quarter_ring():
         values = np.zeros(4)
         values[(0 + shift) % 4] = 1.0
         values[(2 + shift) % 4] = -1.0
-        rep = poincare_report(c4, values)["rows"][EXPONENTS.index(1.0)]
+        rep = poincare_report(FloatField(c4, values))["rows"][EXPONENTS.index(1.0)]
         assert math.isclose(rep["ratio"], 1.0 / 8.0, rel_tol=1e-12)
         assert rep["ok"]
 
 
 def test_poincare_holds_on_corpus(ring16):
     for values in float_fields(ring16, 30, seed=9, zero_mean=True):
-        assert poincare_report(ring16, values)["ok"]
+        assert poincare_report(FloatField(ring16, values))["ok"]
 
 
 @pytest.mark.parametrize("name", ["z2", "c16", "q6"])
@@ -222,7 +223,7 @@ def test_grid_rows_match_reference(name):
                 "p": p, "alpha": alpha, "norm": norm, "grad_norm": grad, "weighted_norm": wnorm,
                 "ratio": ratio, "certified": certified, "ok": ratio <= certified * (1.0 + 1e-9),
             })
-        assert hpw_report(ball, values, w)["rows"] == expect
+        assert hpw_report(FloatField(ball, values), WeightPowers(w))["rows"] == expect
 
         links = []
         for p, alpha in grid:
@@ -245,7 +246,7 @@ def test_grid_rows_match_reference(name):
                     for r in range(1, ball.horizon + 2)
                 ]
             links.append([(lhs, x) for x in rhs])
-        got = additive_link_report(ball, values, w)["grids"]
+        got = additive_link_report(FloatField(ball, values), WeightPowers(w))["grids"]
         assert [[(r["lhs"], r["rhs"]) for r in g["rows"]] for g in got] == links
 
         if ball.complete:
@@ -255,7 +256,7 @@ def test_grid_rows_match_reference(name):
                  poincare_constant(p) * p * d0 * grad_lp_norm(ball, values, p))
                 for p in EXPONENTS
             ]
-            got = poincare_report(ball, values)["rows"]
+            got = poincare_report(FloatField(ball, values))["rows"]
             assert [(r["norm"], r["grad_norm"], r["bound"]) for r in got] == expect
 
 
@@ -276,23 +277,32 @@ def test_weight_powers_are_the_dense_powers(name):
             assert wpow[e].tobytes() == (w.astype(np.float64) ** e).tobytes()
 
 
+def _float_reports(ball, field, weight, nweights):
+    # every float report of one field, in the order verify runs them;
+    # field() and weight(i) give the objects each report call reads
+    reports = [additive_link_report(field(), weight(i)) for i in range(nweights)]
+    reports += [hpw_report(field(), weight(i)) for i in range(nweights)]
+    reports += [power_leibniz_report(field(), p) for p in EXPONENTS]
+    if ball.complete:
+        reports.append(poincare_report(field()))
+    return reports
+
+
 @pytest.mark.parametrize("name", ["z2", "f2", "c16", "q6", "s4_points"])
 def test_shared_caches_give_the_same_reports(name):
-    # one FieldGradients per field and one WeightPowers per weight, shared
-    # by every report, change no value of any report
+    # one FloatField per field and one WeightPowers per weight, shared by
+    # every report, give the reports of a fresh FloatField and WeightPowers
+    # per call: no memoized gradient, norm or power leaks between reports
     ball = catalogue.build(name)
-    weights = [(w, WeightPowers(w)) for w in _weights(ball)]
+    weights = _weights(ball)
     for f in float_fields(ball, 6, seed=4, zero_mean=ball.complete):
-        grads = FieldGradients(ball, f)
-        for w, wpow in weights:
-            assert additive_link_report(ball, f, w, _gradients=grads, _weight_powers=wpow) == (
-                additive_link_report(ball, f, w)
-            )
-            assert hpw_report(ball, f, w, _gradients=grads, _weight_powers=wpow) == hpw_report(ball, f, w)
-        for p in EXPONENTS:
-            assert power_leibniz_report(ball, f, p, _gradients=grads) == power_leibniz_report(ball, f, p)
-        if ball.complete:
-            assert poincare_report(ball, f, _gradients=grads) == poincare_report(ball, f)
+        shared = FloatField(ball, f)
+        powers = [WeightPowers(w) for w in weights]
+        got = _float_reports(ball, lambda: shared, powers.__getitem__, len(weights))
+        fresh = _float_reports(
+            ball, lambda: FloatField(ball, f), lambda i: WeightPowers(weights[i]), len(weights)
+        )
+        assert got == fresh
 
 
 def test_one_float_slack():
@@ -351,8 +361,8 @@ def test_ascent_interior_support_on_window(plane):
 
 def _reference_ascent(ball, seed, starts, iters=300):
     # the ascent with every gradient pass recomputed from its field: the
-    # quotient through grad_modulus, the step through grad_modulus and
-    # energy_subgradient, weight**2 on every step
+    # quotient through grad_modulus, the step through grad_modulus and the
+    # energy_subgradient of a fresh gradient_pass, weight**2 on every step
     weight = canonical_weight(ball).astype(np.float64)
     n = ball.num_vertices
     mask = np.ones(n, np.bool_) if ball.complete else ball.interior_within(1)
@@ -375,7 +385,7 @@ def _reference_ascent(ball, seed, starts, iters=300):
         gmod = grad_modulus(ball, vec)
         s = float((gmod * gmod).sum())
         w2 = float(((weight * vec) ** 2).sum())
-        sub = energy_subgradient(ball, vec)
+        sub = energy_subgradient(ball, gradient_pass(ball, vec))
         return 2.0 * vec / n2 - sub / (2.0 * s) - (weight**2) * vec / w2
 
     best = (-math.inf, None, [], -1)
