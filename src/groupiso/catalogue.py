@@ -1,6 +1,8 @@
 """Named instances for tests, benchmarks, and the command line.
 
-Each entry is a spec (see :mod:`groupiso.specio`), which builds it.
+Each entry is a spec (see :mod:`groupiso.specio`); :func:`build`
+explores it to its catalogue horizon, and the window carries its
+generated system as ``ball.system``.
 """
 
 from __future__ import annotations
@@ -54,14 +56,6 @@ def spec(name: str) -> dict:
         return dict(_SPECS[name])
     except KeyError:
         raise KeyError(f"unknown instance {name!r}; known: {', '.join(names())}") from None
-
-
-def system(name: str) -> groups.GeneratedSystem:
-    return specio.system_from_spec(spec(name))
-
-
-def default_horizon(name: str) -> int:
-    return spec(name)["horizon"]
 
 
 @lru_cache(maxsize=None)

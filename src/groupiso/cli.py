@@ -50,7 +50,7 @@ def _add_instance_args(sub: argparse.ArgumentParser):
 def _resolve(args):
     spec = catalogue.spec(args.instance) if args.instance else specio.load_spec(args.spec)
     given = {"horizon": args.horizon, "max_vertices": args.max_vertices}
-    return specio.instance_from_spec(spec | {k: v for k, v in given.items() if v is not None})
+    return specio.build_from_spec(spec | {k: v for k, v in given.items() if v is not None})
 
 
 def _emit(args, payload, headers, rows, text: str = "") -> None:
@@ -66,7 +66,7 @@ def cmd_build(args) -> int:
     if args.list:
         sys.stdout.write("\n".join(catalogue.names()) + "\n")
         return 0
-    _, ball = _resolve(args)
+    ball = _resolve(args)
     issues = validate_ball(ball)
     table = growth.growth_counts(ball)
     payload = {
@@ -86,7 +86,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    _, ball = _resolve(args)
+    ball = _resolve(args)
     table = growth.growth_counts(ball)
     sa = growth.superadditivity_report(ball)
     payload = {
@@ -104,7 +104,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_isoperimetry(args) -> int:
-    _, ball = _resolve(args)
+    ball = _resolve(args)
     if args.anneal:
         entries = [
             isoperimetry.anneal_min_perimeter(
@@ -123,7 +123,7 @@ def cmd_isoperimetry(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    _, ball = _resolve(args)
+    ball = _resolve(args)
     entries = isoperimetry.profile_or_anneal(
         ball, args.kmax, seed=args.seed, chains=args.chains, budget=args.budget, cap=args.cap
     )
@@ -197,7 +197,7 @@ def _float_battery(ball, nfields: int, seed: int, canonical, usable) -> dict[str
     return bad
 
 
-def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
+def _verify_checks(ball, nfields: int, seed: int) -> list[dict]:
     checks: list[dict] = []
 
     def add(name, ok, detail):
@@ -264,8 +264,8 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
             f"{nfields} fields x {len(EXPONENTS)} exponents, {floats['poincare']} failures",
         )
 
-        if system is not None and system.kind in ("cayley", "schreier"):
-            orbitals = growth.translation_maps(system, ball)
+        if ball.system is not None:
+            orbitals = growth.translation_maps(ball)
             if not orbitals[1]:
                 add("translation", True, "skipped: translations are not graph automorphisms")
             else:
@@ -275,9 +275,9 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
                     count += len(rows)
                     bad += sum(not r["ok"] for r in rows)
                 add("translation", bad == 0, f"{count} translates, {bad} failures")
-            if system.kind == "cayley":
+            if ball.system.kind == "cayley":
                 try:
-                    dc = isoperimetry.double_counting_report(system, ball, orbitals)
+                    dc = isoperimetry.double_counting_report(ball, orbitals)
                 except isoperimetry.WorkCapError:
                     pass  # too large a group to check exhaustively: no line
                 else:
@@ -287,10 +287,10 @@ def _verify_checks(system, ball, nfields: int, seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    system, ball = _resolve(args)
+    ball = _resolve(args)
     if ball.num_edges == 0:
         raise ValueError(f"{ball.name}: the window has no edges, so there is nothing to verify")
-    checks = _verify_checks(system, ball, args.fields, args.seed)
+    checks = _verify_checks(ball, args.fields, args.seed)
     all_ok = all(c["ok"] for c in checks)
     lines = [
         f"{c['name']}: {'PASS' if c['ok'] else 'FAIL'} ({c['detail']})" for c in checks
@@ -303,7 +303,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    _, ball = _resolve(args)
+    ball = _resolve(args)
     if args.kind == "exact":
         data = corpus.rational_fields(ball, args.fields, args.seed, zero_mean=args.zero_mean)
         rows = corpus.exact_rows(data)

@@ -34,6 +34,16 @@ def field_pool(ball: ExploredBall) -> np.ndarray:
     return pool
 
 
+def _checked_pool(ball: ExploredBall, zero_mean: bool) -> np.ndarray:
+    """:func:`field_pool`, checked for a zero mean corpus if one is asked for."""
+    if zero_mean and not ball.complete:
+        raise ValueError("zero mean corpora need a complete window")
+    pool = field_pool(ball)
+    if zero_mean and pool.size < 2:
+        raise ValueError(f"{ball.name}: a zero mean field needs at least two vertices")
+    return pool
+
+
 def rational_fields(
     ball: ExploredBall,
     count: int,
@@ -41,11 +51,7 @@ def rational_fields(
     zero_mean: bool = False,
 ) -> list[dict[int, Fraction]]:
     """Sparse exact fields with small rational values."""
-    if zero_mean and not ball.complete:
-        raise ValueError("zero mean corpora need a complete window")
-    pool = field_pool(ball)
-    if zero_mean and pool.size < 2:
-        raise ValueError(f"{ball.name}: a zero mean field needs at least two vertices")
+    pool = _checked_pool(ball, zero_mean)
     n = ball.num_vertices
     out = []
     for i in range(count):
@@ -77,9 +83,7 @@ def float_field(
 ) -> np.ndarray:
     """Field ``index`` of the float corpus: the base spike at 0, then
     dense and spiky fields, alternating."""
-    if zero_mean and not ball.complete:
-        raise ValueError("zero mean corpora need a complete window")
-    pool = field_pool(ball)
+    pool = _checked_pool(ball, zero_mean)
     n = ball.num_vertices
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     if index == 0:
@@ -96,8 +100,6 @@ def float_field(
         f[verts] = rng.standard_normal(size)
     if zero_mean:
         f = zero_sum(f)
-    if not np.any(f):
-        f[pool[0]] = 1.0
     return f
 
 

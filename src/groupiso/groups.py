@@ -14,7 +14,9 @@ orbitals, found from the generator moves alone.
 
 :func:`explore` walks the system breadth first out to a horizon and
 returns the induced graph on every state within that distance, stored in
-CSR form.  Vertices are indexed in discovery order, the base state is
+CSR form, as an :class:`ExploredBall` that keeps the system it came
+from; :func:`ball_from_edges` builds a window with no system from an
+edge list.  Vertices are indexed in discovery order, the base state is
 vertex 0.
 """
 
@@ -72,12 +74,14 @@ class ExploredBall:
     ``complete`` is True when no unseen state exists beyond the horizon,
     i.e. the whole (finite) system was exhausted.  On an incomplete
     window only vertices with ``dist < horizon`` are guaranteed to carry
-    their full neighborhood.  Every array the ball holds (``dist``,
-    ``indptr``, ``indices`` and the cached ``degrees``, ``rows`` and
-    ``interior``) is read-only.
+    their full neighborhood.  ``system`` is the :class:`GeneratedSystem`
+    the window was explored from, None for an explicit edge list; the
+    translation and double counting checks read it.  Every array the
+    ball holds (``dist``, ``indptr``, ``indices`` and the cached
+    ``degrees``, ``rows`` and ``interior``) is read-only.
     """
 
-    def __init__(self, name, horizon, dist, indptr, indices, complete, labels, regular=True):
+    def __init__(self, name, horizon, dist, indptr, indices, complete, labels, system):
         self.name = name
         self.horizon = int(horizon)
         self.dist = _frozen(dist)
@@ -85,11 +89,16 @@ class ExploredBall:
         self.indices = _frozen(indices)
         self.complete = bool(complete)
         self.labels = list(labels)
+        self.system = system
         self.base_index = 0
-        # generated systems look the same from every state; explicit
-        # edge lists carry no such promise
-        self.regular = bool(regular)
         self._diameter: int | None = None
+
+    @property
+    def regular(self) -> bool:
+        """Whether :func:`validate_ball` must find one interior degree: a
+        group looks the same from every element, while a Schreier quotient
+        loses that where loops at fixed points drop out."""
+        return self.system is not None and self.system.kind == "cayley"
 
     @property
     def num_vertices(self) -> int:
@@ -207,11 +216,7 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
     inside = heads >= 0
     indptr, indices = _csr(len(labels), tails[inside], heads[inside])
     dist = np.repeat(np.arange(len(sizes)), sizes)
-    # Schreier quotients lose regularity when loops at fixed points drop out
-    return ExploredBall(
-        system.name, horizon, dist, indptr, indices, inside.all(), labels,
-        regular=system.kind == "cayley",
-    )
+    return ExploredBall(system.name, horizon, dist, indptr, indices, inside.all(), labels, system)
 
 
 def ball_from_edges(
@@ -233,8 +238,7 @@ def ball_from_edges(
     indptr, indices = _csr(num_vertices, ends[:, 0], ends[:, 1])
     # the breadth first search runs on the ball, so distances come last
     ball = ExploredBall(
-        name, 1, np.zeros(num_vertices), indptr, indices, True,
-        range(num_vertices), regular=False,
+        name, 1, np.zeros(num_vertices), indptr, indices, True, range(num_vertices), None
     )
     ball.dist = _frozen(distances_from(ball, [0]))
     if (ball.dist < 0).any():

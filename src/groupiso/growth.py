@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .fields import grad_modulus_exact, l1_norm_exact
-from .groups import ExploredBall, GeneratedSystem
+from .groups import ExploredBall
 
 
 def growth_counts(ball: ExploredBall) -> np.ndarray:
@@ -41,7 +41,10 @@ def superadditivity_report(ball: ExploredBall) -> dict:
 
     On an incomplete window every pair with r+s inside the table is
     checked.  On a complete graph the sum is restricted to half the
-    diameter, where stacking two disjoint balls is always possible.
+    largest distance from the base, where stacking two disjoint balls is
+    always possible.  That radius is half the diameter on a Cayley
+    window, which looks the same from every vertex, but not on every
+    graph: a star based at its centre has radius 1 and diameter 2.
     """
     table = growth_counts(ball)
     limit = int(ball.dist.max()) // 2 if ball.complete else table.shape[0]
@@ -114,28 +117,30 @@ def _least_in_component(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndar
     return root
 
 
-def translation_maps(system: GeneratedSystem, ball: ExploredBall) -> tuple[np.ndarray, bool]:
+def translation_maps(ball: ExploredBall) -> tuple[np.ndarray, bool]:
     """Orbitals of the pairs (base, t) under the translations of a
     complete window, and whether the translations are automorphisms.
 
-    The translations are generated by one vertex map per move: right
-    multiplication by ``move(base)`` on a Cayley window, the move itself
-    on a Schreier window.  A breadth first walk under them carries the
-    pairs along: reaching y = p(x) first labels (y, p(z)) like (x, z),
-    and a later arrival merges the labels it meets.  Returns (orbital,
-    automorphic): ``orbital[x, y]`` is the least t with (base, t) in the
-    orbit of (x, y); ``automorphic`` says whether every generator, hence
-    (automorphisms form a group) every translation, preserves the edges.
+    The translations are generated by one vertex map per move of
+    ``ball.system``: right multiplication by ``move(base)`` on a Cayley
+    window, the move itself on a Schreier window; a window with no
+    system (an explicit graph) raises ValueError.  A breadth first walk
+    under them carries the pairs along: reaching y = p(x) first labels
+    (y, p(z)) like (x, z), and a later arrival merges the labels it
+    meets.  Returns (orbital, automorphic): ``orbital[x, y]`` is the
+    least t with (base, t) in the orbit of (x, y); ``automorphic`` says
+    whether every generator, hence (automorphisms form a group) every
+    translation, preserves the edges.
     """
+    system, labels = ball.system, ball.labels
+    if system is None:
+        raise ValueError("translation maps need a generated system; an explicit window has none")
     if not ball.complete:
         raise ValueError("translation maps need a complete window")
-    labels = ball.labels
     if system.kind == "cayley":
         images = [[system.multiply(a, move(system.base)) for a in labels] for move in system.moves]
-    elif system.kind == "schreier":
-        images = [list(map(move, labels)) for move in system.moves]
     else:
-        raise ValueError(f"no translations for kind {system.kind!r}")
+        images = [list(map(move, labels)) for move in system.moves]
     idx = ball.index_of
     perms = np.array([[idx[v] for v in image] for image in images], np.int32)
     automorphic = all(_is_automorphism(ball, p) for p in perms)

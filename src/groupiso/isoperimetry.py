@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .groups import ExploredBall, GeneratedSystem
+from .groups import ExploredBall
 
 #: Annealing temperature factor, applied once per sweep of k steps.
 _COOL = 0.97
@@ -315,12 +315,11 @@ def _deficit(column: list[int], a_mask: int) -> int:
     return (shifted & ~a_mask).bit_count()
 
 
-def double_counting_report(
-    system: GeneratedSystem, ball: ExploredBall, orbitals: tuple[np.ndarray, bool]
-) -> dict:
+def double_counting_report(ball: ExploredBall, orbitals: tuple[np.ndarray, bool]) -> dict:
     """Exhaustive shift deficit check over all admissible subset pairs.
 
-    ``ball`` is the complete window of the finite group ``system``, and
+    ``ball`` is the complete window of a finite group (``ball.system``
+    is a Cayley system; any other window raises ValueError), and
     ``orbitals`` is what :func:`groupiso.growth.translation_maps` returns
     on it.  Row y of the orbital array is the inverse of the right
     translation by y, so its argsort shifts a set by y.  For every
@@ -328,7 +327,7 @@ def double_counting_report(
     least |A|/2.  Exact rational arithmetic throughout.  A group of order
     above ``_DOUBLE_COUNTING_ORDER`` raises :class:`WorkCapError`.
     """
-    if system.kind != "cayley" or not ball.complete:
+    if ball.system is None or ball.system.kind != "cayley" or not ball.complete:
         raise ValueError("double counting needs the complete window of a Cayley system")
     n = ball.num_vertices
     if n > _DOUBLE_COUNTING_ORDER:
@@ -362,7 +361,7 @@ def double_counting_report(
             if min_slack is None or slack < min_slack:
                 min_slack = slack
     return {
-        "name": system.name,
+        "name": ball.name,
         "order": n,
         "checked": checked,
         "equalities": equalities,

@@ -17,9 +17,11 @@ Optional keys: ``name`` (display override, a non-empty string),
 ``horizon``, for ``symmetric`` ``generators`` and for
 ``permutation_action`` ``base_point``; any other key is an error.
 Catalogue entries are specs of this form too
-(:func:`groupiso.catalogue.spec`), so this module builds both; but a
-catalogue name is not a spec file, and the command line takes it with
-``--instance``, not ``--spec``.
+(:func:`groupiso.catalogue.spec`), so :func:`build_from_spec`, the one
+builder, builds both; but a catalogue name is not a spec file, and the
+command line takes it with ``--instance``, not ``--spec``.  The window
+it returns carries its generated system as ``ball.system``, None for an
+explicit graph.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 from pathlib import Path
 
 from . import groups
-from .groups import ExploredBall, GeneratedSystem, ResourceCapError
+from .groups import ExploredBall, ResourceCapError
 
 #: kind -> (required keys, optional keys of that kind alone, constructor of
 #: the generated system); explicit graphs have no system
@@ -112,28 +114,19 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(x) is int for x in value)
 
 
-def system_from_spec(spec: dict) -> GeneratedSystem | None:
-    """The generated system behind a spec; None for explicit graphs."""
+def build_from_spec(spec: dict) -> ExploredBall:
+    """Explore the instance a spec describes; the window keeps its system
+    (None for an explicit graph)."""
     validate_spec(spec)
-    return _KINDS[spec["kind"]][2](spec)
-
-
-def instance_from_spec(spec: dict) -> tuple[GeneratedSystem | None, ExploredBall]:
-    """The generated system (None for explicit graphs) and the explored window."""
-    system = system_from_spec(spec)
+    system = _KINDS[spec["kind"]][2](spec)
     max_vertices = spec.get("max_vertices", groups._MAX_VERTICES)
     if system is None:
         name = spec.get("name", "explicit")
         if spec["vertices"] > max_vertices:
             raise ResourceCapError(f"{name}: {spec['vertices']} vertices exceed the budget of {max_vertices}")
         edges = [tuple(e) for e in spec["edges"]]
-        return None, groups.ball_from_edges(name, spec["vertices"], edges, horizon=spec.get("horizon"))
+        return groups.ball_from_edges(name, spec["vertices"], edges, horizon=spec.get("horizon"))
     ball = groups.explore(system, spec["horizon"], max_vertices)
     if "name" in spec:
         ball.name = spec["name"]
-    return system, ball
-
-
-def build_from_spec(spec: dict) -> ExploredBall:
-    """Explore the instance a spec describes."""
-    return instance_from_spec(spec)[1]
+    return ball

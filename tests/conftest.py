@@ -38,13 +38,13 @@ def cube():
     return catalogue.build("q3")
 
 
-def _every_translation(system, ball):
+def _every_translation(ball):
     """Every translation of a complete window as a vertex map, listed
     here and not by the library: the right translations of a Cayley
     window, row b mapping a to a*b by the group law itself, or the
     closure of the generator permutations of a Schreier window under
     composition."""
-    idx = ball.index_of
+    idx, system = ball.index_of, ball.system
     if system.kind == "cayley":
         return [[idx[system.multiply(a, b)] for a in ball.labels] for b in ball.labels]
     gens = [[idx[move(a)] for a in ball.labels] for move in system.moves]

@@ -37,7 +37,7 @@ from groupiso.uncertainty import (
     poincare_report,
     uncertainty_ascent,
 )
-from groupiso.specio import instance_from_spec, load_spec
+from groupiso.specio import build_from_spec, load_spec
 
 LINES: list[str] = []
 
@@ -144,8 +144,8 @@ def test_05_double_counting():
     total = 0
     bad = []
     for name in ("c6", "c8", "s3"):
-        system, ball = catalogue.system(name), catalogue.build(name)
-        rep = double_counting_report(system, ball, translation_maps(system, ball))
+        ball = catalogue.build(name)
+        rep = double_counting_report(ball, translation_maps(ball))
         total += rep["checked"]
         if not rep["all_ok"]:
             bad.append(name)
@@ -159,11 +159,11 @@ def test_05_double_counting():
 
 def test_06_translation_bound():
     checked = failures = 0
-    windows = [(catalogue.system(name), catalogue.build(name)) for name in ("c12", "s4_points")]
+    windows = [catalogue.build(name) for name in ("c12", "s4_points")]
     # S7 on 3-subsets: a homogeneous space that is neither complete nor Cayley
-    windows.append(instance_from_spec(load_spec(ROOT / "specs" / "johnson_7_3.json")))
-    for system, ball in windows:
-        orbitals = translation_maps(system, ball)
+    windows.append(build_from_spec(load_spec(ROOT / "specs" / "johnson_7_3.json")))
+    for ball in windows:
+        orbitals = translation_maps(ball)
         assert orbitals[1], f"{ball.name} translations must be automorphic"
         for field in rational_fields(ball, 100, seed=6):
             rows = translation_report(ball, field, orbitals)["rows"]

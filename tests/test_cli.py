@@ -154,6 +154,18 @@ def _one_error_line(out):
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
 
 
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_zero_mean_corpus_on_one_vertex_is_an_error(tmp_path, kind):
+    # no field on a single vertex sums to zero but the zero field
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"kind": "explicit", "vertices": 1, "edges": []}))
+    args = ("corpus", "--spec", str(path), "--kind", kind, "--zero-mean", "--fields", "2")
+    out = run_cli(*args, check=False)
+    _one_error_line(out)
+    assert "two vertices" in out.stderr
+    assert out.stdout == ""
+
+
 def test_unknown_instance_fails():
     for command in ("build", "growth"):
         out = run_cli(command, "--instance", "nope", check=False)
@@ -293,7 +305,7 @@ def test_streamed_float_checks_match_the_list_composition(name):
     for nfields, seed in ((12, 0), (7, 5)):
         got = {
             c["name"]: (c["ok"], c["detail"])
-            for c in cli._verify_checks(catalogue.system(name), ball, nfields, seed)
+            for c in cli._verify_checks(ball, nfields, seed)
             if c["name"] in ("additive-links", "uncertainty-ratio", "power-rule", "poincare")
         }
         assert got == _list_composition(ball, nfields, seed)
@@ -346,14 +358,14 @@ def test_verify_memory_does_not_grow_with_fields():
 
     from groupiso import catalogue, cli, specio
 
-    system, ball = specio.instance_from_spec(catalogue.spec("f2") | {"horizon": 8})
+    ball = specio.build_from_spec(catalogue.spec("f2") | {"horizon": 8})
     dense = 8 * ball.num_vertices
     peaks = {}
-    cli._verify_checks(system, ball, 2, 0)  # caches on the window fill here, untraced
+    cli._verify_checks(ball, 2, 0)  # caches on the window fill here, untraced
     for nfields in (4, 40):
         tracemalloc.start()
         try:
-            cli._verify_checks(system, ball, nfields, 0)
+            cli._verify_checks(ball, nfields, 0)
             peaks[nfields] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,8 +442,8 @@ def test_schreier_over_the_map_limit_builds_no_map(tmp_path, monkeypatch, capsys
         explored.append(system.name)
         return real_explore(system, *args)
 
-    def translation_maps(system, ball):
-        orbitals.append(real_maps(system, ball))
+    def translation_maps(ball):
+        orbitals.append(real_maps(ball))
         return orbitals[-1]
 
     real_explore, real_maps = groups.explore, growth.translation_maps

@@ -87,8 +87,11 @@ def test_zero_mean_corpus_on_two_vertices(spec):
 
 
 def test_zero_mean_needs_two_vertices():
+    point = ball_from_edges("point", 1, [])
     with pytest.raises(ValueError, match="two vertices"):
-        rational_fields(ball_from_edges("point", 1, []), 1, zero_mean=True)
+        rational_fields(point, 1, zero_mean=True)
+    with pytest.raises(ValueError, match="two vertices"):
+        float_field(point, 0, zero_mean=True)
 
 
 def test_zero_mean_needs_complete(plane):
@@ -215,7 +218,7 @@ def test_catalogue_names_complete():
 
 def test_catalogue_rejects_unknown():
     with pytest.raises(KeyError):
-        catalogue.system("z99")
+        catalogue.build("z99")
 
 
 def test_catalogue_entries_are_valid_specs():
@@ -223,4 +226,4 @@ def test_catalogue_entries_are_valid_specs():
         spec = catalogue.spec(name)
         specio.validate_spec(spec)
         spec["horizon"] = 0  # a copy: the catalogue keeps its entry
-        assert catalogue.default_horizon(name) >= 1
+        assert catalogue.spec(name)["horizon"] >= 1

@@ -113,7 +113,7 @@ def test_explicit_graph_rejects_outside_endpoint():
 def test_csr_matches_moves(name):
     # reference adjacency straight from the generator moves, one vertex at a time
     ball = catalogue.build(name)
-    system = catalogue.system(name)
+    system = ball.system
     for u, label in enumerate(ball.labels):
         nbrs = {ball.index_of.get(move(label)) for move in system.moves} - {None, u}
         row = ball.indices[ball.indptr[u] : ball.indptr[u + 1]]
@@ -146,17 +146,17 @@ def test_ball_leaves_caller_arrays_writable():
     dist = np.array([0, 1, 1, 2], np.int64)
     indptr = np.array([0, 2, 4, 6, 8], np.int64)
     indices = np.array([1, 2, 0, 3, 0, 3, 1, 2], np.int64)
-    ball = ExploredBall("c4", 2, dist, indptr, indices, True, range(4))
+    ball = ExploredBall("c4", 2, dist, indptr, indices, True, range(4), None)
     assert not ball.dist.flags.writeable
     for arr in (dist, indptr, indices):
         arr[0] = arr[0]  # the ball froze a view, not the caller's array
 
 
-def _window(rows, dist, horizon=2):
+def _window(rows, dist, horizon=2, system=None):
     """Complete hand-made window with the given adjacency rows."""
     indptr = np.cumsum([0] + [len(r) for r in rows])
     indices = [w for r in rows for w in r]
-    return ExploredBall("hand", horizon, dist, indptr, indices, True, range(len(rows)), False)
+    return ExploredBall("hand", horizon, dist, indptr, indices, True, range(len(rows)), system)
 
 
 # small windows, each mutilated in one way, and every issue it must raise
@@ -191,6 +191,22 @@ def test_validate_accepts_hand_made_path():
 def test_validate_names_each_mutilation(kind):
     rows, dist, horizon, messages = MUTILATED[kind]
     assert validate_ball(_window(rows, dist, horizon)) == messages
+
+
+@pytest.mark.parametrize(
+    "system, issues",
+    [
+        (cyclic(4), ["interior degrees vary: [1, 2]"]),
+        (permutation_action("s3_two", [(1, 0, 2), (2, 1, 0)]), []),
+        (None, []),
+    ],
+)
+def test_only_a_cayley_window_must_be_regular(system, issues):
+    # a path: interior rows of one and two neighbors; only a group looks
+    # the same from every vertex
+    ball = _window(([1], [0, 2], [1]), (0, 1, 2), system=system)
+    assert ball.regular == bool(issues)
+    assert validate_ball(ball) == issues
 
 
 def test_distances_from_multisource(cube):
@@ -238,15 +254,15 @@ def test_dihedral_is_cyclic_times_flip():
     assert ball.complete
 
 
-CAYLEY = [n for n in catalogue.names() if catalogue.system(n).kind == "cayley"]
+CAYLEY = [n for n in catalogue.names() if catalogue.build(n).system.kind == "cayley"]
 
 
 @pytest.mark.parametrize("name", CAYLEY)
 def test_moves_are_left_multiplications(name):
-    system = catalogue.system(name)
+    ball = catalogue.build(name)
+    system, labels = ball.system, ball.labels
     mul = system.multiply
     gens = [move(system.base) for move in system.moves]
-    labels = catalogue.build(name).labels
     for g, move in zip(gens, system.moves):
         assert [move(x) for x in labels] == [mul(g, x) for x in labels]
         # the generator list is symmetric
@@ -255,9 +271,8 @@ def test_moves_are_left_multiplications(name):
 
 @pytest.mark.parametrize("name", CAYLEY)
 def test_group_law(name):
-    system = catalogue.system(name)
-    e, mul = system.base, system.multiply
-    labels = catalogue.build(name).labels
+    ball = catalogue.build(name)
+    e, mul, labels = ball.system.base, ball.system.multiply, ball.labels
     for x in labels:
         assert mul(e, x) == x == mul(x, e)
     rng = random.Random(0)

@@ -17,9 +17,10 @@ from groupiso.growth import (
     translation_maps,
     translation_report,
 )
-from groupiso.specio import instance_from_spec, load_spec
+from groupiso.specio import build_from_spec, load_spec
 
-JOHNSON = Path(__file__).resolve().parent.parent / "specs" / "johnson_7_3.json"
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+JOHNSON = SPECS / "johnson_7_3.json"
 
 
 def test_line_growth(line):
@@ -75,7 +76,7 @@ def test_half_mass_radius(ring16):
 def test_translation_cayley_frozen():
     c6 = catalogue.build("c6")
     field = {c6.base_index: Fraction(1)}
-    rep = translation_report(c6, field, translation_maps(catalogue.system("c6"), c6))
+    rep = translation_report(c6, field, translation_maps(c6))
     row = rep["rows"][c6.index_of[2]]
     assert rep["automorphic"]
     assert row["lhs"] == 2
@@ -85,11 +86,10 @@ def test_translation_cayley_frozen():
 
 def test_translation_dihedral_frozen():
     d4 = catalogue.build("d4")
-    sys_ = catalogue.system("d4")
     field = {d4.base_index: Fraction(1)}
     # target at distance 2 with degree-3 window: grad l1 = 6
     target = next(i for i in range(8) if d4.dist[i] == 2)
-    rep = translation_report(d4, field, translation_maps(sys_, d4))
+    rep = translation_report(d4, field, translation_maps(d4))
     row = rep["rows"][target]
     assert rep["automorphic"]
     assert row["lhs"] == 2
@@ -114,10 +114,9 @@ def test_translation_schreier_normalizes_by_stabilizer(every_translation):
     from groupiso.corpus import rational_fields
 
     s3 = catalogue.build("s3_points")
-    sys_ = catalogue.system("s3_points")
-    maps = every_translation(sys_, s3)
+    maps = every_translation(s3)
     assert len(maps) == 6  # |S3|, so the stabilizer of a point has order 2
-    orbitals = translation_maps(sys_, s3)
+    orbitals = translation_maps(s3)
     assert orbitals[1]
     for field in rational_fields(s3, 5, seed=3):
         rep = translation_report(s3, field, orbitals)
@@ -125,21 +124,27 @@ def test_translation_schreier_normalizes_by_stabilizer(every_translation):
 
 
 def test_translation_flags_non_automorphic():
-    sys_ = permutation_action("s3_two", [(1, 0, 2), (2, 1, 0)])
-    ball = explore(sys_, 4)
-    orbitals = translation_maps(sys_, ball)
+    ball = explore(permutation_action("s3_two", [(1, 0, 2), (2, 1, 0)]), 4)
+    orbitals = translation_maps(ball)
     assert not orbitals[1]
     rep = translation_report(ball, {0: Fraction(1)}, orbitals)
     assert rep["ok"] is None
     assert all(row["ok"] is None for row in rep["rows"])
 
 
+def test_translation_maps_on_an_explicit_window_is_a_value_error():
+    path3 = build_from_spec(load_spec(SPECS / "path3.json"))
+    assert path3.complete and path3.system is None
+    with pytest.raises(ValueError) as err:
+        translation_maps(path3)
+    assert str(err.value) == "translation maps need a generated system; an explicit window has none"
+
+
 def test_translation_bound_over_corpus():
     from groupiso.corpus import rational_fields
 
     c12 = catalogue.build("c12")
-    sys_ = catalogue.system("c12")
-    ms = translation_maps(sys_, c12)
+    ms = translation_maps(c12)
     for field in rational_fields(c12, 25, seed=5):
         rep = translation_report(c12, field, ms)
         assert [row["target"] for row in rep["rows"]] == list(range(c12.num_vertices))
@@ -150,11 +155,11 @@ def test_translation_rows_match_reference(every_translation):
     from groupiso.corpus import rational_fields
     from groupiso.fields import grad_modulus_exact, l1_norm_exact
 
-    windows = [(catalogue.system(name), catalogue.build(name)) for name in ("c12", "d4", "s4_points")]
-    windows.append(instance_from_spec(load_spec(JOHNSON)))
-    for system, ball in windows:
-        maps = every_translation(system, ball)
-        orbitals = translation_maps(system, ball)
+    windows = [catalogue.build(name) for name in ("c12", "d4", "s4_points")]
+    windows.append(build_from_spec(load_spec(JOHNSON)))
+    for ball in windows:
+        maps = every_translation(ball)
+        orbitals = translation_maps(ball)
         for field in rational_fields(ball, 2, seed=11):
             rep = translation_report(ball, field, orbitals)
             grad_l1 = l1_norm_exact(grad_modulus_exact(ball, field))
@@ -167,7 +172,7 @@ def test_translation_rows_match_reference(every_translation):
 
 COMPLETE_CAYLEY = [
     name for name in catalogue.names()
-    if catalogue.system(name).kind == "cayley" and catalogue.build(name).complete
+    if catalogue.build(name).system.kind == "cayley" and catalogue.build(name).complete
 ]
 
 
@@ -176,7 +181,7 @@ def test_orbital_rows_invert_the_right_translations(every_translation):
     # table of its own
     assert len(COMPLETE_CAYLEY) == 13
     for name in COMPLETE_CAYLEY:
-        system, ball = catalogue.system(name), catalogue.build(name)
-        orbital, automorphic = translation_maps(system, ball)
+        ball = catalogue.build(name)
+        orbital, automorphic = translation_maps(ball)
         assert automorphic
-        assert np.argsort(orbital, axis=1).tolist() == every_translation(system, ball), name
+        assert np.argsort(orbital, axis=1).tolist() == every_translation(ball), name

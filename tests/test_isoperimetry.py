@@ -295,12 +295,12 @@ def test_default_candidates_interior_only(plane):
 
 
 def _double_counting(name):
-    system, ball = catalogue.system(name), catalogue.build(name)
-    return double_counting_report(system, ball, translation_maps(system, ball))
+    ball = catalogue.build(name)
+    return double_counting_report(ball, translation_maps(ball))
 
 
 def test_double_counting_frozen(every_translation):
-    cols = every_translation(catalogue.system("c6"), catalogue.build("c6"))
+    cols = every_translation(catalogue.build("c6"))
     a_mask = 1 << 0
 
     def mean_deficit(b_members):
@@ -343,6 +343,15 @@ def test_double_counting_pinned(name, checked, equalities):
 
 
 def test_double_counting_needs_a_cayley_window():
-    system, ball = catalogue.system("s3_points"), catalogue.build("s3_points")
-    with pytest.raises(ValueError):
-        double_counting_report(system, ball, translation_maps(system, ball))
+    ball = catalogue.build("s3_points")
+    with pytest.raises(ValueError, match="Cayley"):
+        double_counting_report(ball, translation_maps(ball))
+
+
+def test_double_counting_on_an_explicit_window_is_a_value_error():
+    # an edge list carries no group; the orbitals are never read
+    path3 = specio.build_from_spec(specio.load_spec(os.path.join(SPECS, "path3.json")))
+    assert path3.system is None
+    with pytest.raises(ValueError) as err:
+        double_counting_report(path3, (np.zeros((3, 3), np.int32), True))
+    assert str(err.value) == "double counting needs the complete window of a Cayley system"

@@ -49,7 +49,7 @@ def test_explicit_spec_matches_networkx():
 
 
 #: complete windows whose group translations act on the vertices
-TRANSLATED = [name for name in COMPLETE if catalogue.system(name).kind in ("cayley", "schreier")]
+TRANSLATED = [name for name in COMPLETE if catalogue.build(name).system is not None]
 
 
 def _preserves_edges(g, image):
@@ -63,11 +63,11 @@ def _preserves_edges(g, image):
 def test_translation_maps_match_networkx(name, every_translation):
     ball = catalogue.build(name)
     g = _graph(ball)
-    maps = every_translation(catalogue.system(name), ball)
+    maps = every_translation(ball)
     oracle = [_preserves_edges(g, m) for m in maps]
     assert [_is_automorphism(ball, m) for m in maps] == oracle
     # the library looks at the generators only
-    assert translation_maps(catalogue.system(name), ball)[1] == all(oracle)
+    assert translation_maps(ball)[1] == all(oracle)
     # negative case: the first transposition of vertex 0 that moves an edge off the graph
     n = ball.num_vertices
     swaps = ([v, *range(1, v), 0, *range(v + 1, n)] for v in range(1, n))
@@ -83,19 +83,18 @@ def test_translation_maps_match_networkx(name, every_translation):
 
 def test_non_automorphic_generators_match_networkx(every_translation):
     # two transpositions of S3 on three points: the Schreier graph is a path
-    system = permutation_action("s3_two", [(1, 0, 2), (2, 1, 0)])
-    ball = explore(system, 4)
+    ball = explore(permutation_action("s3_two", [(1, 0, 2), (2, 1, 0)]), 4)
     g = _graph(ball)
-    oracle = [_preserves_edges(g, m) for m in every_translation(system, ball)]
+    oracle = [_preserves_edges(g, m) for m in every_translation(ball)]
     assert not all(oracle)
-    assert translation_maps(system, ball)[1] is False
+    assert translation_maps(ball)[1] is False
 
 
 @pytest.mark.parametrize("name", TRANSLATED)
 def test_orbitals_are_orbits_of_pairs(name, every_translation):
     ball = catalogue.build(name)
-    maps = every_translation(catalogue.system(name), ball)
-    orbital, _ = translation_maps(catalogue.system(name), ball)
+    maps = every_translation(ball)
+    orbital, _ = translation_maps(ball)
     base = ball.base_index
     for t in range(ball.num_vertices):
         orbit = {(m[base], m[t]) for m in maps}

@@ -35,3 +35,16 @@ def test_no_public_function_takes_a_private_parameter():
     ]
     assert not found, found
     assert "groupiso.fields.FloatField.__init__" in dict(_public_callables())
+
+
+def test_all_lists_every_public_name():
+    # a name dropped from the package must leave ``__all__`` too, or the
+    # star import below fails
+    public = {
+        name for name, obj in vars(groupiso).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert set(groupiso.__all__) == public
+    namespace: dict = {}
+    exec("from groupiso import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
