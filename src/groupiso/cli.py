@@ -341,7 +341,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--anneal", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chains", type=int, default=8)
-    p.add_argument("--budget", type=int, default=20_000)
+    p.add_argument("--budget", type=int, default=20_000, help="most steps per chain")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_isoperimetry)
 
@@ -351,7 +351,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=2_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chains", type=int, default=8)
-    p.add_argument("--budget", type=int, default=20_000)
+    p.add_argument("--budget", type=int, default=20_000, help="most steps per chain")
     p.add_argument("--starts", type=int, default=4)
     p.add_argument("--iters", type=int, default=300)
     p.set_defaults(func=cmd_constants)

@@ -22,6 +22,7 @@ vertex 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, repeat
@@ -49,6 +50,12 @@ class GeneratedSystem:
     walk of :func:`groupiso.growth.translation_maps` reads it; on a
     Schreier system it is None, and the moves, each a generator
     permutation applied to a point, are all there is of the acting group.
+
+    ``floor``, where the family has one, maps k to the least perimeter
+    of any k-set of the whole Cayley graph, a classical closed form in
+    integer arithmetic; a window whose pool vertices keep their whole
+    neighbourhood can have no k-set below it.  It is None for every
+    other system.
     """
 
     name: str
@@ -56,6 +63,7 @@ class GeneratedSystem:
     moves: tuple[Callable[[Hashable], Hashable], ...]
     kind: str = "cayley"
     multiply: Callable[[Hashable, Hashable], Hashable] | None = None
+    floor: Callable[[int], int] | None = None
 
 
 def _frozen(values, dtype=np.int64) -> np.ndarray:
@@ -334,9 +342,55 @@ def validate_ball(ball: ExploredBall) -> list[str]:
 # Concrete constructions
 
 
-def _cayley(name: str, identity: Hashable, gens: Sequence[Hashable], mul) -> GeneratedSystem:
-    """Cayley system of a group law: generator g moves x to g*x."""
-    return GeneratedSystem(name, identity, tuple(partial(mul, g) for g in gens), "cayley", mul)
+def _cayley(
+    name: str, identity: Hashable, gens: Sequence[Hashable], mul, floor=None
+) -> GeneratedSystem:
+    """Cayley system of a group law: generator g moves x to g*x; ``floor``
+    is the family's perimeter floor, if it has one."""
+    moves = tuple(partial(mul, g) for g in gens)
+    return GeneratedSystem(name, identity, moves, "cayley", mul, floor)
+
+
+# Edge-isoperimetric floors: k -> least perimeter (twice the cut edges)
+# of a k-set in the whole Cayley graph of the standard generators.
+
+
+def _ceil_root(value: int, d: int) -> int:
+    """The least m >= 0 with m**d >= value, in integers."""
+    lo, hi = 0, 1 << -(-value.bit_length() // d)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**d >= value:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _lattice_floor(d: int, k: int) -> int:
+    if d == 2:
+        # Harary and Harborth: a k-cell polyomino has at least 2 ceil(2 sqrt k) cut edges
+        return 4 * (math.isqrt(4 * k - 1) + 1)
+    # Loomis and Whitney: at least 2d k^((d-1)/d) cut edges, that is the
+    # least m with m^d >= (2d)^d k^(d-1); 4 on the line
+    return 2 * _ceil_root((2 * d) ** d * k ** (d - 1), d)
+
+
+def _tree_floor(rank: int, k: int) -> int:
+    # a forest with c components on k vertices of the 2r-regular tree has
+    # (2r - 2) k + 2c cut edges
+    return 2 * (2 * rank - 2) * k + 4
+
+
+def _cycle_floor(n: int, k: int) -> int:
+    # an arc has two cut edges, one on c2 = K2, none when it is the cycle
+    return 0 if k >= n else 2 if n == 2 else 4
+
+
+def _cube_floor(dim: int, k: int) -> int:
+    # Harper, Hart: the first k vertices in binary order span the most
+    # edges, sum of popcount(i) over i < k
+    return 2 * (dim * k - 2 * sum(i.bit_count() for i in range(k)))
 
 
 def _add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
@@ -346,7 +400,9 @@ def _add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
 def free_abelian(rank: int) -> GeneratedSystem:
     """Free abelian group of the given rank with standard generators."""
     gens = [tuple(s if j == i else 0 for j in range(rank)) for i in range(rank) for s in (1, -1)]
-    return _cayley(f"free_abelian_{rank}", (0,) * rank, gens, _add)
+    # rank 0, the trivial group, has no lattice bound: k^(d - 1) is no integer
+    floor = partial(_lattice_floor, rank) if rank >= 1 else None
+    return _cayley(f"free_abelian_{rank}", (0,) * rank, gens, _add, floor)
 
 
 def _reduced_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
@@ -363,7 +419,7 @@ def free_group(rank: int) -> GeneratedSystem:
     inverse ``-(i+1)``.
     """
     gens = [(s * (i + 1),) for i in range(rank) for s in (1, -1)]
-    return _cayley(f"free_group_{rank}", (), gens, _reduced_product)
+    return _cayley(f"free_group_{rank}", (), gens, _reduced_product, partial(_tree_floor, rank))
 
 
 def _heisenberg_product(x, y):
@@ -389,7 +445,7 @@ def cyclic(n: int) -> GeneratedSystem:
     def mul(a, b):
         return (a + b) % n
 
-    return _cayley(f"cyclic_{n}", 0, [1, n - 1], mul)
+    return _cayley(f"cyclic_{n}", 0, [1, n - 1], mul, partial(_cycle_floor, n))
 
 
 def dihedral(n: int) -> GeneratedSystem:
@@ -412,7 +468,8 @@ def hypercube(dim: int) -> GeneratedSystem:
     """Elementary abelian 2-group on ``dim`` bits; the graph is the cube."""
     if dim < 1:
         raise ValueError("hypercube needs dimension at least 1")
-    return _cayley(f"hypercube_{dim}", 0, [1 << i for i in range(dim)], xor)
+    gens = [1 << i for i in range(dim)]
+    return _cayley(f"hypercube_{dim}", 0, gens, xor, partial(_cube_floor, dim))
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,7 +6,8 @@ total gradient of the set's indicator.  Profiles are exact minima over
 all k-subsets of a candidate pool (the window interior by default).  A
 row is decided by the connected subsets of the pool where the partition
 bound certifies them, and by the exhaustive subset scan otherwise; an
-annealer provides upper bounds where enumeration is out of reach.
+annealer provides upper bounds where enumeration is out of reach, each
+chain stopping once it reaches the perimeter floor of the window's group.
 
 Enumeration and annealing results are deterministic: the same seed and
 instance give byte identical output.
@@ -71,7 +72,8 @@ class ProfileEntry:
     ``leaves`` is the work behind the row: on a row decided by connected
     sets, the number of connected k-sets of the pool; on a scanned or
     capped row, the number of k-subsets scanned; on an annealed row,
-    the steps taken over all chains.
+    the steps walked, summed over the chains: a chain stops early once
+    its best set reaches the perimeter floor of the window's group.
     """
 
     k: int
@@ -242,6 +244,20 @@ def _probe_temperature(ball, cand, init, probe_rem, probe_add) -> float:
     return scale
 
 
+def _pool_floor(ball: ExploredBall, cand: np.ndarray, k: int) -> int | None:
+    """The least perimeter any k-subset of the pool can have, or None.
+
+    It is the floor of the window's group (see
+    :class:`groupiso.groups.GeneratedSystem`), and holds only where every
+    pool vertex keeps its whole neighbourhood in the window: there a set's
+    window perimeter is its perimeter in the whole Cayley graph.
+    """
+    system = ball.system
+    if system is None or system.floor is None or not ball.interior[cand].all():
+        return None
+    return system.floor(k)
+
+
 def anneal_min_perimeter(
     ball: ExploredBall,
     k: int,
@@ -253,6 +269,9 @@ def anneal_min_perimeter(
     """Annealed upper bound on the minimum perimeter at cardinality k.
 
     Chain c is seeded from ``(seed, k, c)``, so results are reproducible.
+    Each chain stops once its best set reaches the pool's floor (see
+    :func:`_pool_floor`); its best set is then final, as no later step
+    could improve on it.
     """
     cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
     _check_cardinality(k, cand.shape[0])
@@ -260,18 +279,22 @@ def anneal_min_perimeter(
     cand_mask[cand] = 1
     sweep = max(k, 1)
     rows = kernels.pool_rows(ball.indptr, ball.indices, cand_mask)
+    floor = _pool_floor(ball, cand, k)
 
     def run_chain(c: int):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k, c]))
         init, probe_rem, probe_add, walk = _chain_inputs(rng, cand, k, budget)
         t0 = _probe_temperature(ball, cand, init, probe_rem, probe_add)
-        best, members = kernels.anneal_chain(
-            ball.indptr, ball.indices, cand_mask, cand, init, t0, _COOL, sweep, *walk, rows=rows
+        best, members, walked = kernels.anneal_chain(
+            ball.indptr, ball.indices, cand_mask, cand, init, t0, _COOL, sweep, *walk,
+            rows=rows, floor=floor,
         )
-        return int(best), tuple(sorted(int(v) for v in members))
+        return int(best), tuple(sorted(int(v) for v in members)), walked
 
-    perim, wit = min(run_chain(c) for c in range(chains))
-    return ProfileEntry(k, perim, wit, budget * chains, False, False)
+    # every chain runs: min breaks perimeter ties by the least witness
+    runs = [run_chain(c) for c in range(chains)]
+    perim, wit, _ = min(runs)
+    return ProfileEntry(k, perim, wit, sum(r[2] for r in runs), False, False)
 
 
 def profile_or_anneal(

@@ -16,12 +16,16 @@ largest even delta the Metropolis test accepts, so the loop calls no
 ``math.exp``.  Its per-step arrays stay memoryviews, the prepared ones
 in the narrowest dtype that holds them: they are read once each, in one
 ``zip``, and list copies would box every value, raising peak memory by
-megabytes per chain.
+megabytes per chain.  The acceptance cutoffs are the one list: mostly 0
+and never above ``4 width + 4``, they are ints CPython shares up to 256
+rather than boxes, and the list's iterator tells a chain that stops
+early, at a perimeter floor, how many steps it walked.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -279,7 +283,7 @@ def connected_profile(indptr, indices, cand, kmax, cap):
     return best, count, witnesses, limit
 
 
-def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur, best_set):
+def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur, best_set, floor):
     # Fixed cardinality Metropolis chain.  All randomness and the
     # acceptance rule of every step are precomputed by the caller, so the
     # walk is reproducible step by step.  adj[v] lists the neighbours of
@@ -295,6 +299,8 @@ def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur,
     # the step is rejected when delta > dmax[s].  Only an accepted swap
     # writes: state, cur, and score along the rows of u and w (the sentinel
     # entries write a score no step reads).  A rejected step writes nothing.
+    # No set has a perimeter below floor, so the chain stops once its best
+    # reaches it; returns the best and the number of steps walked.
     # the perimeter is the sum over members of deg(v) + score[v]
     perim = sum(score[v] for v in cur)
     for v in cur:
@@ -303,7 +309,12 @@ def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur,
             score[x] -= 2
     perim += sum(score[v] for v in cur)
     best = perim  # best_set arrives as a copy of cur
-    for ri, si, j, fb, dm in zip(rem_idx, src_idx, slot, fallback, dmax):
+    if best <= floor:
+        return best, 0
+    # dmax is a list, whose iterator knows how many steps are left: a
+    # step counter would cost every step
+    left = iter(dmax)
+    for ri, si, j, fb, dm in zip(rem_idx, src_idx, slot, fallback, left):
         w = adj[cur[si]][j]
         if state[w] != 1:
             w = fb
@@ -328,7 +339,9 @@ def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur,
         if perim < best:
             best = perim
             best_set[:] = cur
-    return best
+            if best <= floor:
+                return best, len(dmax) - operator.length_hint(left)
+    return best, len(dmax)
 
 
 def pool_rows(indptr, indices, cand_mask):
@@ -394,9 +407,9 @@ def _cutoffs(acc_u, temps, sweep, width, dtype):
 
 def anneal_chain(
     indptr, indices, cand_mask, cand_list, members, t0, cool, sweep,
-    rem_idx, src_idx, nb_u, fb_idx, acc_u, *, rows,
+    rem_idx, src_idx, nb_u, fb_idx, acc_u, *, rows, floor=None,
 ):
-    """One annealing chain from ``members``; returns ``(best, best_members)``.
+    """One annealing chain from ``members``; returns ``(best, best_members, walked)``.
 
     Step s swaps member ``rem_idx[s]`` for a pool neighbour of member
     ``src_idx[s]`` (or pool vertex ``fb_idx[s]``), accepting against
@@ -410,6 +423,12 @@ def anneal_chain(
     vertex there is not a free pool vertex, the step proposes
     ``cand_list[fb_idx[s]]``.  ``rows`` is :func:`pool_rows` of the same
     graph and pool, built once by callers that run many chains on it.
+
+    ``floor`` is a perimeter no subset of the pool goes below, or None.
+    The chain stops at the first step whose best set reaches it, or
+    before the first step if ``members`` does; ``walked`` counts the
+    steps taken.  The best set changes only on a strict improvement, so
+    the result is that of the whole walk.
     """
     nsteps = len(rem_idx)
     adj, width = rows
@@ -422,12 +441,14 @@ def anneal_chain(
     slot = np.empty(nsteps, small)
     np.multiply(nb_u, width, out=slot, casting="unsafe")
     fallback = np.asarray(cand_list).astype(np.min_scalar_type(indptr.shape[0] - 1))[fb_idx]
-    dmax = _cutoffs(np.asarray(acc_u), temps, sweep, width, small)
-    steps = [memoryview(np.ascontiguousarray(a)) for a in (rem_idx, src_idx, slot, fallback, dmax)]
+    dmax = _cutoffs(np.asarray(acc_u), temps, sweep, width, small).tolist()
+    steps = [memoryview(np.ascontiguousarray(a)) for a in (rem_idx, src_idx, slot, fallback)]
     # the sentinel vertex nverts: state 0, and a score the padded rows write
     state = bytearray((np.asarray(cand_mask) != 0).tobytes() + b"\0")
     score = np.diff(indptr).tolist() + [0]
     cur = [int(v) for v in members]
     best_set = cur.copy()
-    best = _anneal_loop(adj, state, score, *steps, cur, best_set)
-    return best, np.asarray(best_set, np.int64)
+    # no perimeter is below 0, so -1 stops no chain
+    floor = -1 if floor is None else floor
+    best, walked = _anneal_loop(adj, state, score, *steps, dmax, cur, best_set, floor)
+    return best, np.asarray(best_set, np.int64), walked

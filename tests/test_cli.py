@@ -479,9 +479,10 @@ def test_johnson_spec_verifies():
 #: to cover the whole (p, alpha) grid in one call.  The exact z2 profile
 #: and the c16 constants were captured after connected sets came to
 #: decide exact rows: their leaves count connected sets, and the c16
-#: rows past the subset cap turned exact.  The two anneal commands of the
-#: benchmark (c64 to k = 10, z2 to k = 8) were captured before the anneal
-#: kernel came to keep in-set neighbour counts.
+#: rows past the subset cap turned exact.  The three anneal commands (c64
+#: to k = 4 with budget 2000, and the benchmark's c64 to k = 10 and z2 to
+#: k = 8) were captured after each chain came to stop at its group's
+#: perimeter floor: only their leaves, the steps walked, changed then.
 GOLDEN = [
     (("build", "--instance", "c6"), {
         "stdout": "8d3014ed5eae970f13f386cf6bfe5cea502e9188a23b3ad926862a71048120d2",
@@ -503,21 +504,21 @@ GOLDEN = [
     }),
     (("isoperimetry", "--instance", "c64", "--kmax", "4", "--anneal", "--chains", "2",
       "--budget", "2000", "--seed", "3"), {
-        "stdout": "2c03aac17a99cccdcc49190909a52342013996d5e4b419a490f01025b1b29756",
-        "csv": "b8143f8eee0eac708504c559dfb0bc7479c2876986573b91d02671c5961a947b",
-        "json": "41d0248e6fd2a20aa22b531dc7301a17c0cc16526a41c6befbafc9f158fef50e",
+        "stdout": "2b39c0dfa153be68194aa700b0c8501b50e01f290790faf9925dded3e3e7e2cd",
+        "csv": "a93a88c37a3756df29fcfb17f354f699467ccc9aa309f425690698f8638aa7aa",
+        "json": "ebe09a5737a8d54eed7d1793ddbb74fc08dca8d8d332f9a6d494abe6897a6b9b",
     }),
     (("isoperimetry", "--instance", "c64", "--kmax", "10", "--anneal", "--chains", "2",
       "--seed", "3"), {
-        "stdout": "7fcead25497af33bb8601be39d1f0c47f21203eb64f9085010456c788f03fa4a",
-        "csv": "b24f06508f45945858fb0ec0bd29c8973b08e0ece1f1f1ab6d96178b4a3c6f18",
-        "json": "e174107e914091311d719de0e6ee436c82582a2d0aa690ae018322b46d564a52",
+        "stdout": "9d8f6fba5a0ba18ae214d53f6b7718d0222f6f5ef15ed62e3ed13397eaebaa8e",
+        "csv": "03fa9eeec05ca84be84063d4772ab9050b2ff6d009642bb70904f3ce1a0ebffd",
+        "json": "2a3dd1271c3106145312c42edd19f7f9c390a99aa8ad2601e027e9a7b693ae42",
     }),
     (("isoperimetry", "--instance", "z2", "--kmax", "8", "--anneal", "--chains", "2",
       "--seed", "3"), {
-        "stdout": "ff6d64a3f7a790ffd9212eb44d329672c1529cd16f2d4f20b268d40b9851ee44",
-        "csv": "b9628b01818f447e94b2e8428bcdd876210b69ab15a4f77df9873d25e83438bf",
-        "json": "3774e8b30bde7f7f14052dcfc1b6ae7681a02ef110d29536c93ec28c58c06de7",
+        "stdout": "5aec65c5d64c315b33e5afc7ded911c6f4b499e8b8639bd2cf03cdd2e0bf235a",
+        "csv": "7ed9b9a61210107e4d5a20935797444731c78db893194a61a9eff34269693266",
+        "json": "fb866380d1d460cefbd587e1f1e345031f2daa27e59a366125e66150e8b917ce",
     }),
     # k >= 4 exceeds the subset cap; the connected arcs still decide those rows
     (("constants", "--instance", "c16", "--kmax", "8", "--cap", "1000", "--starts", "1",

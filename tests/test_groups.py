@@ -11,6 +11,7 @@ from groupiso import catalogue, specio
 from groupiso.groups import (
     ExploredBall,
     ResourceCapError,
+    _ceil_root,
     _reduced_product,
     ball_from_edges,
     cyclic,
@@ -285,3 +286,23 @@ def test_reduced_product_cancels_across_the_seam():
     assert _reduced_product((1, 2), (-2, -1, 2)) == (2,)
     assert _reduced_product((1, -2), (2, -1)) == ()
     assert _reduced_product((1,), (1, 2)) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_ceil_root_is_exact(d):
+    # at and beside exact powers, far past where a float root rounds wrong
+    for m in [0, 1, 2, 3, 10**6 + 3, 10**30 + 7]:
+        power = m**d
+        assert _ceil_root(power, d) == m
+        assert _ceil_root(power + 1, d) == m + 1
+        if d >= 2 and m >= 2:
+            assert _ceil_root(power - 1, d) == m
+
+
+@pytest.mark.parametrize("rank", [1, 3, 4, 5])
+def test_lattice_floor_is_the_loomis_whitney_bound(rank):
+    # 2 ceil(2d k^((d-1)/d)), the ceiling found by counting up
+    floor = free_abelian(rank).floor
+    for k in range(1, 60):
+        target = (2 * rank) ** rank * k ** (rank - 1)
+        assert floor(k) == 2 * next(m for m in itertools.count() if m**rank >= target)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groupiso import catalogue, kernels, specio
+from groupiso import catalogue, isoperimetry, kernels, specio
 from groupiso.fields import grad_modulus_exact, l1_norm_exact
 from groupiso.groups import ball_from_edges
 from groupiso.growth import translation_maps
@@ -16,6 +16,7 @@ from groupiso.isoperimetry import (
     WorkCapError,
     _chain_inputs,
     _deficit,
+    _pool_floor,
     _probe_temperature,
     anneal_min_perimeter,
     cut_edges,
@@ -286,6 +287,106 @@ def test_anneal_seed_sensitivity(cube):
     a = anneal_min_perimeter(cube, 4, seed=0, chains=2, budget=500)
     b = anneal_min_perimeter(cube, 4, seed=0, chains=2, budget=500)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Perimeter floors
+
+
+def _whole(ball):
+    return np.arange(ball.num_vertices)
+
+
+def _least(holds):
+    return next(m for m in itertools.count() if holds(m))
+
+
+def _cube_floor(n):
+    # 2 (n k - 2 e(k)), e(k) the edges among the first k vertices in binary order
+    return lambda k: 2 * (n * k - 2 * sum(bin(i).count("1") for i in range(k)))
+
+
+#: (window, kmax, whole pool, the floor as the literature states it, reached):
+#: perimeters are twice the cut edges; z3's Loomis-Whitney bound is not sharp
+FLOOR_CASES = [
+    ("z", 8, False, lambda k: 4, True),
+    ("z2", 10, False, lambda k: 4 * _least(lambda m: m * m >= 4 * k), True),
+    ("z3", 7, False, lambda k: 2 * _least(lambda m: m**3 >= 6**3 * k**2), False),
+    ("f2", 7, False, lambda k: 4 * k + 4, True),
+    ("q6", 6, False, _cube_floor(6), True),
+    ("q3", 8, True, _cube_floor(3), True),
+    ("q4", 16, True, _cube_floor(4), True),
+    ("c6", 6, True, lambda k: 4 if k < 6 else 0, True),
+    ("c16", 16, True, lambda k: 4 if k < 16 else 0, True),
+    ({"kind": "cyclic", "n": 2, "horizon": 1}, 2, True, lambda k: 2 if k < 2 else 0, True),
+    ({"kind": "cyclic", "n": 3, "horizon": 1}, 3, True, lambda k: 4 if k < 3 else 0, True),
+]
+
+
+@pytest.mark.parametrize(
+    "window,kmax,whole,stated,reached", FLOOR_CASES, ids=[
+        w if isinstance(w, str) else f"c{w['n']}" for w, *_ in FLOOR_CASES
+    ],
+)
+def test_floor_bounds_the_exact_rows(window, kmax, whole, stated, reached):
+    # the closed forms are minima over the whole Cayley graph: no exact row
+    # lies below them, and where they are sharp the rows reach them
+    ball = catalogue.build(window) if isinstance(window, str) else specio.build_from_spec(window)
+    cand = _whole(ball) if whole else default_candidates(ball)
+    rows = profile(ball, kmax, candidates=cand)
+    assert all(r.exact for r in rows)
+    floors = [_pool_floor(ball, cand, r.k) for r in rows]
+    assert floors == [stated(k) for k in range(1, kmax + 1)]
+    assert all(f <= r.perimeter for f, r in zip(floors, rows))
+    assert (floors == [r.perimeter for r in rows]) == reached
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "d4", "d8", "s3", "s4", "s3_points", "s4_points"])
+def test_floor_is_none_without_a_closed_form(name):
+    ball = catalogue.build(name)
+    assert ball.system.floor is None
+    assert _pool_floor(ball, _whole(ball), 1) is None
+
+
+def test_floor_is_none_on_an_explicit_window():
+    ball = specio.build_from_spec(specio.load_spec(os.path.join(SPECS, "path3.json")))
+    assert _pool_floor(ball, _whole(ball), 1) is None
+
+
+def test_floor_is_none_on_a_pool_that_reaches_the_boundary(plane, tree):
+    # boundary vertices lose neighbours to the horizon: the tip (6, 0) of
+    # z2's window has perimeter 2 there, below the floor of 8
+    assert set_perimeter(plane, [plane.index_of[(6, 0)]]) == 2
+    for ball in (plane, tree):
+        assert _pool_floor(ball, default_candidates(ball), 1) is not None
+        assert _pool_floor(ball, _whole(ball), 1) is None
+
+
+FLOOR_WINDOWS = ["c16", "c64", "z", "z2", "z3", "f2", "q4", "q6"]
+
+
+@pytest.mark.parametrize("name", FLOOR_WINDOWS)
+def test_floor_changes_no_annealed_row(name, monkeypatch):
+    # a chain stops at the floor only once its best set is final: the rows
+    # are those of the whole walk, and only the steps counted shrink
+    ball = catalogue.build(name)
+    budget, chains = 2000, 2
+    cases = [(k, seed) for k in (1, 4, 9) for seed in range(5)]
+    on = [anneal_min_perimeter(ball, k, seed, chains, budget) for k, seed in cases]
+    monkeypatch.setattr(isoperimetry, "_pool_floor", lambda *args: None)
+    off = [anneal_min_perimeter(ball, k, seed, chains, budget) for k, seed in cases]
+    assert [(e.perimeter, e.witness) for e in on] == [(e.perimeter, e.witness) for e in off]
+    assert all(e.leaves <= budget * chains for e in on)
+    assert all(e.leaves == budget * chains for e in off)
+    assert sum(e.leaves for e in on) < sum(e.leaves for e in off)
+
+
+@pytest.mark.parametrize("name", ["z2", "f2"])
+def test_anneal_on_a_pool_with_the_boundary_walks_its_budget(name):
+    ball = catalogue.build(name)
+    for k, seed in [(1, 0), (4, 1), (9, 2)]:
+        entry = anneal_min_perimeter(ball, k, seed, 2, 500, candidates=_whole(ball))
+        assert entry.leaves == 500 * 2
 
 
 def test_default_candidates_interior_only(plane):

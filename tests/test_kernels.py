@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from groupiso import catalogue, kernels
-from groupiso.isoperimetry import _chain_inputs, _probe_temperature, set_perimeter
+from groupiso.isoperimetry import _chain_inputs, _pool_floor, _probe_temperature, set_perimeter
 
 UNBOUNDED = 10**9
 
@@ -115,8 +115,8 @@ def _chain_args(name, k, seed=123, budget=2000, whole=False):
     return (ball.indptr, ball.indices, mask, cand, init, t0, 0.97, k, *walk)
 
 
-def _anneal(args):
-    return kernels.anneal_chain(*args, rows=kernels.pool_rows(*args[:3]))
+def _anneal(args, floor=None):
+    return kernels.anneal_chain(*args, rows=kernels.pool_rows(*args[:3]), floor=floor)
 
 
 @pytest.mark.parametrize(
@@ -127,21 +127,27 @@ def _anneal(args):
     ],
 )
 def test_anneal_chain_pinned(name, k, best, members):
+    # no floor: the chain walks its whole budget
     args = _chain_args(name, k)
-    got, got_members = _anneal(args)
-    assert (got, tuple(sorted(got_members.tolist()))) == (best, members)
+    got, got_members, walked = _anneal(args)
+    assert (got, tuple(sorted(got_members.tolist())), walked) == (best, members, 2000)
     assert set_perimeter(_ball(name), got_members) == got
 
 
 def _replay_chain(
-    ball, cand_mask, cand_list, members, t0, cool, sweep, rem_idx, src_idx, nb_u, fb_idx, acc_u,
+    ball, floor, cand_mask, cand_list, members, t0, cool, sweep,
+    rem_idx, src_idx, nb_u, fb_idx, acc_u,
 ):
-    # anneal_chain step by step, each trial set's perimeter from scratch
+    # anneal_chain step by step, each trial set's perimeter from scratch,
+    # stopping once the best set reaches the floor (None: never)
     pool = np.flatnonzero(cand_mask)
     width = max(int(ball.degrees[pool].max()), 1)
+    floor = -1 if floor is None else floor
     cur = [int(v) for v in members]
     perim = set_perimeter(ball, cur)
     best, best_set = perim, sorted(cur)
+    if best <= floor:
+        return best, tuple(best_set), 0
     t = t0
     for s in range(len(rem_idx)):
         if s > 0 and s % sweep == 0:
@@ -164,7 +170,9 @@ def _replay_chain(
             perim += delta
             if perim < best:
                 best, best_set = perim, sorted(cur)
-    return best, tuple(best_set)
+                if best <= floor:
+                    return best, tuple(best_set), s + 1
+    return best, tuple(best_set), len(rem_idx)
 
 
 #: (window, whole pool): complete windows, and windows whose boundary
@@ -178,9 +186,17 @@ ORACLE_WINDOWS = [
 @pytest.mark.parametrize("k", [1, 4, 9])
 @pytest.mark.parametrize("seed", [5, 41])
 def test_anneal_chain_matches_replay(name, whole, k, seed):
+    # with no floor and with the pool's, where it has one: the floor stops
+    # the chain and its replay at the same step.  c64 and q6 are complete
+    # and the interior of z2 keeps whole neighbourhoods; the whole pools of
+    # z2 and f2 reach the window's boundary, and heisenberg has no floor
     args = _chain_args(name, k, seed=seed, whole=whole)
-    got, members = _anneal(args)
-    assert (got, tuple(sorted(members.tolist()))) == _replay_chain(_ball(name), *args[2:])
+    floor = _pool_floor(_ball(name), args[3], k)
+    assert (floor is not None) == (name in ("c64", "q6") or name == "z2" and not whole)
+    for stop in (None, floor):
+        got, members, walked = _anneal(args, stop)
+        replay = _replay_chain(_ball(name), stop, *args[2:])
+        assert (got, tuple(sorted(members.tolist())), walked) == replay
 
 
 def _reference_loop(
@@ -258,8 +274,8 @@ def test_anneal_chain_matches_reference_on_default_pools(name, k, seed):
     # every default pool row has the pool's full width, so slots and
     # cutoffs change no proposal and no acceptance: the chains are equal
     args = _chain_args(name, k, seed=seed)
-    got, members = _anneal(args)
-    assert (got, members.tolist()) == _reference_chain(*args)
+    got, members, walked = _anneal(args)
+    assert (got, members.tolist(), walked) == (*_reference_chain(*args), len(args[8]))
 
 
 def test_pool_rows_pad_with_the_sentinel():
