@@ -11,7 +11,8 @@ Instances come from the built-in catalogue (``--instance``) or a JSON
 spec file (``--spec``); both are specs, built by :mod:`groupiso.specio`,
 and ``--horizon`` and ``--max-vertices`` override either.  Count
 arguments must be at least 1 and ``--seed`` at least 0; a bad value,
-like a bad spec, ends in one ``error:`` line and exit code 2.  All
+like a bad spec or an argument the parser rejects, ends in one
+``error:`` line and exit code 2.  All
 output is deterministic for fixed arguments.
 """
 
@@ -45,6 +46,15 @@ def _add_instance_args(sub: argparse.ArgumentParser):
     sub.add_argument("--max-vertices", type=int, help="override the vertex budget")
     sub.add_argument("--json")
     return pick
+
+
+def _add_profile_args(sub: argparse.ArgumentParser, kmax: int, cap: int) -> None:
+    """The profile options, with this command's ``--kmax`` and ``--cap`` defaults."""
+    sub.add_argument("--kmax", type=int, default=kmax)
+    sub.add_argument("--cap", type=int, default=cap)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--chains", type=int, default=isoperimetry.CHAINS)
+    sub.add_argument("--budget", type=int, default=isoperimetry.BUDGET, help="most steps per chain")
 
 
 def _resolve(args):
@@ -113,7 +123,7 @@ def cmd_isoperimetry(args) -> int:
             for k in range(1, args.kmax + 1)
         ]
     else:
-        entries = isoperimetry.profile(ball, args.kmax, cap=args.cap, on_cap=args.on_cap)
+        entries = isoperimetry.profile(ball, args.kmax, cap=args.cap)
     # one record per entry, in the field order of ProfileEntry
     records = [dataclasses.asdict(e) | {"witness": list(e.witness or ())} for e in entries]
     headers = [f.name for f in dataclasses.fields(isoperimetry.ProfileEntry)]
@@ -315,8 +325,16 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends like every other error: one ``error:`` line, exit
+    code 2, no usage lines; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupiso",
         description="Cayley/Schreier windows, isoperimetric profiles, uncertainty constants",
     )
@@ -335,23 +353,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("isoperimetry", help="exact or annealed perimeter profiles")
     _add_instance_args(p)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--cap", type=int, default=20_000_000)
-    p.add_argument("--on-cap", choices=("raise", "partial"), default="raise")
+    _add_profile_args(p, kmax=4, cap=isoperimetry.CAP)
     p.add_argument("--anneal", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chains", type=int, default=8)
-    p.add_argument("--budget", type=int, default=20_000, help="most steps per chain")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_isoperimetry)
 
     p = subs.add_parser("constants", help="extremal constant estimates")
     _add_instance_args(p)
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--cap", type=int, default=2_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chains", type=int, default=8)
-    p.add_argument("--budget", type=int, default=20_000, help="most steps per chain")
+    _add_profile_args(p, kmax=6, cap=2_000_000)
     p.add_argument("--starts", type=int, default=4)
     p.add_argument("--iters", type=int, default=300)
     p.set_defaults(func=cmd_constants)

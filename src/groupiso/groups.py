@@ -36,9 +36,13 @@ from .kernels import row_entries
 
 _MAX_VERTICES = 500_000
 
+#: Most move applications :func:`explore` makes per vertex of its budget.
+_MOVES_PER_VERTEX = 64
+
 
 class ResourceCapError(RuntimeError):
-    """Raised when exploration would exceed the configured vertex budget."""
+    """Raised when exploration would exceed the configured vertex budget,
+    or the work it allows."""
 
 
 @dataclass(frozen=True)
@@ -188,14 +192,24 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
     :param system: the generated system to walk.
     :param horizon: exploration radius, at least 1.
     :param max_vertices: hard budget; exceeding it raises
-        :class:`ResourceCapError`.
+        :class:`ResourceCapError`, and so does a level whose expansion
+        would take the walk past ``_MOVES_PER_VERTEX * max_vertices``
+        move applications, before any of them is made.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     moves = system.moves
 
     def images(level):
-        # where every move takes every vertex of level, vertex by vertex
+        # where every move takes every vertex of level, vertex by vertex.
+        # Once this level is expanded every known vertex is, so the walk
+        # will have applied len(labels) * len(moves) moves in all.
+        work = len(labels) * len(moves)
+        if work > _MOVES_PER_VERTEX * max_vertices:
+            raise ResourceCapError(
+                f"{system.name}: exploration would apply {work} moves, more than"
+                f" {_MOVES_PER_VERTEX} per vertex of the budget of {max_vertices}"
+            )
         return chain.from_iterable(zip(*[map(move, level) for move in moves]))
 
     index = {system.base: 0}

@@ -25,6 +25,12 @@ import numpy as np
 from . import kernels
 from .groups import ExploredBall
 
+#: Defaults of the profile functions and commands: the work cap of the
+#: exact rows, and the annealer's chains per row and most steps per chain.
+CAP = 20_000_000
+CHAINS = 8
+BUDGET = 20_000
+
 #: Annealing temperature factor, applied once per sweep of k steps.
 _COOL = 0.97
 
@@ -70,10 +76,15 @@ class ProfileEntry:
     """Best perimeter found for one cardinality.
 
     ``leaves`` is the work behind the row: on a row decided by connected
-    sets, the number of connected k-sets of the pool; on a scanned or
-    capped row, the number of k-subsets scanned; on an annealed row,
+    sets, the number of connected k-sets of the pool; on a scanned row,
+    the number of k-subsets scanned, all of them; on an annealed row,
     the steps walked, summed over the chains: a chain stops early once
     its best set reaches the perimeter floor of the window's group.
+
+    ``capped`` is always False: a scan that would pass its cap raises
+    :class:`WorkCapError` instead of returning a row.  The field stays
+    because the printed table, which the benchmark parses, has its
+    column.
     """
 
     k: int
@@ -130,37 +141,29 @@ def _check_cardinality(k: int, m: int) -> None:
         raise ValueError(f"cardinality {k} exceeds the candidate pool ({m})")
 
 
-def _check_on_cap(on_cap: str) -> None:
-    if on_cap not in ("raise", "partial"):
-        raise ValueError(f"on_cap must be 'raise' or 'partial', not {on_cap!r}")
-
-
-def _scan_entry(ball, k, cand, cap, on_cap) -> ProfileEntry:
-    """Exact minimum by the exhaustive subset scan, under the cap rules."""
+def _scan_entry(ball, k, cand, cap) -> ProfileEntry:
+    """Exact minimum by scanning every k-subset; past ``cap`` of them, WorkCapError."""
     m = cand.shape[0]
     _check_cardinality(k, m)
     total = math.comb(m, k)
-    capped = total > cap
-    if capped and on_cap == "raise":
+    if total > cap:
         raise WorkCapError(
             f"{total} subsets of size {k} exceed the cap of {cap}; "
             "raise the cap, shrink the pool, or anneal instead"
         )
-    budget = cap if capped else total + 1
-    best, leaves, hit_cap, wit = kernels.min_perimeter_scan(
-        ball.indptr, ball.indices, cand, k, budget
+    best, leaves, _, wit = kernels.min_perimeter_scan(
+        ball.indptr, ball.indices, cand, k, total + 1
     )
     found = best < kernels.NO_RESULT
     perim, witness = (int(best), tuple(int(v) for v in wit)) if found else (None, None)
-    return ProfileEntry(k, perim, witness, int(leaves), bool(hit_cap), not capped)
+    return ProfileEntry(k, perim, witness, int(leaves), False, True)
 
 
 def min_perimeter(
     ball: ExploredBall,
     k: int,
     candidates: np.ndarray | None = None,
-    cap: int = 20_000_000,
-    on_cap: str = "raise",
+    cap: int = CAP,
 ) -> ProfileEntry:
     """Exact minimum perimeter over all k-subsets of the candidate pool.
 
@@ -170,32 +173,38 @@ def min_perimeter(
     scanned.
 
     :param cap: work budget: connected sets of one size, or subsets
-        scanned.  A pool whose k-subset count exceeds it either raises
-        :class:`WorkCapError` or, with ``on_cap="partial"``, returns the
-        best of the first ``cap`` subsets in lexicographic order.  Any
-        other ``on_cap`` raises :class:`ValueError`.
+        scanned.  A pool whose k-subset count exceeds it raises
+        :class:`WorkCapError`.
     """
-    _check_on_cap(on_cap)
     cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
     entry = _connected_entries(ball, k, cand, cap).get(k)
-    return entry if entry is not None else _scan_entry(ball, k, cand, cap, on_cap)
+    return entry if entry is not None else _scan_entry(ball, k, cand, cap)
 
 
 def profile(
     ball: ExploredBall,
     kmax: int,
     candidates: np.ndarray | None = None,
-    cap: int = 20_000_000,
-    on_cap: str = "raise",
+    cap: int = CAP,
 ) -> list[ProfileEntry]:
     """Exact isoperimetric profile for k = 1 .. kmax.
 
     One connected-set enumeration up to kmax serves every row it
     certifies; the other rows are scanned as in :func:`min_perimeter`.
+    The first row past the cap raises :class:`WorkCapError`, whose
+    message says that the rows before it are exact under that cap.
     """
-    _check_on_cap(on_cap)
     cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
-    return _profile_rows(ball, kmax, cand, cap, lambda k: _scan_entry(ball, k, cand, cap, on_cap))
+
+    def scan(k):
+        try:
+            return _scan_entry(ball, k, cand, cap)
+        except WorkCapError as exc:
+            if k == 1:
+                raise
+            raise WorkCapError(f"{exc}; rows 1 to {k - 1} are exact under the same cap") from None
+
+    return _profile_rows(ball, kmax, cand, cap, scan)
 
 
 def _profile_rows(ball, kmax, cand, cap, fallback) -> list[ProfileEntry]:
@@ -262,8 +271,8 @@ def anneal_min_perimeter(
     ball: ExploredBall,
     k: int,
     seed: int = 0,
-    chains: int = 8,
-    budget: int = 20_000,
+    chains: int = CHAINS,
+    budget: int = BUDGET,
     candidates: np.ndarray | None = None,
 ) -> ProfileEntry:
     """Annealed upper bound on the minimum perimeter at cardinality k.
@@ -301,9 +310,9 @@ def profile_or_anneal(
     ball: ExploredBall,
     kmax: int,
     seed: int = 0,
-    chains: int = 8,
-    budget: int = 20_000,
-    cap: int = 20_000_000,
+    chains: int = CHAINS,
+    budget: int = BUDGET,
+    cap: int = CAP,
 ) -> list[ProfileEntry]:
     """Profile over the default pool for k = 1 .. min(kmax, pool size).
 
@@ -316,7 +325,7 @@ def profile_or_anneal(
 
     def fallback(k):
         try:
-            return _scan_entry(ball, k, cand, cap, "raise")
+            return _scan_entry(ball, k, cand, cap)
         except WorkCapError:
             return anneal_min_perimeter(ball, k, seed, chains, budget, cand)
 

@@ -13,7 +13,9 @@ parameters:
     {"kind": "explicit", "vertices": 3, "edges": [[0,1],[1,2]]}
 
 Optional keys: ``name`` (display override, a non-empty string),
-``max_vertices`` (budget, default 500000), for explicit graphs
+``max_vertices`` (the budget of :func:`groupiso.groups.explore`, on
+vertices and on moves applied; default ``groups._MAX_VERTICES``), for
+explicit graphs
 ``horizon``, for ``symmetric`` ``generators`` and for
 ``permutation_action`` ``base_point``; any other key is an error.
 Catalogue entries are specs of this form too

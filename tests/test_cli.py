@@ -82,8 +82,10 @@ def test_isoperimetry_cap_exit():
         "isoperimetry", "--instance", "z2", "--kmax", "9", "--cap", "1000",
         check=False,
     )
-    assert out.returncode == 2
-    assert "error:" in out.stderr
+    _one_error_line(out)
+    # the connected walk decided rows 1 to 4 within the cap; row 5 stops
+    assert out.stderr.startswith("error: 5949147 subsets of size 5 exceed the cap of 1000;")
+    assert out.stderr.endswith("; rows 1 to 4 are exact under the same cap\n")
 
 
 def test_constants_report(tmp_path):
@@ -152,6 +154,21 @@ def _one_error_line(out):
     assert "Traceback" not in out.stderr
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("isoperimetry", "--instance", "z2", "--kmax", "x"),
+        ("isoperimetry", "--kmax", "3"),
+        ("isoperimetry", "--instance", "z2", "--no-such-option", "1"),
+    ],
+    ids=["bad-int", "no-instance", "unknown-option"],
+)
+def test_parser_error_is_one_error_line(args):
+    out = run_cli(*args, check=False)
+    _one_error_line(out)
+    assert out.stdout == ""
 
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
@@ -379,7 +396,7 @@ def test_zero_fields_verify_is_an_error():
 #: a bad value for each count argument, and a command that takes it
 BAD_COUNTS = {
     "--kmax": ("isoperimetry", "--instance", "z2", "--kmax", "0"),
-    "--cap": ("isoperimetry", "--instance", "z2", "--kmax", "2", "--cap", "0", "--on-cap", "partial"),
+    "--cap": ("isoperimetry", "--instance", "z2", "--kmax", "2", "--cap", "0"),
     "--chains": ("isoperimetry", "--instance", "z2", "--kmax", "2", "--anneal", "--chains", "0"),
     "--budget": ("isoperimetry", "--instance", "z2", "--kmax", "2", "--anneal", "--budget", "0"),
     "--starts": ("constants", "--instance", "c6", "--starts", "0"),

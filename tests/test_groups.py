@@ -73,6 +73,13 @@ def test_resource_cap():
         explore(free_group(2), 12, max_vertices=1000)
 
 
+def test_exploration_work_is_bounded_by_the_vertex_budget():
+    # the 3001 vertices fit the budget, but expanding them takes 9 million
+    # moves, so the walk stops before its last level
+    with pytest.raises(ResourceCapError, match="would apply 9003000 moves"):
+        explore(hypercube(3000), 1, max_vertices=4000)
+
+
 def test_bad_horizon():
     with pytest.raises(ValueError):
         explore(free_abelian(1), 0)

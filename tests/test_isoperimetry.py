@@ -185,21 +185,6 @@ def test_work_cap_raises(plane):
         min_perimeter(plane, 10, cap=1000)
 
 
-def test_work_cap_partial(plane):
-    entry = min_perimeter(plane, 10, cap=1000, on_cap="partial")
-    assert entry.capped
-    assert not entry.exact
-    assert entry.perimeter >= 8
-
-
-@pytest.mark.parametrize("on_cap", ["Raise", "", "anneal"])
-def test_unknown_on_cap_is_an_error(plane, on_cap):
-    with pytest.raises(ValueError, match="on_cap must be 'raise' or 'partial'"):
-        min_perimeter(plane, 10, cap=1000, on_cap=on_cap)
-    with pytest.raises(ValueError, match="on_cap must be 'raise' or 'partial'"):
-        profile(plane, 2, on_cap=on_cap)
-
-
 @pytest.mark.parametrize(
     "name,kmax,cap",
     # certified rows past the subset cap; annealed rows past the certified
