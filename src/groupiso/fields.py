@@ -6,7 +6,11 @@ are zero), and a float layer for optimization and norm sweeps, where a
 field is a dense float64 array.  The float reports take a field as a
 :class:`FloatField` and a weight as a :class:`WeightPowers`; each
 gradient and unweighted norm of a field is computed once, however many
-reports read it.
+reports read it.  A float field is computed on its :class:`LivePart`
+only, the vertices where it or its gradient can be nonzero, and each of
+its sums is reduced over a window-length array, as the dense field's
+would be, so that the bits do not depend on how much of the window the
+field leaves out.
 
 The gradient modulus at a vertex is the sum of |f(v) - f(n)| over the
 neighbors n of v.  On an incomplete window it is faithful only at
@@ -139,20 +143,82 @@ def to_dense(ball: ExploredBall, field: ExactField) -> np.ndarray:
     return out
 
 
-def gradient_pass(ball: ExploredBall, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient modulus and the signed edge differences, one per CSR entry."""
+class LivePart:
+    """Where a field on a window can be nonzero or have a nonzero
+    gradient: the sorted closed neighbourhood of its support, with the
+    CSR the window induces there, rows in the window's order.
+
+    Off the part the gradient modulus is zero, and the induced CSR drops
+    only entries between two zeros, each of which adds an exact +0.0 to
+    its row, so the gradient kernels run here give the window's values
+    to the bit.  Sums do not: numpy's pairwise ``sum`` groups terms by
+    array length and position, so :meth:`sum` scatters the part's terms
+    into a zeroed window-length array, kept for the part, and sums that.
+    The part has the graph attributes the gradient functions read
+    (``indptr``, ``indices``, ``rows``, ``num_vertices``) and stands in
+    for the window there.
+
+    On a complete window the part is the whole window, and an incomplete
+    window caches the part of its dense fields, the interior
+    (:attr:`~groupiso.groups.ExploredBall.prefix_csr`); both use the
+    window's arrays with no copy, and ``where`` is a slice.  Any other
+    part builds its CSR, and ``where`` is its sorted vertex array.
+    """
+
+    def __init__(self, ball: ExploredBall, values: np.ndarray):
+        self.window_size = ball.num_vertices
+        live = None if ball.complete else _closed_neighbourhood(ball, values)
+        if live is None or live.shape[0] == self.window_size:
+            self.where, csr = slice(None), (ball.indptr, ball.indices, ball.rows)
+        elif live.shape[0] == ball.prefix_csr[0].shape[0] - 1 and live[-1] == live.shape[0] - 1:
+            self.where, csr = slice(0, live.shape[0]), ball.prefix_csr
+        else:
+            self.where, csr = live, kernels.induced_csr(ball.indptr, ball.indices, live)
+        self.indptr, self.indices, self.rows = csr
+        self._scratch = None
+
+    @property
+    def num_vertices(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    def sum(self, values: np.ndarray) -> np.float64:
+        """The sum of the window array that is ``values`` on the part and
+        0.0 off it, taken as numpy sums that array."""
+        if self.num_vertices == self.window_size:
+            return values.sum()
+        if self._scratch is None:
+            # every sum writes the same entries, so the rest stays 0.0
+            self._scratch = np.zeros(self.window_size)
+        self._scratch[self.where] = values
+        return self._scratch.sum()
+
+
+def _closed_neighbourhood(ball: ExploredBall, values: np.ndarray) -> np.ndarray:
+    """The vertices of the support of ``values`` and their neighbours, sorted."""
+    support = np.flatnonzero(values)
+    near = np.zeros(ball.num_vertices, np.bool_)
+    near[support] = True
+    near[ball.indices[kernels.row_entries(ball.indptr, support)[0]]] = True
+    return np.flatnonzero(near)
+
+
+def gradient_pass(ball: ExploredBall | LivePart, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient modulus and the signed edge differences, one per CSR
+    entry, on a window or on a :class:`LivePart` of one (``values`` and
+    the modulus on that part)."""
     out = np.empty(ball.num_vertices)
     diffs = kernels.grad_modulus_csr(ball.indptr, ball.indices, np.asarray(values, np.float64), out, ball.rows)
     return out, diffs
 
 
-def grad_modulus(ball: ExploredBall, values: np.ndarray) -> np.ndarray:
+def grad_modulus(ball: ExploredBall | LivePart, values: np.ndarray) -> np.ndarray:
     return gradient_pass(ball, values)[0]
 
 
-def energy_subgradient(ball: ExploredBall, gradient: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def energy_subgradient(ball: ExploredBall | LivePart, gradient: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Subgradient of the squared 2-norm of the gradient modulus of a
-    field, from its :func:`gradient_pass` ``gradient``."""
+    field, from its :func:`gradient_pass` ``gradient`` on the same
+    window or part."""
     gmod, diffs = gradient
     out = np.empty(ball.num_vertices)
     kernels.energy_subgrad_csr(ball.indptr, ball.indices, diffs, gmod, out, ball.rows)
@@ -160,24 +226,37 @@ def energy_subgradient(ball: ExploredBall, gradient: tuple[np.ndarray, np.ndarra
 
 
 class FloatField:
-    """One dense field on a window, as the float reports read it.
+    """One field on a window, as the float reports read it.
 
-    ``values`` is the field as float64.  The gradient moduli and the
-    unweighted norms are each computed on first lookup and kept while
-    the object lives; weighted norms depend on a weight and are left to
-    the reports.
+    ``values`` is the field as a float64 window array, ``part`` its
+    :class:`LivePart` and ``live`` its values there; every power,
+    product, weight gather and gradient is taken on the part, and every
+    norm and sum is reduced as the window array would be.  The powers,
+    gradient moduli and unweighted norms of the field, and its products
+    with each weight power, are each computed on first lookup and kept
+    while the object lives.
     """
 
     def __init__(self, ball: ExploredBall, values: np.ndarray):
         self.ball = ball
         self.values = np.asarray(values, np.float64)
-        # gradients keyed by p, norms by (what, q)
+        self.part = LivePart(ball, self.values)
+        self.live = self.values[self.part.where]
+        # gradients keyed by p, norms by (what, q), powers and weighted
+        # products by a tagged key
         self._memo: dict = {}
+
+    def _power(self, p: float) -> np.ndarray:
+        """``|f| ** p`` on the live part."""
+        key = ("power", p)
+        if key not in self._memo:
+            self._memo[key] = np.abs(self.live) ** p
+        return self._memo[key]
 
     def _grad(self, p: float | None) -> np.ndarray:
         """Gradient modulus of the field (p None) or of ``|field| ** p``."""
         if p not in self._memo:
-            self._memo[p] = grad_modulus(self.ball, self.values if p is None else np.abs(self.values) ** p)
+            self._memo[p] = grad_modulus(self.part, self.live if p is None else self._power(p))
         return self._memo[p]
 
     def norm(self, p: float) -> float:
@@ -195,17 +274,33 @@ class FloatField:
     def _lp(self, what, q: float) -> float:
         # the q-norm of the values (what "values") or of _grad(what)
         if (what, q) not in self._memo:
-            self._memo[what, q] = lp_norm(self.values if what == "values" else self._grad(what), q)
+            self._memo[what, q] = lp_norm(self.live if what == "values" else self._grad(what), q, self.part)
         return self._memo[what, q]
+
+    def power_sum(self, p: float) -> float:
+        """||f||_p^p, the sum of ``|f| ** p``."""
+        return float(self.part.sum(self._power(p)))
+
+    def weighted(self, weight: WeightPowers, alpha: float) -> np.ndarray:
+        """``w^alpha f`` on the live part."""
+        key = ("weighted", weight, alpha)
+        if key not in self._memo:
+            self._memo[key] = weight.gather(alpha, self.part.where) * self.live
+        return self._memo[key]
+
+    def weighted_power_sum(self, weight: WeightPowers, e: float, p: float) -> float:
+        """The sum of ``w^e |f|^p``."""
+        return float(self.part.sum(weight.gather(e, self.part.where) * self._power(p)))
 
 
 class WeightPowers:
     """``weight ** e`` as float64, by exponent e.
 
     The power is taken once per exponent, over the distinct weight values,
-    and each lookup gathers it back to the window, so no dense array per
-    exponent stays alive.  Weights take few distinct values (distances plus
-    one), and the power of a value does not depend on where it sits.
+    and each lookup gathers it back to the window, or to the vertices a
+    :class:`LivePart` picks, so no dense array per exponent stays alive.
+    Weights take few distinct values (distances plus one), and the power
+    of a value does not depend on where it sits.
     """
 
     def __init__(self, weight: np.ndarray):
@@ -214,19 +309,26 @@ class WeightPowers:
         self._tables: dict[float, np.ndarray] = {}
 
     def __getitem__(self, e: float) -> np.ndarray:
+        return self.gather(e, slice(None))
+
+    def gather(self, e: float, where: slice | np.ndarray) -> np.ndarray:
+        """``weight ** e`` at ``where``, the ``where`` of a :class:`LivePart`."""
         table = self._tables.get(e)
         if table is None:
             table = self._tables[e] = self._distinct**e
-        return table[self._inverse]
+        return table[self._inverse[where]]
 
 
-def lp_norm(values: np.ndarray, p: float) -> float:
+def lp_norm(values: np.ndarray, p: float, part: LivePart | None = None) -> float:
+    """||values||_p of a window array, or of the values on ``part``,
+    summed as the window array they stand for."""
     a = np.abs(np.asarray(values, np.float64))
+    total = np.sum if part is None else part.sum
     if p == 1:
-        return float(a.sum())
+        return float(total(a))
     if p == 2:
-        return float(np.sqrt((a * a).sum()))
-    return float((a**p).sum() ** (1.0 / p))
+        return float(np.sqrt(total(a * a)))
+    return float(total(a**p) ** (1.0 / p))
 
 
 def grad_lp_norm(ball: ExploredBall, values: np.ndarray, p: float) -> float:

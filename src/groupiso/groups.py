@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .kernels import row_entries
+from .kernels import induced_csr, row_entries
 
 
 _MAX_VERTICES = 500_000
@@ -90,7 +90,11 @@ class ExploredBall:
     the window was explored from, None for an explicit edge list; the
     translation and double counting checks read it.  Every array the
     ball holds (``dist``, ``indptr``, ``indices`` and the cached
-    ``degrees``, ``rows`` and ``interior``) is read-only.
+    ``degrees``, ``rows``, ``interior`` and ``prefix_csr``) is read-only.
+    ``prefix_csr`` is the CSR induced on the interior vertices, which
+    breadth first order puts first: the live part of the dense float
+    fields and of the uncertainty ascent on an incomplete window (see
+    :class:`groupiso.fields.LivePart`).
     """
 
     def __init__(self, name, horizon, dist, indptr, indices, complete, labels, system):
@@ -139,6 +143,14 @@ class ExploredBall:
         if self.complete:
             return _frozen(np.ones(self.num_vertices, np.bool_), np.bool_)
         return _frozen(self.dist < self.horizon, np.bool_)
+
+    @cached_property
+    def prefix_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, rows)`` of the CSR induced on the first
+        ``interior.sum()`` vertices, as :func:`groupiso.kernels.induced_csr`
+        returns it; on an explored window these are the interior ones."""
+        first = np.arange(np.count_nonzero(self.interior))
+        return tuple(_frozen(a) for a in induced_csr(self.indptr, self.indices, first))
 
     def interior_within(self, margin: int) -> np.ndarray:
         """Vertices all of whose ``margin``-neighbors are interior."""
@@ -204,12 +216,7 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
         # where every move takes every vertex of level, vertex by vertex.
         # Once this level is expanded every known vertex is, so the walk
         # will have applied len(labels) * len(moves) moves in all.
-        work = len(labels) * len(moves)
-        if work > _MOVES_PER_VERTEX * max_vertices:
-            raise ResourceCapError(
-                f"{system.name}: exploration would apply {work} moves, more than"
-                f" {_MOVES_PER_VERTEX} per vertex of the budget of {max_vertices}"
-            )
+        _check_work(system.name, len(labels) * len(moves), max_vertices)
         return chain.from_iterable(zip(*[map(move, level) for move in moves]))
 
     index = {system.base: 0}
@@ -225,9 +232,7 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
             iv = claim(v, n)
             if iv == n:
                 if n >= max_vertices:
-                    raise ResourceCapError(
-                        f"{system.name}: exploration exceeded {max_vertices} vertices"
-                    )
+                    raise _over_budget(system.name, max_vertices)
                 labels.append(v)
             push(iv)
         sizes.append(len(labels) - known)
@@ -239,6 +244,33 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
     indptr, indices = _csr(len(labels), tails[inside], heads[inside])
     dist = np.repeat(np.arange(len(sizes)), sizes)
     return ExploredBall(system.name, horizon, dist, indptr, indices, inside.all(), labels, system)
+
+
+def _check_work(name: str, work: int, max_vertices: int) -> None:
+    if work > _MOVES_PER_VERTEX * max_vertices:
+        raise ResourceCapError(
+            f"{name}: exploration would apply {work} moves, more than"
+            f" {_MOVES_PER_VERTEX} per vertex of the budget of {max_vertices}"
+        )
+
+
+def _over_budget(name: str, max_vertices: int) -> ResourceCapError:
+    return ResourceCapError(f"{name}: exploration exceeded {max_vertices} vertices")
+
+
+def check_first_levels(name: str, generators: int, max_vertices: int) -> None:
+    """Raise the :class:`ResourceCapError` that :func:`explore`, at any
+    horizon, raises by the end of expanding level 1 of a Cayley system
+    ``name`` with ``generators`` distinct generators, none the identity.
+
+    Level 1 then holds one vertex per generator, so the checks need the
+    count alone, not the generators, which can cost more to build than
+    the budget allows to explore.
+    """
+    _check_work(name, generators, max_vertices)
+    if 1 + generators > max_vertices:
+        raise _over_budget(name, max_vertices)
+    _check_work(name, (1 + generators) * generators, max_vertices)
 
 
 def ball_from_edges(

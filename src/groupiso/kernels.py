@@ -131,6 +131,26 @@ def row_entries(indptr, vertices):
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts), counts
 
 
+def induced_csr(indptr, indices, vertices):
+    """The CSR a graph induces on the distinct vertices ``vertices``.
+
+    Vertex ``vertices[i]`` becomes row i, which keeps the entries of its
+    row whose neighbour is in ``vertices``, in their order, renumbered.
+    Returns ``(indptr, indices, rows)``, ``rows`` holding the row of
+    every entry.
+    """
+    m = vertices.shape[0]
+    at, counts = row_entries(indptr, vertices)
+    pos = np.full(indptr.shape[0] - 1, -1, np.int64)
+    pos[vertices] = np.arange(m)
+    nb = pos[indices[at]]
+    keep = nb >= 0
+    rows = np.repeat(np.arange(m), counts)[keep]
+    sub = np.zeros(m + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=sub[1:])
+    return sub, nb[keep], rows
+
+
 def _pool_csr(indptr, indices, cand):
     """In-pool neighbour positions, one CSR row per position of the pool ``cand``.
 
@@ -138,15 +158,8 @@ def _pool_csr(indptr, indices, cand):
     degree of each pool vertex in the whole graph: the perimeter of the
     singleton.
     """
-    m = cand.shape[0]
-    at, counts = row_entries(indptr, cand)
-    cpos = np.full(indptr.shape[0] - 1, -1, np.int64)
-    cpos[cand] = np.arange(m)
-    nb = cpos[indices[at]]
-    keep = nb >= 0
-    pptr = np.zeros(m + 1, np.int64)
-    np.cumsum(np.bincount(np.repeat(np.arange(m), counts)[keep], minlength=m), out=pptr[1:])
-    return pptr.tolist(), nb[keep].tolist(), (2 * counts).tolist()
+    pptr, pidx, _ = induced_csr(indptr, indices, cand)
+    return pptr.tolist(), pidx.tolist(), (2 * (indptr[cand + 1] - indptr[cand])).tolist()
 
 
 def min_perimeter_scan(indptr, indices, cand, k, cap):

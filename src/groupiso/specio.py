@@ -17,7 +17,11 @@ Optional keys: ``name`` (display override, a non-empty string),
 vertices and on moves applied; default ``groups._MAX_VERTICES``), for
 explicit graphs
 ``horizon``, for ``symmetric`` ``generators`` and for
-``permutation_action`` ``base_point``; any other key is an error.
+``permutation_action`` ``base_point``; any other key is an error.  A
+spec whose generators alone break the budget (``free_abelian``,
+``free_group``, ``hypercube`` and ``symmetric``, whose generator counts
+are closed forms) fails with the error exploring it would raise, before
+its generators are built.
 Catalogue entries are specs of this form too
 (:func:`groupiso.catalogue.spec`), so :func:`build_from_spec`, the one
 builder, builds both; but a catalogue name is not a spec file, and the
@@ -59,6 +63,20 @@ _KINDS = {
 }
 #: keys every kind takes
 _COMMON = ("kind", "name", "horizon", "max_vertices")
+
+#: kind -> (system name, generator count) in closed form, for the kinds
+#: whose generator list grows with a parameter; each generator is
+#: distinct and none is the identity.  None for a generator set the
+#: constructor rejects.
+_GENERATORS = {
+    "free_abelian": lambda s: (f"free_abelian_{s['rank']}", 2 * s["rank"]),
+    "free_group": lambda s: (f"free_group_{s['rank']}", 2 * s["rank"]),
+    "hypercube": lambda s: (f"hypercube_{s['dim']}", s["dim"]),
+    "symmetric": lambda s: {
+        "transpositions": (f"symmetric_{s['n']}_transpositions", s["n"] * (s["n"] - 1) // 2),
+        "adjacent": (f"symmetric_{s['n']}_adjacent", s["n"] - 1),
+    }.get(s.get("generators", "transpositions")),
+}
 
 
 def load_spec(path: str | Path) -> dict:
@@ -120,8 +138,14 @@ def build_from_spec(spec: dict) -> ExploredBall:
     """Explore the instance a spec describes; the window keeps its system
     (None for an explicit graph)."""
     validate_spec(spec)
-    system = _KINDS[spec["kind"]][2](spec)
     max_vertices = spec.get("max_vertices", groups._MAX_VERTICES)
+    count = _GENERATORS.get(spec["kind"])
+    counted = count(spec) if count else None
+    if counted is not None:
+        # the generators alone can cost more than the budget allows; fail
+        # as exploring would, before building them
+        groups.check_first_levels(*counted, max_vertices)
+    system = _KINDS[spec["kind"]][2](spec)
     if system is None:
         name = spec.get("name", "explicit")
         if spec["vertices"] > max_vertices:

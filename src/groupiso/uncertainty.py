@@ -14,6 +14,13 @@ The measured side estimates two extremal quantities: the best mass to
 boundary ratio over enumerated or annealed sets, and the best Rayleigh
 quotient ||f||_2^2 / (||grad f||_2 ||w f||_2) found by subgradient
 ascent.  Both report exact or monotone traces so runs can be audited.
+
+The float reports and the ascent compute on the live part of a field
+(:class:`~groupiso.fields.LivePart`): on an incomplete window, the
+closed neighbourhood of its support, which leaves out the last level; on
+a complete one, the whole window.  Every sum is still taken over a
+window-length array, since numpy's pairwise summation groups terms by
+array length and position, and a shorter array would change the bits.
 """
 
 from __future__ import annotations
@@ -25,7 +32,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import RTOL, FloatField, WeightPowers, energy_subgradient, gradient_pass, lp_norm, zero_sum
+from .fields import (
+    RTOL,
+    FloatField,
+    LivePart,
+    WeightPowers,
+    energy_subgradient,
+    gradient_pass,
+    lp_norm,
+    zero_sum,
+)
 from .groups import ExploredBall, diameter, distances_from
 from .growth import growth_counts, growth_value, half_mass_radius, mass_radius
 from .isoperimetry import ProfileEntry
@@ -159,7 +175,7 @@ def additive_link_report(field: FloatField, weight: WeightPowers) -> dict:
     Reports that share one ``field`` and one ``weight`` take each
     gradient, unweighted norm and weight power once.
     """
-    ball, values = field.ball, field.values
+    ball = field.ball
     radii = range(1, diameter(ball) // 8 + 1 if ball.complete else ball.horizon + 2)
     grids = []
     for p in EXPONENTS:
@@ -167,14 +183,13 @@ def additive_link_report(field: FloatField, weight: WeightPowers) -> dict:
             lhs, g = field.norm(p), field.grad_norm(p)
             c1, c2 = FACTORS["compact_gradient_link"] * p, FACTORS["compact_weight_link"]
         else:
-            power = np.abs(values) ** p
-            lhs, g = float(power.sum()), field.power_grad_norm(p)
+            lhs, g = field.power_sum(p), field.power_grad_norm(p)
             c1, c2 = FACTORS["gradient_link"], 1.0
         for alpha in WEIGHT_POWERS:
             if ball.complete:
-                e, w = alpha, lp_norm(weight[alpha] * values, p)
+                e, w = alpha, lp_norm(field.weighted(weight, alpha), p, field.part)
             else:
-                e, w = p * alpha, float((weight[p * alpha] * power).sum())
+                e, w = p * alpha, field.weighted_power_sum(weight, p * alpha, p)
             rows = []
             for r in radii:
                 rhs = c1 * r * g + c2 * r ** (-e) * w
@@ -212,7 +227,7 @@ def hpw_report(field: FloatField, weight: WeightPowers) -> dict:
     for p in EXPONENTS:
         norm, grad = field.norm(p), field.grad_norm(p)
         for alpha in WEIGHT_POWERS:
-            wnorm = lp_norm(weight[alpha] * field.values, p)
+            wnorm = lp_norm(field.weighted(weight, alpha), p, field.part)
             ratio = uncertainty_ratio(p, alpha, norm, grad, wnorm)
             certified = certified_constant(p, alpha, field.ball.complete)
             rows.append({
@@ -279,15 +294,17 @@ class AscentResult:
     start_values: list[float]
 
 
-def _rayleigh(ball, values, weight):
-    """The quotient of ``values`` and its :func:`gradient_pass`."""
-    grad = gradient_pass(ball, values)
-    n2 = float((values * values).sum())
-    g = lp_norm(grad[0], 2)
-    w2 = lp_norm(weight * values, 2)
-    if g == 0.0 or w2 == 0.0:
-        return 0.0, grad
-    return n2 / (g * w2), grad
+def _rayleigh(part, values, weight):
+    """The quotient of ``values`` on ``part``, their :func:`gradient_pass`,
+    and the squared norms ||f||_2^2, ||grad f||_2^2 and ||w f||_2^2 the
+    quotient is taken from."""
+    grad = gradient_pass(part, values)
+    sums = [float(part.sum(x * x)) for x in (values, grad[0], weight * values)]
+    n2, s, w2 = sums
+    g, w = math.sqrt(s), math.sqrt(w2)
+    if g == 0.0 or w == 0.0:
+        return 0.0, grad, sums
+    return n2 / (g * w), grad, sums
 
 
 def uncertainty_ascent(ball: ExploredBall, seed: int = 0, starts: int = 4, iters: int = 300) -> AscentResult:
@@ -300,10 +317,14 @@ def uncertainty_ascent(ball: ExploredBall, seed: int = 0, starts: int = 4, iters
     graph; on a complete graph fields are projected to zero sum.  Only
     improving steps are accepted, so each trace is monotone.  A window
     without edges has no gradient to divide by and raises ValueError.
+
+    The fields are held on the :class:`~groupiso.fields.LivePart` of the
+    confining mask: the interior on an incomplete window, the whole of a
+    complete one.  Its sums run as over the window, so the result is the
+    one the whole window gives, to the bit.
     """
     if ball.num_edges == 0:
         raise ValueError(f"{ball.name}: the window has no edges, so the uncertainty quotient is undefined")
-    weight = canonical_weight(ball).astype(np.float64)
     n = ball.num_vertices
     if ball.complete:
         mask = np.ones(n, np.bool_)
@@ -311,23 +332,23 @@ def uncertainty_ascent(ball: ExploredBall, seed: int = 0, starts: int = 4, iters
         mask = ball.interior_within(1)
         if not mask.any():
             raise ValueError("window too shallow for a confined ascent")
+    part = LivePart(ball, mask)
+    mask = mask[part.where]
+    weight = canonical_weight(ball).astype(np.float64)[part.where]
 
     def project(vec):
         vec = vec * mask
         if ball.complete:
             vec = zero_sum(vec)
-        norm = np.sqrt((vec * vec).sum())
+        norm = np.sqrt(part.sum(vec * vec))
         return vec / norm if norm > 0 else vec
 
     weight2 = weight**2
 
-    def loggrad(vec, grad):
-        # grad: the gradient pass of vec, from the quotient that accepted it
-        n2 = float((vec * vec).sum())
-        gmod = grad[0]
-        s = float((gmod * gmod).sum())
-        w2 = float(((weight * vec) ** 2).sum())
-        sub = energy_subgradient(ball, grad)
+    def loggrad(vec, grad, sums):
+        # grad and sums: those of vec, from the quotient that accepted it
+        n2, s, w2 = sums
+        sub = energy_subgradient(part, grad)
         return 2.0 * vec / n2 - sub / (2.0 * s) - weight2 * vec / w2
 
     best_value = -math.inf
@@ -337,23 +358,23 @@ def uncertainty_ascent(ball: ExploredBall, seed: int = 0, starts: int = 4, iters
     start_values = []
     for s in range(starts):
         if s == 0:
-            f = np.zeros(n)
-            f[ball.base_index] = 1.0
+            start = np.zeros(n)
+            start[ball.base_index] = 1.0
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, s]))
-            f = rng.standard_normal(n)
-        f = project(f)
-        value, grad = _rayleigh(ball, f, weight)
+            start = rng.standard_normal(n)
+        f = project(start[part.where])
+        value, grad, sums = _rayleigh(part, f, weight)
         trace = [value]
         step = 0.5
         for _ in range(iters):
-            g = loggrad(f, grad) * mask
+            g = loggrad(f, grad, sums) * mask
             improved = False
             for _ in range(20):
                 trial = project(f + step * g)
-                tv, trial_grad = _rayleigh(ball, trial, weight)
+                tv, trial_grad, trial_sums = _rayleigh(part, trial, weight)
                 if tv > value * (1.0 + 1e-12):
-                    f, value, grad = trial, tv, trial_grad
+                    f, value, grad, sums = trial, tv, trial_grad, trial_sums
                     trace.append(value)
                     step *= 1.2
                     improved = True
@@ -363,5 +384,9 @@ def uncertainty_ascent(ball: ExploredBall, seed: int = 0, starts: int = 4, iters
                 break
         start_values.append(value)
         if value > best_value:
-            best_value, best_field, best_trace, best_start = value, f, trace, s
+            # off the part the field is zero: signed like the start's draw
+            # until a step is accepted, and +0.0 from then on
+            out = np.zeros(n) if len(trace) > 1 else start * 0.0
+            out[part.where] = f
+            best_value, best_field, best_trace, best_start = value, out, trace, s
     return AscentResult(best_value, best_field, best_trace, best_start, start_values)

@@ -555,6 +555,14 @@ GOLDEN = [
         "stdout": "c3fc940541815a6bbf9370f173cde9fde4c4d10df86facd73b2ebad3d9362d8a",
         "json": "75b27547a6b237c953c92acc33035852973398a86ea804894b40f25d4cc09556",
     }),
+    (("verify", "--instance", "f2", "--fields", "6"), {
+        "stdout": "59488f1fc8029916ae57ba3f1e43ff86b7246d171e737f7a19ddb72e28657845",
+        "json": "b4ed5f38d263d2255a7fce6f75c572337b275a55c68fea6f2eab699a09ab7ddd",
+    }),
+    (("constants", "--instance", "heisenberg", "--kmax", "2", "--starts", "2", "--iters", "60"), {
+        "stdout": "1eb23ba2a6b306159cf1d4e465bc8275fa724f6aa1eb4998ff0c9827a32f6450",
+        "json": "3c89e2e9e1c823e7b35733a09793c4ebc73f84086b62e83df44f9081e03d0452",
+    }),
     (("verify", "--instance", "heisenberg", "--fields", "5"), {
         "stdout": "5ae9443d12e18ee2873ec06f9f6805d2521c39a85f59cca08bbd0fdfc95c2edd",
         "json": "7b13e0b94d8606aea4ae31eadfbd2936103b3ad996247451bf9c8a5b5f6d2bbc",

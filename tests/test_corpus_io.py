@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groupiso import catalogue, reporting, specio
+from groupiso import catalogue, groups, reporting, specio
 from groupiso.fields import median_report
 from groupiso.groups import ball_from_edges
 from groupiso.corpus import (
@@ -169,6 +169,57 @@ def test_spec_horizon_override():
 def test_spec_validation_rejects(spec):
     with pytest.raises((ValueError, KeyError)):
         specio.validate_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, constructor, message",
+    [
+        ({"kind": "symmetric", "n": 1500, "horizon": 1}, "symmetric_group",
+         "symmetric_1500_transpositions: exploration exceeded 500000 vertices"),
+        ({"kind": "free_abelian", "rank": 5000, "horizon": 1, "max_vertices": 20000}, "free_abelian",
+         "free_abelian_5000: exploration would apply 100010000 moves, more than 64 per vertex"
+         " of the budget of 20000"),
+    ],
+)
+def test_generator_count_breaks_the_budget_before_the_system_is_built(monkeypatch, spec, constructor, message):
+    def unbuilt(*args):
+        raise AssertionError(f"{constructor}{args} was built")
+
+    monkeypatch.setattr(groups, constructor, unbuilt)
+    with pytest.raises(groups.ResourceCapError) as exc:
+        specio.build_from_spec(spec)
+    assert str(exc.value) == message
+
+
+def _outcome(build):
+    try:
+        return build().num_vertices
+    except groups.ResourceCapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # too many moves from the base; too many vertices at level 1; too
+        # many moves from level 1; and one generator fewer, each accepted
+        {"kind": "hypercube", "dim": 200, "horizon": 1, "max_vertices": 3},
+        {"kind": "free_group", "rank": 10, "horizon": 2, "max_vertices": 15},
+        {"kind": "free_abelian", "rank": 40, "horizon": 1, "max_vertices": 100},
+        {"kind": "free_abelian", "rank": 39, "horizon": 1, "max_vertices": 100},
+        {"kind": "symmetric", "n": 14, "horizon": 1, "max_vertices": 100},
+        {"kind": "symmetric", "n": 13, "horizon": 1, "max_vertices": 100},
+        {"kind": "symmetric", "n": 81, "generators": "adjacent", "horizon": 1, "max_vertices": 100},
+        {"kind": "symmetric", "n": 80, "generators": "adjacent", "horizon": 1, "max_vertices": 100},
+        {"kind": "hypercube", "dim": 79, "horizon": 1, "max_vertices": 100},
+        # past level 1 only exploring can tell
+        {"kind": "free_abelian", "rank": 2, "horizon": 3, "max_vertices": 10},
+    ],
+)
+def test_generator_count_check_agrees_with_exploring(spec):
+    system = specio._KINDS[spec["kind"]][2](spec)
+    direct = _outcome(lambda: groups.explore(system, spec["horizon"], spec["max_vertices"]))
+    assert _outcome(lambda: specio.build_from_spec(spec)) == direct
 
 
 def test_shipped_specs_build():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from groupiso import catalogue
 from groupiso.fields import (
     FloatField,
+    WeightPowers,
     coarea_report,
     grad_lp_norm,
     grad_modulus,
@@ -138,6 +139,36 @@ def test_power_leibniz_property(seed, p):
     values = rng.standard_normal(ball.num_vertices)
     rep = power_leibniz_report(FloatField(ball, values), p)
     assert rep["ok"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["z2", "f2", "heisenberg", "q4"]), st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_live_part_gives_the_window_values_to_the_bit(name, seed, size):
+    # any support, the outer shell of an incomplete window included; size
+    # 0 is the zero field and size 40 a field on every vertex
+    ball = catalogue.build(name)
+    n = ball.num_vertices
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n)
+    if size < 40:
+        values[rng.permutation(n)[size:]] = 0.0
+    field = FloatField(ball, values)
+    weight = ball.dist + 1.0
+    powers = WeightPowers(weight)
+    gmod = np.zeros(n)
+    gmod[field.part.where] = grad_modulus(field.part, field.live)
+    assert gmod.tobytes() == grad_modulus(ball, values).tobytes()
+    for p in (1.0, 2.0, 3.0):
+        power = np.abs(values) ** p
+        assert field.norm(p) == lp_norm(values, p)
+        assert field.grad_norm(p) == grad_lp_norm(ball, values, p)
+        assert field.power_grad_norm(p) == lp_norm(grad_modulus(ball, power), 1)
+        assert field.power_sum(p) == float(power.sum())
+        for alpha in (0.5, 2.0):
+            got = lp_norm(field.weighted(powers, alpha), p, field.part)
+            assert got == weighted_lp_norm(values, weight, alpha, p)
+            got = field.weighted_power_sum(powers, p * alpha, p)
+            assert got == float((weight ** (p * alpha) * power).sum())
 
 
 def test_power_rule_reads_the_shared_slack(monkeypatch):

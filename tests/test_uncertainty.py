@@ -1,5 +1,6 @@
 """Certified constants, admissibility, measured ratios, extremal traces."""
 
+import hashlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupiso import catalogue, fields, uncertainty
-from groupiso.corpus import field_pool, float_fields
+from groupiso import catalogue, fields, kernels, specio, uncertainty
+from groupiso.corpus import field_pool, float_field, float_fields
 from groupiso.fields import (
     FloatField,
     WeightPowers,
@@ -205,7 +206,7 @@ def test_poincare_holds_on_corpus(ring16):
         assert poincare_report(FloatField(ring16, values))["ok"]
 
 
-@pytest.mark.parametrize("name", ["z2", "c16", "q6"])
+@pytest.mark.parametrize("name", ["z2", "c16", "q6", "f2", "heisenberg"])
 def test_grid_rows_match_reference(name):
     # every row equals the value the one-exponent formulas give, to the bit
     ball = catalogue.build(name)
@@ -432,3 +433,58 @@ def test_ascent_matches_reference_bit_for_bit(name, starts):
     assert got.start == start
     assert got.start_values == start_values
     assert np.array_equal(got.values, values)
+
+
+def test_ascent_keeps_the_zeros_of_a_start_that_never_moved():
+    # with no step taken, random start 1 beats the spike here, and its
+    # zeros off the interior keep the signs of its draw, as on the whole
+    # window
+    ball = specio.build_from_spec(catalogue.spec("z") | {"horizon": 3})
+    (value, values, trace, start), _ = _reference_ascent(ball, 11, 2, iters=0)
+    got = uncertainty_ascent(ball, seed=11, starts=2, iters=0)
+    assert (got.start, got.value, got.trace) == (start, value, trace) == (1, value, [value])
+    assert np.signbit(values[~ball.interior]).any()
+    assert got.values.tobytes() == values.tobytes()
+
+
+#: ``uncertainty_ascent(ball)`` at the catalogue horizon: the repr of its
+#: value, its trace length and the sha256 of ``values.tobytes()``
+ASCENT_BYTES = {
+    "heisenberg": ("0.22594893963117865", 184, "584dfe918d7bc26338a3dfa137d9fc53782f60b136c820455493b2d37c77a7aa"),
+    "f2": ("0.22594889405618468", 92, "7703a4ec0ada4b7d9c01ca940bfde4e6e5d00bb84b50112d0098135e0db0325f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASCENT_BYTES))
+def test_ascent_bytes_on_incomplete_windows(name):
+    # the outer shell is most of these windows; the field's bytes there
+    # (zeros, with their signs) are pinned too
+    res = uncertainty_ascent(catalogue.build(name))
+    got = (repr(res.value), len(res.trace), hashlib.sha256(res.values.tobytes()).hexdigest())
+    assert got == ASCENT_BYTES[name]
+
+
+def test_gradients_run_on_the_live_part(monkeypatch):
+    # on f2 at horizon 9 the last level holds 26,244 of the 39,365
+    # vertices: the spike's gradients see its closed neighbourhood, and a
+    # dense field's and the ascent's the interior, whose CSR is cached
+    ball = specio.build_from_spec(catalogue.spec("f2") | {"horizon": 9})
+    assert ball.indices.shape[0] == 78728
+    seen = []
+    real = kernels.grad_modulus_csr
+
+    def recorded(indptr, indices, *args):
+        seen.append((indptr.shape[0] - 1, indices.shape[0], indptr is ball.prefix_csr[0]))
+        return real(indptr, indices, *args)
+
+    monkeypatch.setattr(kernels, "grad_modulus_csr", recorded)
+    weight = WeightPowers(canonical_weight(ball))
+    for index, want in ((0, (5, 8, False)), (1, (13121, 26240, True))):
+        seen.clear()
+        field = FloatField(ball, float_field(ball, index))
+        additive_link_report(field, weight)
+        hpw_report(field, weight)
+        assert seen and set(seen) == {want}
+    seen.clear()
+    uncertainty_ascent(ball, starts=1, iters=2)
+    assert seen and set(seen) == {(13121, 26240, True)}
