@@ -12,6 +12,10 @@ its sums is reduced over a window-length array, as the dense field's
 would be, so that the bits do not depend on how much of the window the
 field leaves out.
 
+Every exact check is decided on Python ints: the field is scaled once to
+integer numerators over the least common denominator of its values, and
+a ``Fraction`` is built only for what a function returns.
+
 The gradient modulus at a vertex is the sum of |f(v) - f(n)| over the
 neighbors n of v.  On an incomplete window it is faithful only at
 interior vertices; identities stated per window treat the window as a
@@ -20,6 +24,7 @@ finite graph in its own right.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -40,13 +45,16 @@ RTOL = 1e-9
 # Exact layer
 
 
-def grad_modulus_exact(ball: ExploredBall, field: ExactField) -> dict[int, Fraction]:
-    """Gradient modulus of a sparse exact field, on its closed support.
-
-    The sums run on integer numerators over the common denominator.
-    """
+def _scaled(field: ExactField) -> tuple[int, dict[int, int]]:
+    """``(den, num)`` with ``field[v] == num[v] / den``: the values as
+    integer numerators over their least common denominator."""
     den = math.lcm(*(x.denominator for x in field.values()))
-    num = {v: int(x * den) for v, x in field.items()}
+    return den, {v: x.numerator * (den // x.denominator) for v, x in field.items()}
+
+
+def grad_modulus_exact(ball: ExploredBall, field: ExactField) -> dict[int, Fraction]:
+    """Gradient modulus of a sparse exact field, on its closed support."""
+    den, num = _scaled(field)
     indptr, indices = ball.indptr, ball.indices
     touched = set(num)
     for v in num:
@@ -61,49 +69,48 @@ def grad_modulus_exact(ball: ExploredBall, field: ExactField) -> dict[int, Fract
 
 
 def l1_norm_exact(field: ExactField) -> Fraction:
-    return sum((abs(x) for x in field.values()), Fraction(0))
-
-
-def level_thresholds(field: ExactField) -> list[Fraction]:
-    """Distinct positive values of |f|, ascending."""
-    return sorted({abs(x) for x in field.values() if x})
+    den, num = _scaled(field)
+    return Fraction(sum(map(abs, num.values())), den)
 
 
 def coarea_report(ball: ExploredBall, field: ExactField) -> dict:
     """Exact layer cake identity on the window graph.
 
     The total gradient of |f| equals the perimeter of each superlevel set
-    weighted by the gap between consecutive thresholds.
+    weighted by the gap between consecutive distinct values of |f|.
     """
     absf = {v: abs(x) for v, x in field.items() if x}
     lhs = l1_norm_exact(grad_modulus_exact(ball, absf))
-    thresholds = level_thresholds(field)
-    rhs = Fraction(0)
-    prev = Fraction(0)
+    den, num = _scaled(absf)
+    total = prev = 0
     layers = []
-    for t in thresholds:
-        level = [v for v, x in absf.items() if x >= t]
+    for t in sorted(set(num.values())):
+        level = [v for v, x in num.items() if x >= t]
         perim = set_perimeter(ball, level)
-        rhs += (t - prev) * perim
-        layers.append({"threshold": t, "size": len(level), "perimeter": perim})
+        total += (t - prev) * perim
+        layers.append({"threshold": Fraction(t, den), "size": len(level), "perimeter": perim})
         prev = t
+    rhs = Fraction(total, den)
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs, "layers": layers}
 
 
 def median_exact(ball: ExploredBall, field: ExactField) -> Fraction:
-    """Smallest value t (implicit zeros included) with at least half the
-    vertices weakly below t."""
+    """The ceil(n/2)-th smallest of the field's n values on the window,
+    the least t with half the vertices weakly below it.  The nonzero
+    values are sorted once; the zeros, implicit or explicit, sit between
+    the negative and the positive ones.  The median is one of the values,
+    so :func:`median_report` decides its tests on integers over the
+    field's common denominator, like every exact check."""
     n = ball.num_vertices
-    values = sorted(set(field.values()) | {Fraction(0)})
-    support = set(field)
-    zeros = n - len([v for v in support if field[v]])
-    for t in values:
-        count = sum(1 for x in field.values() if x and x <= t)
-        if t >= 0:
-            count += zeros
-        if 2 * count >= n:
-            return t
-    return values[-1]
+    rank = (n + 1) // 2
+    nonzero = sorted(x for x in field.values() if x)
+    below = bisect.bisect_left(nonzero, 0)
+    zeros = n - len(nonzero)
+    if rank <= below:
+        return nonzero[rank - 1]
+    if rank <= below + zeros:
+        return Fraction(0)
+    return nonzero[rank - 1 - zeros]
 
 
 def median_report(ball: ExploredBall, field: ExactField) -> dict:
@@ -115,20 +122,19 @@ def median_report(ball: ExploredBall, field: ExactField) -> dict:
     """
     n = ball.num_vertices
     m0 = median_exact(ball, field)
-    total = l1_norm_exact(field)
-    markov_ok = n * abs(m0) <= 2 * total
-    mean = sum(field.values(), Fraction(0))
-    zero_sum = mean == 0
-    nz = [x for x in field.values() if x]
-    shifted = sum((abs(x - m0) for x in nz), Fraction(0)) + (n - len(nz)) * abs(m0)
-    shift_ok = total <= 2 * shifted if zero_sum else None
+    den, num = _scaled(field)
+    m = m0.numerator * (den // m0.denominator)
+    nz = [x for x in num.values() if x]
+    total = sum(map(abs, nz))
+    shifted = sum(abs(x - m) for x in nz) + (n - len(nz)) * abs(m)
+    zero_sum = sum(nz) == 0
     return {
         "median": m0,
-        "l1": total,
-        "l1_recentred": shifted,
-        "markov_ok": markov_ok,
+        "l1": Fraction(total, den),
+        "l1_recentred": Fraction(shifted, den),
+        "markov_ok": n * abs(m) <= 2 * total,
         "zero_sum": zero_sum,
-        "shift_ok": shift_ok,
+        "shift_ok": total <= 2 * shifted if zero_sum else None,
     }
 
 
@@ -307,9 +313,6 @@ class WeightPowers:
         distinct, self._inverse = np.unique(weight, return_inverse=True)
         self._distinct = distinct.astype(np.float64)
         self._tables: dict[float, np.ndarray] = {}
-
-    def __getitem__(self, e: float) -> np.ndarray:
-        return self.gather(e, slice(None))
 
     def gather(self, e: float, where: slice | np.ndarray) -> np.ndarray:
         """``weight ** e`` at ``where``, the ``where`` of a :class:`LivePart`."""

@@ -8,13 +8,12 @@ determines the growth table for r = 1 .. R+1.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .fields import grad_modulus_exact, l1_norm_exact
+from .fields import _scaled, grad_modulus_exact, l1_norm_exact
 from .groups import ExploredBall
 
 
@@ -184,11 +183,8 @@ def translation_report(
     orbital, automorphic = orbitals
     grad_l1 = l1_norm_exact(grad_modulus_exact(ball, field))
     n = ball.num_vertices
-    # integer numerators over the common denominator
-    den = math.lcm(*(x.denominator for x in field.values()))
-    num = [0] * n
-    for v, x in field.items():
-        num[v] = int(x * den)
+    den, scaled = _scaled(field)
+    num = [scaled.get(v, 0) for v in range(n)]
     inside = np.zeros(n, np.bool_)
     inside[list(field)] = True
     support, outside = np.flatnonzero(inside), np.flatnonzero(~inside)

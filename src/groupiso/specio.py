@@ -66,8 +66,7 @@ _COMMON = ("kind", "name", "horizon", "max_vertices")
 
 #: kind -> (system name, generator count) in closed form, for the kinds
 #: whose generator list grows with a parameter; each generator is
-#: distinct and none is the identity.  None for a generator set the
-#: constructor rejects.
+#: distinct and none is the identity.
 _GENERATORS = {
     "free_abelian": lambda s: (f"free_abelian_{s['rank']}", 2 * s["rank"]),
     "free_group": lambda s: (f"free_group_{s['rank']}", 2 * s["rank"]),
@@ -75,7 +74,7 @@ _GENERATORS = {
     "symmetric": lambda s: {
         "transpositions": (f"symmetric_{s['n']}_transpositions", s["n"] * (s["n"] - 1) // 2),
         "adjacent": (f"symmetric_{s['n']}_adjacent", s["n"] - 1),
-    }.get(s.get("generators", "transpositions")),
+    }[s.get("generators", "transpositions")],
 }
 
 
@@ -111,6 +110,8 @@ def validate_spec(spec: dict) -> None:
             raise ValueError(f"{key} must be a positive integer")
     if "name" in spec and not (isinstance(spec["name"], str) and spec["name"]):
         raise ValueError("name must be a non-empty string")
+    if kind == "symmetric" and spec.get("generators", "transpositions") not in ("transpositions", "adjacent"):
+        raise ValueError('generators must be "transpositions" or "adjacent"')
     if kind == "permutation_action":
         perms = spec["perms"]
         size = len(perms[0]) if isinstance(perms, list) and perms and isinstance(perms[0], list) else 0
@@ -140,11 +141,10 @@ def build_from_spec(spec: dict) -> ExploredBall:
     validate_spec(spec)
     max_vertices = spec.get("max_vertices", groups._MAX_VERTICES)
     count = _GENERATORS.get(spec["kind"])
-    counted = count(spec) if count else None
-    if counted is not None:
+    if count is not None:
         # the generators alone can cost more than the budget allows; fail
         # as exploring would, before building them
-        groups.check_first_levels(*counted, max_vertices)
+        groups.check_first_levels(*count(spec), max_vertices)
     system = _KINDS[spec["kind"]][2](spec)
     if system is None:
         name = spec.get("name", "explicit")

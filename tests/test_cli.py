@@ -220,6 +220,9 @@ def test_boolean_spec_horizon_is_an_error(tmp_path):
         # a misspelled key, and a key of another kind
         {"kind": "cyclic", "n": 6, "horizon": 6, "max_vertice": 1},
         {"kind": "explicit", "vertices": 3, "edges": [[0, 1], [1, 2]], "base_point": 1},
+        # generator sets symmetric_group does not know
+        {"kind": "symmetric", "n": 3, "generators": [], "horizon": 2},
+        {"kind": "symmetric", "n": 3, "generators": "cycles", "horizon": 2},
     ],
 )
 def test_bad_spec_verify_is_an_error(tmp_path, spec):

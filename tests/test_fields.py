@@ -1,11 +1,13 @@
 """Exact calculus identities, checked pointwise and as hypothesis properties."""
 
+import functools
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupiso import catalogue
@@ -131,6 +133,52 @@ def test_median_frozen_c4():
     assert median_exact(c4, field) == 0
 
 
+def _reference_median_exact(ball, field):
+    # the candidate loop: each value of the field, and 0, counted against
+    # every value of the field, the least one with half the window below it
+    n = ball.num_vertices
+    zeros = n - sum(1 for x in field.values() if x)
+    for t in sorted(set(field.values()) | {Fraction(0)}):
+        count = sum(1 for x in field.values() if x and x <= t)
+        if t >= 0:
+            count += zeros
+        if 2 * count >= n:
+            return t
+
+
+@functools.lru_cache(maxsize=None)
+def _path(n):
+    return ball_from_edges(f"p{n}", n, [(i, i + 1) for i in range(n - 1)])
+
+
+@st.composite
+def _median_cases(draw):
+    # a window of 1 to 40 vertices; values of one sign or both, explicit
+    # zeros among them, on some vertices or on all of them
+    n = draw(st.integers(1, 40))
+    sign = draw(st.sampled_from([None, 1, -1]))
+    values = _rationals() if sign is None else _rationals().map(lambda x: sign * abs(x))
+    if draw(st.booleans()):
+        support = range(n)
+    else:
+        support = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    return n, {v: draw(values) for v in support}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_median_cases())
+@example((1, {}))
+@example((2, {0: Fraction(-1), 1: Fraction(-3)}))
+@example((4, {0: Fraction(1), 1: Fraction(2), 2: Fraction(0), 3: Fraction(5, 2)}))
+@example((5, {1: Fraction(-2), 3: Fraction(0)}))
+def test_median_exact_matches_candidate_loop(case):
+    n, field = case
+    ball = _path(n)
+    got = median_exact(ball, field)
+    assert got == _reference_median_exact(ball, field)
+    assert type(got) is Fraction
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1.5, 2.0, 3.0]))
 def test_power_leibniz_property(seed, p):
@@ -251,3 +299,40 @@ def test_grad_modulus_exact_matches_fraction_loop(name):
 def test_grad_modulus_exact_matches_fraction_loop_property(field):
     ball = catalogue.build("c16")
     assert grad_modulus_exact(ball, field) == _reference_grad_modulus_exact(ball, field)
+
+
+#: sha256 of the reprs of every exact report of _exact_report_reprs, in order
+EXACT_REPORTS_SHA256 = "b7baa7f601afb10b0b669caa543a8c8370d70e74e278104309ec71e4dcf1cd6e"
+
+
+def _exact_report_reprs():
+    # per catalogue window and seed 0-2, as verify draws its fields: the
+    # coarea report, gradient l1 norm and median report of each field,
+    # the median report of each zero mean field (seed + 1) of a complete
+    # window, and the translation report of each field there
+    from groupiso.corpus import rational_fields
+    from groupiso.growth import translation_maps, translation_report
+
+    for name in catalogue.names():
+        ball = catalogue.build(name)
+        maps = translation_maps(ball) if ball.complete and ball.system is not None else None
+        for seed in range(3):
+            exact = rational_fields(ball, 20, seed)
+            for f in exact:
+                yield repr(coarea_report(ball, f))
+                yield repr(l1_norm_exact(grad_modulus_exact(ball, f)))
+                yield repr(median_report(ball, f))
+            if ball.complete:
+                for f in rational_fields(ball, 20, seed + 1, zero_mean=True):
+                    yield repr(median_report(ball, f))
+            if maps is not None:
+                for f in exact:
+                    yield repr(translation_report(ball, f, maps))
+
+
+def test_exact_reports_keep_their_bytes():
+    # every returned Fraction, threshold and flag of the exact layer, to the
+    # byte, over the whole catalogue
+    reprs = list(_exact_report_reprs())
+    assert len(reprs) == 5400
+    assert hashlib.sha256("".join(reprs).encode()).hexdigest() == EXACT_REPORTS_SHA256
