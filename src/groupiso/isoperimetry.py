@@ -57,20 +57,6 @@ def set_perimeter(ball: ExploredBall, subset: Iterable[int]) -> int:
     return 2 * (nbrs.size - int(np.count_nonzero(mask[nbrs])))
 
 
-def cut_edges(ball: ExploredBall, subset: Iterable[int]) -> list[tuple[int, int]]:
-    """The cut edges of a vertex set, as sorted (inside, outside) pairs."""
-    mask = np.zeros(ball.num_vertices, np.bool_)
-    members = [int(v) for v in subset]
-    mask[members] = True
-    out = []
-    for v in sorted(set(members)):
-        for e in range(ball.indptr[v], ball.indptr[v + 1]):
-            w = int(ball.indices[e])
-            if not mask[w]:
-                out.append((v, w))
-    return out
-
-
 @dataclass(frozen=True)
 class ProfileEntry:
     """Best perimeter found for one cardinality.
@@ -98,6 +84,20 @@ class ProfileEntry:
 def default_candidates(ball: ExploredBall) -> np.ndarray:
     """Interior vertices, the pool on which window perimeters are faithful."""
     return np.nonzero(ball.interior)[0].astype(np.int64)
+
+
+def _candidates(ball: ExploredBall, candidates) -> np.ndarray:
+    """The pool ``candidates`` as int64 vertices, or the default pool if None.
+
+    A repeated vertex, or one outside 0 .. n - 1, raises ValueError.
+    """
+    if candidates is None:
+        return default_candidates(ball)
+    cand = np.asarray(candidates, np.int64)
+    n = ball.num_vertices
+    if cand.ndim != 1 or not ((cand >= 0) & (cand < n)).all() or np.unique(cand).size < cand.size:
+        raise ValueError(f"candidates must be distinct vertices in 0..{n - 1}")
+    return cand
 
 
 def _certified(best: list[int], limit: int) -> list[bool]:
@@ -176,7 +176,7 @@ def min_perimeter(
         scanned.  A pool whose k-subset count exceeds it raises
         :class:`WorkCapError`.
     """
-    cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
+    cand = _candidates(ball, candidates)
     entry = _connected_entries(ball, k, cand, cap).get(k)
     return entry if entry is not None else _scan_entry(ball, k, cand, cap)
 
@@ -194,7 +194,7 @@ def profile(
     The first row past the cap raises :class:`WorkCapError`, whose
     message says that the rows before it are exact under that cap.
     """
-    cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
+    cand = _candidates(ball, candidates)
 
     def scan(k):
         try:
@@ -228,31 +228,6 @@ def _chain_inputs(rng: np.random.Generator, cand: np.ndarray, k: int, budget: in
     return init, probe_rem, probe_add, walk
 
 
-def _probe_temperature(ball, cand, init, probe_rem, probe_add) -> float:
-    # mean |perimeter change| of the trial swaps of member u for a vertex w
-    # outside the set.  With score[v] = deg(v) minus twice the number of
-    # members next to v, a swap changes the perimeter by
-    # 2 (score[w] - score[u]) + 4 [u ~ w]: the graph is simple, and u's
-    # edge to w stays cut.
-    n = ball.num_vertices
-    at, counts = kernels.row_entries(ball.indptr, init)
-    nbrs = ball.indices[at]
-    score = ball.degrees - 2 * np.bincount(nbrs, minlength=n)
-    member = np.zeros(n, np.bool_)
-    member[init] = True
-    u = init[probe_rem]
-    w = cand[probe_add]
-    keep = ~member[w]
-    u, w = u[keep], w[keep]
-    edges = set((np.repeat(init, counts) * n + nbrs).tolist())
-    adjacent = np.array([e in edges for e in (u * n + w).tolist()], np.int64)
-    deltas = np.abs(2 * (score[w] - score[u]) + 4 * adjacent)
-    scale = float(np.mean(deltas)) if deltas.size else 0.0
-    if scale <= 0.0:
-        scale = 2.0 * float(ball.degrees.max())
-    return scale
-
-
 def _pool_floor(ball: ExploredBall, cand: np.ndarray, k: int) -> int | None:
     """The least perimeter any k-subset of the pool can have, or None.
 
@@ -280,23 +255,21 @@ def anneal_min_perimeter(
     Chain c is seeded from ``(seed, k, c)``, so results are reproducible.
     Each chain stops once its best set reaches the pool's floor (see
     :func:`_pool_floor`); its best set is then final, as no later step
-    could improve on it.
+    could improve on it.  Fewer than one chain raises ValueError.
     """
-    cand = default_candidates(ball) if candidates is None else np.asarray(candidates, np.int64)
+    cand = _candidates(ball, candidates)
     _check_cardinality(k, cand.shape[0])
-    cand_mask = np.zeros(ball.num_vertices, np.uint8)
-    cand_mask[cand] = 1
-    sweep = max(k, 1)
-    rows = kernels.pool_rows(ball.indptr, ball.indices, cand_mask)
+    if chains < 1:
+        raise ValueError("chains must be positive")
+    pool = kernels.pool_rows(ball.indptr, ball.indices, cand)
     floor = _pool_floor(ball, cand, k)
 
     def run_chain(c: int):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k, c]))
         init, probe_rem, probe_add, walk = _chain_inputs(rng, cand, k, budget)
-        t0 = _probe_temperature(ball, cand, init, probe_rem, probe_add)
         best, members, walked = kernels.anneal_chain(
-            ball.indptr, ball.indices, cand_mask, cand, init, t0, _COOL, sweep, *walk,
-            rows=rows, floor=floor,
+            ball.indptr, ball.indices, pool, init, probe_rem, probe_add, _COOL, k, *walk,
+            floor=floor,
         )
         return int(best), tuple(sorted(int(v) for v in members)), walked
 

@@ -6,26 +6,30 @@ subgradient without a second pass.  The subset scan, the connected-set
 enumeration and the annealer are plain Python loops: lists, tuples,
 bytearrays and memoryviews index and iterate to plain ints and floats,
 faster than numpy scalars, so the public wrappers hand the loops their
-graph arrays and scratch state as lists or bytearrays.  The annealer
-reads each pool vertex's neighbours as one tuple, padded with a sentinel
-vertex to the longest pool row and built once per pool, and keeps per
-vertex a boundary score and a state byte.  Everything in a step that
-does not depend on the chain's state is computed before the loop with
-numpy: the slot of the proposed neighbour, the fallback vertex and the
-largest even delta the Metropolis test accepts, so the loop calls no
-``math.exp``.  Its per-step arrays stay memoryviews, the prepared ones
-in the narrowest dtype that holds them: they are read once each, in one
-``zip``, and list copies would box every value, raising peak memory by
-megabytes per chain.  The acceptance cutoffs are the one list: mostly 0
-and never above ``4 width + 4``, they are ints CPython shares up to 256
-rather than boxes, and the list's iterator tells a chain that stops
-early, at a perimeter floor, how many steps it walked.
+graph arrays and scratch state as lists or bytearrays.  An annealing
+pool is described once for all its chains by :func:`pool_rows`: its
+rows as tuples padded with a sentinel vertex to the longest, its
+vertices and its state bytes.  A chain keeps per vertex a boundary
+score and a state byte; it places its members, returns at once if they
+sit on the perimeter floor, and otherwise takes its start temperature
+from its own scores, by the loop's rule.  Everything in a step that does not depend on the chain's state is
+computed before the loop with numpy: the slot of the proposed
+neighbour, the fallback vertex and the largest even delta the
+Metropolis test accepts, so the loop calls no ``math.exp``.  Its
+per-step arrays stay memoryviews, the prepared ones in the narrowest
+dtype that holds them: they are read once each, in one ``zip``, and
+list copies would box every value, raising peak memory by megabytes per
+chain.  The acceptance cutoffs are the one list: mostly 0 and never
+above ``4 width + 4``, they are ints CPython shares up to 256 rather
+than boxes, and the list's iterator tells a chain that stops early, at
+a perimeter floor, how many steps it walked.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,7 +300,7 @@ def connected_profile(indptr, indices, cand, kmax, cap):
     return best, count, witnesses, limit
 
 
-def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur, best_set, floor):
+def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur, best_set, perim, floor):
     # Fixed cardinality Metropolis chain.  All randomness and the
     # acceptance rule of every step are precomputed by the caller, so the
     # walk is reproducible step by step.  adj[v] lists the neighbours of
@@ -305,25 +309,16 @@ def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur,
     # 1 for a free pool vertex and 2 for a member.  A step proposes the
     # vertex in slot[s] of a member's row, or fallback[s] when that is not
     # a free pool vertex.  score[v] is deg(v) minus twice the number of
-    # members next to v: the caller passes deg(v), and the members are
-    # counted in here.  The graph is simple, so swapping member u for w
-    # changes the perimeter by delta = 2 (score[w] - score[u]), plus 4 when
-    # u and w are adjacent: u's edge to w stays cut.  delta is even, and
-    # the step is rejected when delta > dmax[s].  Only an accepted swap
-    # writes: state, cur, and score along the rows of u and w (the sentinel
-    # entries write a score no step reads).  A rejected step writes nothing.
-    # No set has a perimeter below floor, so the chain stops once its best
-    # reaches it; returns the best and the number of steps walked.
-    # the perimeter is the sum over members of deg(v) + score[v]
-    perim = sum(score[v] for v in cur)
-    for v in cur:
-        state[v] = 2
-        for x in adj[v]:
-            score[x] -= 2
-    perim += sum(score[v] for v in cur)
+    # members next to v, and perim the perimeter of cur.  The graph is
+    # simple, so swapping member u for w changes the perimeter by
+    # delta = 2 (score[w] - score[u]), plus 4 when u and w are adjacent:
+    # u's edge to w stays cut.  delta is even, and the step is rejected
+    # when delta > dmax[s].  Only an accepted swap writes: state, cur, and
+    # score along the rows of u and w (the sentinel entries write a score
+    # no step reads).  A rejected step writes nothing.  No set has a
+    # perimeter below floor, so the chain stops once its best reaches it;
+    # returns the best and the number of steps walked.
     best = perim  # best_set arrives as a copy of cur
-    if best <= floor:
-        return best, 0
     # dmax is a list, whose iterator knows how many steps are left: a
     # step counter would cost every step
     left = iter(dmax)
@@ -357,25 +352,42 @@ def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur,
     return best, len(dmax)
 
 
-def pool_rows(indptr, indices, cand_mask):
-    """Neighbour rows of the pool vertices for :func:`anneal_chain`, padded.
+class Pool(NamedTuple):
+    """An annealing pool, built once by :func:`pool_rows` for all its chains.
 
-    Returns ``(adj, width)``: ``width`` is the longest row among the pool
-    vertices (at least 1), and ``adj[v]`` is the row of pool vertex v as a
-    tuple of ``width`` entries, in CSR order, padded with the sentinel
-    vertex ``nverts``.  Rows outside the pool are empty.
+    ``adj[v]`` is the row of pool vertex v as a tuple of ``width``
+    entries, in CSR order, padded with the sentinel vertex ``nverts``;
+    ``width`` is the longest pool row, at least 1, and rows outside the
+    pool are empty.  ``vertices`` is the pool in the caller's order, in
+    the narrowest dtype that holds ``nverts``: the fallback vertices.
+    ``state`` has one byte per vertex and one for the sentinel, 1 on the
+    pool and 0 elsewhere.
+    """
+
+    adj: list
+    width: int
+    vertices: np.ndarray
+    state: bytes
+
+
+def pool_rows(indptr, indices, cand):
+    """The :class:`Pool` of the distinct vertices ``cand`` for :func:`anneal_chain`.
+
+    The rows and the state depend on the set ``cand`` only, not on its order.
     """
     nverts = indptr.shape[0] - 1
-    pool = np.flatnonzero(np.asarray(cand_mask))
-    at, counts = row_entries(indptr, pool)
+    cand = np.asarray(cand, np.int64)
+    at, counts = row_entries(indptr, cand)
     width = max(int(counts.max(initial=0)), 1)
-    padded = np.full((pool.shape[0], width), nverts, np.int64)
+    padded = np.full((cand.shape[0], width), nverts, np.int64)
     # entry e of a row goes to column e - (start of its row)
-    padded[np.repeat(np.arange(pool.shape[0]), counts), at - np.repeat(indptr[pool], counts)] = indices[at]
+    padded[np.repeat(np.arange(cand.shape[0]), counts), at - np.repeat(indptr[cand], counts)] = indices[at]
     adj = [()] * nverts
-    for v, row in zip(pool.tolist(), padded.tolist()):
+    for v, row in zip(cand.tolist(), padded.tolist()):
         adj[v] = tuple(row)
-    return adj, width
+    state = np.zeros(nverts + 1, np.uint8)
+    state[cand] = 1
+    return Pool(adj, width, cand.astype(np.min_scalar_type(nverts)), state.tobytes())
 
 
 #: Temperatures at or below this accept no positive delta: exp(-2 / t) is
@@ -419,32 +431,55 @@ def _cutoffs(acc_u, temps, sweep, width, dtype):
 
 
 def anneal_chain(
-    indptr, indices, cand_mask, cand_list, members, t0, cool, sweep,
-    rem_idx, src_idx, nb_u, fb_idx, acc_u, *, rows, floor=None,
+    indptr, indices, pool, members, probe_rem, probe_add, cool, sweep,
+    rem_idx, src_idx, nb_u, fb_idx, acc_u, *, floor=None,
 ):
     """One annealing chain from ``members``; returns ``(best, best_members, walked)``.
 
-    Step s swaps member ``rem_idx[s]`` for a pool neighbour of member
-    ``src_idx[s]`` (or pool vertex ``fb_idx[s]``), accepting against
-    ``acc_u[s]``; the temperature starts at ``t0`` and is multiplied by
-    ``cool`` every ``sweep`` steps.  ``cand_mask`` (nonzero on the pool)
-    and ``cand_list`` describe the same pool.  The graph must be simple.
-
-    The neighbour is the entry in slot ``int(nb_u[s] * width)`` of the
-    source's row, ``width`` being the longest row in the pool; where the
-    source's row is shorter than that and the slot is past its end, or the
-    vertex there is not a free pool vertex, the step proposes
-    ``cand_list[fb_idx[s]]``.  ``rows`` is :func:`pool_rows` of the same
-    graph and pool, built once by callers that run many chains on it.
+    ``pool`` is :func:`pool_rows` of the simple graph ``indptr``,
+    ``indices`` and a pool holding ``members``.  Step s swaps member
+    ``rem_idx[s]`` for a pool neighbour of member ``src_idx[s]``,
+    accepting against ``acc_u[s]``: the neighbour in slot ``int(nb_u[s]
+    * width)`` of the source's row, or, where that slot is past the row's
+    end or holds no free pool vertex, ``pool.vertices[fb_idx[s]]``.  The
+    temperature is multiplied by ``cool`` every ``sweep`` steps.  It
+    starts at the mean absolute perimeter change of the probe swaps of
+    member ``probe_rem[i]`` for ``pool.vertices[probe_add[i]]``, over
+    those that propose a free vertex, or at twice the largest degree if
+    that mean is 0.
 
     ``floor`` is a perimeter no subset of the pool goes below, or None.
     The chain stops at the first step whose best set reaches it, or
-    before the first step if ``members`` does; ``walked`` counts the
-    steps taken.  The best set changes only on a strict improvement, so
-    the result is that of the whole walk.
+    before any step, building nothing for the walk, if ``members`` does;
+    ``walked`` counts the steps taken.  The best set changes only on a
+    strict improvement, so the result is that of the whole walk.
     """
+    adj, width, vertices, state = pool
+    state = bytearray(state)
+    degrees = np.diff(indptr)
+    # the sentinel vertex nverts: a score the padded rows write
+    score = degrees.tolist() + [0]
+    cur = [int(v) for v in members]
+    # the perimeter is the sum over members of deg(v) + score[v]
+    perim = sum(score[v] for v in cur)
+    for v in cur:
+        state[v] = 2
+        for x in adj[v]:
+            score[x] -= 2
+    perim += sum(score[v] for v in cur)
+    # no perimeter is below 0, so -1 stops no chain
+    floor = -1 if floor is None else floor
+    if perim <= floor:
+        return perim, np.asarray(cur, np.int64), 0
+    # the probe swaps' perimeter changes, by the loop's rule
+    deltas = [
+        abs(2 * (score[w] - score[u]) + 4 * (u in adj[w]))
+        for u, w in zip([cur[i] for i in probe_rem.tolist()], vertices[probe_add].tolist())
+        if state[w] == 1
+    ]
+    # a start at 0, for no probe or only zero changes, would freeze the chain
+    t0 = sum(deltas) / len(deltas) if any(deltas) else 2.0 * int(degrees.max())
     nsteps = len(rem_idx)
-    adj, width = rows
     # the running product t0, t0 cool, t0 cool cool, ..., one entry per sweep
     temps = np.full(max(1, -(-nsteps // sweep)), cool, np.float64)
     temps[0] = t0
@@ -453,15 +488,8 @@ def anneal_chain(
     small = np.min_scalar_type(4 * width + 4)
     slot = np.empty(nsteps, small)
     np.multiply(nb_u, width, out=slot, casting="unsafe")
-    fallback = np.asarray(cand_list).astype(np.min_scalar_type(indptr.shape[0] - 1))[fb_idx]
     dmax = _cutoffs(np.asarray(acc_u), temps, sweep, width, small).tolist()
-    steps = [memoryview(np.ascontiguousarray(a)) for a in (rem_idx, src_idx, slot, fallback)]
-    # the sentinel vertex nverts: state 0, and a score the padded rows write
-    state = bytearray((np.asarray(cand_mask) != 0).tobytes() + b"\0")
-    score = np.diff(indptr).tolist() + [0]
-    cur = [int(v) for v in members]
+    steps = [memoryview(np.ascontiguousarray(a)) for a in (rem_idx, src_idx, slot, vertices[fb_idx])]
     best_set = cur.copy()
-    # no perimeter is below 0, so -1 stops no chain
-    floor = -1 if floor is None else floor
-    best, walked = _anneal_loop(adj, state, score, *steps, dmax, cur, best_set, floor)
+    best, walked = _anneal_loop(adj, state, score, *steps, dmax, cur, best_set, perim, floor)
     return best, np.asarray(best_set, np.int64), walked

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from groupiso import catalogue
+from groupiso.isoperimetry import set_perimeter
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -59,3 +61,24 @@ def _every_translation(ball):
 @pytest.fixture(scope="session")
 def every_translation():
     return _every_translation
+
+
+def _probe_reference(ball, cand, init, probe_rem, probe_add):
+    """An annealing chain's start temperature from full perimeters: the
+    mean absolute perimeter change of the probe swaps of member
+    ``init[ri]`` for pool vertex ``cand[ai]``, over those whose vertex is
+    not a member, or twice the largest degree if that mean is 0."""
+    base = set(int(v) for v in init)
+    p0 = set_perimeter(ball, base)
+    deltas = [
+        abs(set_perimeter(ball, (base - {int(init[ri])}) | {int(cand[ai])}) - p0)
+        for ri, ai in zip(probe_rem, probe_add)
+        if int(cand[ai]) not in base
+    ]
+    scale = float(np.mean(deltas)) if deltas else 0.0
+    return scale if scale > 0.0 else 2.0 * float(ball.degrees.max())
+
+
+@pytest.fixture(scope="session")
+def probe_reference():
+    return _probe_reference

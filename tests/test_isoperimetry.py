@@ -17,9 +17,7 @@ from groupiso.isoperimetry import (
     _chain_inputs,
     _deficit,
     _pool_floor,
-    _probe_temperature,
     anneal_min_perimeter,
-    cut_edges,
     default_candidates,
     double_counting_report,
     min_perimeter,
@@ -53,7 +51,6 @@ def test_perimeter_is_indicator_gradient(plane):
 
 def test_perimeter_counts_cut_edges(ring16):
     arc = [ring16.index_of[x] for x in (0, 1, 2)]
-    assert len(cut_edges(ring16, arc)) == 2
     assert set_perimeter(ring16, arc) == 4
 
 
@@ -213,6 +210,20 @@ def test_anneal_rejects_bad_k(line):
         anneal_min_perimeter(line, m + 1)
 
 
+@pytest.mark.parametrize("pool", [[0, 1, 1], [0, 0, 1], [0, 99], [-1, 0, 1]])
+@pytest.mark.parametrize("run", [min_perimeter, profile, anneal_min_perimeter])
+def test_bad_candidate_pool_is_an_error(ring16, run, pool):
+    # a repeated vertex would be counted twice, one outside the window
+    # indexes nothing: every profile function refuses the pool up front
+    with pytest.raises(ValueError, match=r"^candidates must be distinct vertices in 0\.\.15$"):
+        run(ring16, len(pool), candidates=pool)
+
+
+def test_anneal_rejects_no_chains(ring16):
+    with pytest.raises(ValueError, match="^chains must be positive$"):
+        anneal_min_perimeter(ring16, 2, chains=0)
+
+
 def test_anneal_matches_exact_on_small(ring16):
     exact = profile(ring16, 5)
     for k, ent in enumerate(exact, start=1):
@@ -220,30 +231,30 @@ def test_anneal_matches_exact_on_small(ring16):
         assert annealed.perimeter == ent.perimeter
 
 
-def _probe_reference(ball, cand, init, probe_rem, probe_add):
-    # the probe from full perimeters: mean |change| over the trial swaps
-    base = set(int(v) for v in init)
-    p0 = set_perimeter(ball, base)
-    deltas = [
-        abs(set_perimeter(ball, (base - {int(init[ri])}) | {int(cand[ai])}) - p0)
-        for ri, ai in zip(probe_rem, probe_add)
-        if int(cand[ai]) not in base
-    ]
-    scale = float(np.mean(deltas)) if deltas else 0.0
-    return scale if scale > 0.0 else 2.0 * float(ball.degrees.max())
-
-
 @pytest.mark.parametrize("name", catalogue.names())
-def test_probe_temperature_matches_full_perimeters(name):
+def test_probe_temperature_matches_full_perimeters(name, monkeypatch, probe_reference):
+    # the chain's start temperature is the first entry of the temperatures
+    # it hands to the cutoffs
     ball = catalogue.build(name)
     cand = default_candidates(ball)
+    pool = kernels.pool_rows(ball.indptr, ball.indices, cand)
+    starts = []
+    cutoffs = kernels._cutoffs
+
+    def record(acc_u, temps, *rest):
+        starts.append(float(temps[0]))
+        return cutoffs(acc_u, temps, *rest)
+
+    monkeypatch.setattr(kernels, "_cutoffs", record)
     for k in (1, 4, 9):
         if k > cand.shape[0]:
             continue
         for seed in (0, 7, 11):
-            init, probe_rem, probe_add, _ = _chain_inputs(np.random.default_rng(seed), cand, k, 1)
-            want = _probe_reference(ball, cand, init, probe_rem, probe_add)
-            assert _probe_temperature(ball, cand, init, probe_rem, probe_add) == want
+            init, probe_rem, probe_add, walk = _chain_inputs(np.random.default_rng(seed), cand, k, 1)
+            kernels.anneal_chain(
+                ball.indptr, ball.indices, pool, init, probe_rem, probe_add, 0.97, k, *walk
+            )
+            assert starts.pop() == probe_reference(ball, cand, init, probe_rem, probe_add)
 
 
 SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")

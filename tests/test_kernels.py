@@ -1,6 +1,7 @@
 """Kernels against independent oracles: brute force, networkx and chains replayed from scratch."""
 
 import functools
+import inspect
 import itertools
 import math
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from groupiso import catalogue, kernels
-from groupiso.isoperimetry import _chain_inputs, _pool_floor, _probe_temperature, set_perimeter
+from groupiso.isoperimetry import _chain_inputs, _pool_floor, set_perimeter
 
 UNBOUNDED = 10**9
 
@@ -106,17 +107,17 @@ def test_connected_profile_matches_brute_force(name, whole, kmax, cap):
 
 
 def _chain_args(name, k, seed=123, budget=2000, whole=False):
+    # the pool, and anneal_chain's arguments after the graph and the pool
     ball = _ball(name)
     cand = _pool(ball, whole).astype(np.int64)
-    mask = np.zeros(ball.num_vertices, np.uint8)
-    mask[cand] = 1
     init, probe_rem, probe_add, walk = _chain_inputs(np.random.default_rng(seed), cand, k, budget)
-    t0 = _probe_temperature(ball, cand, init, probe_rem, probe_add)
-    return (ball.indptr, ball.indices, mask, cand, init, t0, 0.97, k, *walk)
+    return cand, (init, probe_rem, probe_add, 0.97, k, *walk)
 
 
-def _anneal(args, floor=None):
-    return kernels.anneal_chain(*args, rows=kernels.pool_rows(*args[:3]), floor=floor)
+def _anneal(name, cand, args, floor=None):
+    ball = _ball(name)
+    pool = kernels.pool_rows(ball.indptr, ball.indices, cand)
+    return kernels.anneal_chain(ball.indptr, ball.indices, pool, *args, floor=floor)
 
 
 @pytest.mark.parametrize(
@@ -128,27 +129,29 @@ def _anneal(args, floor=None):
 )
 def test_anneal_chain_pinned(name, k, best, members):
     # no floor: the chain walks its whole budget
-    args = _chain_args(name, k)
-    got, got_members, walked = _anneal(args)
+    cand, args = _chain_args(name, k)
+    got, got_members, walked = _anneal(name, cand, args)
     assert (got, tuple(sorted(got_members.tolist())), walked) == (best, members, 2000)
     assert set_perimeter(_ball(name), got_members) == got
 
 
 def _replay_chain(
-    ball, floor, cand_mask, cand_list, members, t0, cool, sweep,
+    ball, floor, cand, oracle, members, probe_rem, probe_add, cool, sweep,
     rem_idx, src_idx, nb_u, fb_idx, acc_u,
 ):
     # anneal_chain step by step, each trial set's perimeter from scratch,
-    # stopping once the best set reaches the floor (None: never)
-    pool = np.flatnonzero(cand_mask)
-    width = max(int(ball.degrees[pool].max()), 1)
+    # stopping once the best set reaches the floor (None: never); the
+    # start temperature is the oracle's
+    cand_mask = np.zeros(ball.num_vertices, np.bool_)
+    cand_mask[cand] = True
+    width = max(int(ball.degrees[cand].max()), 1)
     floor = -1 if floor is None else floor
     cur = [int(v) for v in members]
     perim = set_perimeter(ball, cur)
     best, best_set = perim, sorted(cur)
     if best <= floor:
         return best, tuple(best_set), 0
-    t = t0
+    t = oracle(ball, cand, members, probe_rem, probe_add)
     for s in range(len(rem_idx)):
         if s > 0 and s % sweep == 0:
             t *= cool
@@ -160,7 +163,7 @@ def _replay_chain(
         j = int(nb_u[s] * width)
         w = int(row[j]) if j < row.size else -1
         if w < 0 or not cand_mask[w] or w in cur:
-            w = int(cand_list[fb_idx[s]])
+            w = int(cand[fb_idx[s]])
             if w in cur:
                 continue
         trial = [w if v == u else v for v in cur]
@@ -185,17 +188,18 @@ ORACLE_WINDOWS = [
 @pytest.mark.parametrize("name,whole", ORACLE_WINDOWS)
 @pytest.mark.parametrize("k", [1, 4, 9])
 @pytest.mark.parametrize("seed", [5, 41])
-def test_anneal_chain_matches_replay(name, whole, k, seed):
+def test_anneal_chain_matches_replay(name, whole, k, seed, probe_reference):
     # with no floor and with the pool's, where it has one: the floor stops
     # the chain and its replay at the same step.  c64 and q6 are complete
     # and the interior of z2 keeps whole neighbourhoods; the whole pools of
     # z2 and f2 reach the window's boundary, and heisenberg has no floor
-    args = _chain_args(name, k, seed=seed, whole=whole)
-    floor = _pool_floor(_ball(name), args[3], k)
+    ball = _ball(name)
+    cand, args = _chain_args(name, k, seed=seed, whole=whole)
+    floor = _pool_floor(ball, cand, k)
     assert (floor is not None) == (name in ("c64", "q6") or name == "z2" and not whole)
     for stop in (None, floor):
-        got, members, walked = _anneal(args, stop)
-        replay = _replay_chain(_ball(name), stop, *args[2:])
+        got, members, walked = _anneal(name, cand, args, stop)
+        replay = _replay_chain(ball, stop, cand, probe_reference, *args)
         assert (got, tuple(sorted(members.tolist())), walked) == replay
 
 
@@ -245,23 +249,25 @@ def _reference_loop(
 
 
 def _reference_chain(
-    indptr, indices, cand_mask, cand_list, members, t0, cool, sweep,
+    ball, cand, oracle, members, probe_rem, probe_add, cool, sweep,
     rem_idx, src_idx, nb_u, fb_idx, acc_u,
 ):
+    indptr = ball.indptr
     nsteps = len(rem_idx)
     factors = np.full(max(1, -(-nsteps // sweep)), cool, np.float64)
-    factors[0] = t0
+    factors[0] = oracle(ball, cand, members, probe_rem, probe_add)
     temp = np.repeat(np.multiply.accumulate(factors), sweep)[:nsteps]
-    state = (np.asarray(cand_mask) != 0).astype(np.uint8)
-    ind = indices.tolist()
-    adj = [()] * (indptr.shape[0] - 1)
+    state = np.zeros(ball.num_vertices, np.uint8)
+    state[cand] = 1
+    ind = ball.indices.tolist()
+    adj = [()] * ball.num_vertices
     for v in np.flatnonzero(state).tolist():
         adj[v] = tuple(ind[indptr[v]:indptr[v + 1]])
     cur = [int(v) for v in members]
     best_set = cur.copy()
     steps = (rem_idx.tolist(), src_idx.tolist(), nb_u.tolist(), fb_idx.tolist(), acc_u.tolist())
     best = _reference_loop(
-        adj, bytearray(state), cand_list.tolist(), *steps, temp.tolist(), np.diff(indptr).tolist(),
+        adj, bytearray(state), cand.tolist(), *steps, temp.tolist(), np.diff(indptr).tolist(),
         cur, best_set,
     )
     return best, best_set
@@ -270,21 +276,58 @@ def _reference_chain(
 @pytest.mark.parametrize("name", ["c64", "z2", "z3", "q6", "heisenberg", "f2"])
 @pytest.mark.parametrize("k", [1, 4, 9])
 @pytest.mark.parametrize("seed", [5, 41])
-def test_anneal_chain_matches_reference_on_default_pools(name, k, seed):
+def test_anneal_chain_matches_reference_on_default_pools(name, k, seed, probe_reference):
     # every default pool row has the pool's full width, so slots and
     # cutoffs change no proposal and no acceptance: the chains are equal
-    args = _chain_args(name, k, seed=seed)
-    got, members, walked = _anneal(args)
-    assert (got, members.tolist(), walked) == (*_reference_chain(*args), len(args[8]))
+    ball = _ball(name)
+    cand, args = _chain_args(name, k, seed=seed)
+    got, members, walked = _anneal(name, cand, args)
+    want = _reference_chain(ball, cand, probe_reference, *args)
+    assert (got, members.tolist(), walked) == (*want, len(args[5]))
+
+
+def test_rem_idx_is_the_ninth_parameter():
+    # the walk arrays start at position 8, where a tracer counts the
+    # steps of a chain as len(rem_idx)
+    assert list(inspect.signature(kernels.anneal_chain).parameters)[8] == "rem_idx"
+
+
+def test_chain_on_the_floor_builds_no_walk(monkeypatch):
+    # every singleton of c64 has perimeter 4, its floor: the chain returns
+    # before building temperatures, slots or cutoffs
+    def refuse(*args):
+        raise AssertionError("cutoffs built for a chain on its floor")
+
+    monkeypatch.setattr(kernels, "_cutoffs", refuse)
+    cand, args = _chain_args("c64", 1)
+    assert _pool_floor(_ball("c64"), cand, 1) == 4
+    got, members, walked = _anneal("c64", cand, args, floor=4)
+    assert (got, members.tolist(), walked) == (4, args[0].tolist(), 0)
 
 
 def test_pool_rows_pad_with_the_sentinel():
     # path 0 - 1 - 2 and an isolated vertex 3; the pool is 0, 1 and 3
     indptr = np.array([0, 1, 3, 4, 4])
     indices = np.array([1, 0, 2, 1])
-    adj, width = kernels.pool_rows(indptr, indices, np.array([1, 1, 0, 1], np.uint8))
-    assert width == 2
-    assert adj == [(1, 4), (0, 2), (), (4, 4)]
+    pool = kernels.pool_rows(indptr, indices, np.array([0, 1, 3]))
+    assert pool.width == 2
+    assert pool.adj == [(1, 4), (0, 2), (), (4, 4)]
+    # one byte per vertex and the sentinel
+    assert pool.state == bytes([1, 1, 0, 1, 0])
+    assert pool.vertices.dtype == np.uint8
+
+
+@pytest.mark.parametrize("name,whole", ORACLE_WINDOWS)
+def test_pool_rows_keep_the_order_of_the_pool(name, whole):
+    # the vertices follow cand; the rows and the state follow the set alone
+    ball = _ball(name)
+    cand = _pool(ball, whole)
+    shuffled = np.random.default_rng(3).permutation(cand)
+    pool = kernels.pool_rows(ball.indptr, ball.indices, cand)
+    other = kernels.pool_rows(ball.indptr, ball.indices, shuffled)
+    assert other.vertices.tolist() == shuffled.tolist()
+    assert pool.vertices.tolist() == cand.tolist()
+    assert (other.adj, other.width, other.state) == (pool.adj, pool.width, pool.state)
 
 
 def _cutoff_cases():
