@@ -334,14 +334,6 @@ def lp_norm(values: np.ndarray, p: float, part: LivePart | None = None) -> float
     return float(total(a**p) ** (1.0 / p))
 
 
-def grad_lp_norm(ball: ExploredBall, values: np.ndarray, p: float) -> float:
-    return lp_norm(grad_modulus(ball, values), p)
-
-
-def weighted_lp_norm(values: np.ndarray, weight: np.ndarray, alpha: float, p: float) -> float:
-    return lp_norm(np.asarray(weight, np.float64) ** alpha * np.asarray(values, np.float64), p)
-
-
 def zero_sum(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, np.float64)
     return values - values.mean()

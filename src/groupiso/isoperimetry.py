@@ -151,9 +151,7 @@ def _scan_entry(ball, k, cand, cap) -> ProfileEntry:
             f"{total} subsets of size {k} exceed the cap of {cap}; "
             "raise the cap, shrink the pool, or anneal instead"
         )
-    best, leaves, _, wit = kernels.min_perimeter_scan(
-        ball.indptr, ball.indices, cand, k, total + 1
-    )
+    best, leaves, _, wit = kernels.min_perimeter_scan(ball.indptr, ball.indices, cand, k)
     found = best < kernels.NO_RESULT
     perim, witness = (int(best), tuple(int(v) for v in wit)) if found else (None, None)
     return ProfileEntry(k, perim, witness, int(leaves), False, True)
@@ -215,14 +213,15 @@ def _profile_rows(ball, kmax, cand, cap, fallback) -> list[ProfileEntry]:
 
 def _chain_inputs(rng: np.random.Generator, cand: np.ndarray, k: int, budget: int):
     # draw order is fixed: init set, probe pairs, then the walk arrays
-    init = np.sort(rng.choice(cand, size=k, replace=False).astype(np.int64))
+    # integers() draws int64, and so does choice() on the int64 pool
+    init = np.sort(rng.choice(cand, size=k, replace=False))
     probe_rem = rng.integers(0, k, 64)
     probe_add = rng.integers(0, cand.shape[0], 64)
     walk = (
-        rng.integers(0, k, budget).astype(np.int64),
-        rng.integers(0, k, budget).astype(np.int64),
+        rng.integers(0, k, budget),
+        rng.integers(0, k, budget),
         rng.random(budget),
-        rng.integers(0, cand.shape[0], budget).astype(np.int64),
+        rng.integers(0, cand.shape[0], budget),
         rng.random(budget),
     )
     return init, probe_rem, probe_add, walk

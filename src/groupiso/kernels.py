@@ -6,23 +6,25 @@ subgradient without a second pass.  The subset scan, the connected-set
 enumeration and the annealer are plain Python loops: lists, tuples,
 bytearrays and memoryviews index and iterate to plain ints and floats,
 faster than numpy scalars, so the public wrappers hand the loops their
-graph arrays and scratch state as lists or bytearrays.  An annealing
-pool is described once for all its chains by :func:`pool_rows`: its
-rows as tuples padded with a sentinel vertex to the longest, its
-vertices and its state bytes.  A chain keeps per vertex a boundary
-score and a state byte; it places its members, returns at once if they
-sit on the perimeter floor, and otherwise takes its start temperature
-from its own scores, by the loop's rule.  Everything in a step that does not depend on the chain's state is
-computed before the loop with numpy: the slot of the proposed
-neighbour, the fallback vertex and the largest even delta the
-Metropolis test accepts, so the loop calls no ``math.exp``.  Its
-per-step arrays stay memoryviews, the prepared ones in the narrowest
-dtype that holds them: they are read once each, in one ``zip``, and
-list copies would box every value, raising peak memory by megabytes per
-chain.  The acceptance cutoffs are the one list: mostly 0 and never
-above ``4 width + 4``, they are ints CPython shares up to 256 rather
-than boxes, and the list's iterator tells a chain that stops early, at
-a perimeter floor, how many steps it walked.
+graph arrays as lists or bytearrays.  The scan and the enumeration keep
+their own state on an explicit stack, one frame per member of the set
+they grow, so a set may be as large as its pool: nothing recurses.  An
+annealing pool is described once for all its chains by
+:func:`pool_rows`: its rows as tuples padded with a sentinel vertex to
+the longest, its vertices and its state bytes.  A chain keeps per vertex
+a boundary score and a state byte; it places its members, returns at
+once if they sit on the perimeter floor, and otherwise takes its start
+temperature from its own scores, by the loop's rule.  Everything in a
+step that does not depend on the chain's state is computed before the
+loop with numpy: the slot of the proposed neighbour, the fallback vertex
+and the largest even delta the Metropolis test accepts, so the loop
+calls no ``math.exp``.  Its per-step arrays stay memoryviews, the
+prepared ones in the narrowest dtype that holds them: they are read once
+each, in one ``zip``, and list copies would box every value, raising
+peak memory by megabytes per chain.  The acceptance cutoffs are the one
+list: mostly 0 and never above ``4 width + 4``, they are ints CPython
+shares up to 256 rather than boxes, and the list's iterator tells a
+chain that stops early, at a perimeter floor, how many steps it walked.
 """
 
 from __future__ import annotations
@@ -67,62 +69,43 @@ def energy_subgrad_csr(indptr, indices, diffs, gmod, out, rows):
     out[:] = np.bincount(rows, weights=contrib, minlength=n)
 
 
-def _scan_loop(pptr, pidx, score, cand, k, cap, pos, wit):
-    # Depth first walk over k-subsets of pool positions in lexicographic
-    # order, one root (first member) at a time.  score[q] is the
+def _scan_loop(nbrs, score, k):
+    # Depth first walk over the k-subsets of pool positions in
+    # lexicographic order, one frame per member placed: the positions
+    # left for the next member, and the perimeter of the set so far.
+    # nbrs[q] lists the in-pool neighbours of q, and score[q] is the
     # perimeter added by joining q to the current set: 2 deg(q) minus 4
-    # per in-pool neighbour already in the set.  The walk places the
-    # first k - 1 members; the last one is a single pass over the rest.
-    m = len(cand)
+    # per in-pool neighbour already in the set.  The last member is a
+    # single pass over what its frame has left.  Returns the first strict
+    # minimum, the subsets scanned and the positions of the minimizer
+    # (None if no subset was scanned).
+    m = len(score)
     best = NO_RESULT
     leaves = 0
-    # a cap below 1 scans nothing; any other cap returns as it is reached
-    if cap < 1:
-        return best, leaves, 0
-    for first in range(m - k + 1):
-        if k == 1:
-            leaves += 1
-            if score[first] < best:
-                best = score[first]
-                wit[0] = cand[first]
-            if leaves >= cap:
-                return best, leaves, 1
-            continue
-        pos[0] = first
-        depth = 0
-        perim = 0
-        while depth >= 0:
-            p = pos[depth]
-            perim += score[p]
-            for e in range(pptr[p], pptr[p + 1]):
-                score[pidx[e]] -= 4
-            if depth < k - 2:
-                depth += 1
-                pos[depth] = p + 1
-                continue
-            start = p + 1
-            stop = min(m, start + cap - leaves)
-            for q in range(start, stop):
+    wit = None
+    members = []
+    frames = [(iter(range(m - k + 1)), 0)]
+    while frames:
+        left, perim = frames[-1]
+        if len(members) == k - 1:
+            leaves += operator.length_hint(left)
+            for q in left:
                 total = perim + score[q]
                 if total < best:
                     best = total
-                    for d in range(k - 1):
-                        wit[d] = cand[pos[d]]
-                    wit[k - 1] = cand[q]
-            leaves += stop - start
-            if leaves >= cap:
-                return best, leaves, 1
-            # take members back off until one can advance
-            while depth >= 0:
-                p = pos[depth]
-                for e in range(pptr[p], pptr[p + 1]):
-                    score[pidx[e]] += 4
-                perim -= score[p]
-                if depth > 0 and p < m - (k - depth):
-                    pos[depth] = p + 1
-                    break
-                depth -= 1
-    return best, leaves, 0
+                    wit = members + [q]
+        elif (p := next(left, None)) is not None:
+            members.append(p)
+            frames.append((iter(range(p + 1, m - k + len(members) + 1)), perim + score[p]))
+            for u in nbrs[p]:
+                score[u] -= 4
+            continue
+        # the frame is spent: take its member back off
+        frames.pop()
+        if members:
+            for u in nbrs[members.pop()]:
+                score[u] += 4
+    return best, leaves, wit
 
 
 def row_entries(indptr, vertices):
@@ -155,121 +138,99 @@ def induced_csr(indptr, indices, vertices):
     return sub, nb[keep], rows
 
 
-def _pool_csr(indptr, indices, cand):
-    """In-pool neighbour positions, one CSR row per position of the pool ``cand``.
+def _pool_lists(indptr, indices, cand):
+    """In-pool neighbour positions, one list per position of the pool ``cand``.
 
-    Returns ``(pptr, pidx, score)`` as lists, ``score`` being twice the
-    degree of each pool vertex in the whole graph: the perimeter of the
-    singleton.
+    Returns ``(nbrs, score)``, ``score`` being twice the degree of each
+    pool vertex in the whole graph: the perimeter of the singleton.
     """
     pptr, pidx, _ = induced_csr(indptr, indices, cand)
-    return pptr.tolist(), pidx.tolist(), (2 * (indptr[cand + 1] - indptr[cand])).tolist()
+    pptr, pidx = pptr.tolist(), pidx.tolist()
+    nbrs = [pidx[a:b] for a, b in zip(pptr, pptr[1:])]
+    return nbrs, (2 * (indptr[cand + 1] - indptr[cand])).tolist()
 
 
-def min_perimeter_scan(indptr, indices, cand, k, cap):
-    """Least perimeter over k-subsets of the pool ``cand``, in lexicographic order.
+def min_perimeter_scan(indptr, indices, cand, k):
+    """Least perimeter over the k-subsets of the pool ``cand``, in lexicographic order.
 
-    At most the first ``cap`` subsets are scanned.  Returns ``(best,
-    leaves, capped, witness)``: the first strict minimum and its vertices
-    (``NO_RESULT`` and -1s if no subset was scanned), the number of
-    subsets scanned, and 1 if the cap stopped the scan, else 0.
+    Every subset is scanned.  Returns ``(best, leaves, capped, witness)``:
+    the first strict minimum and its vertices (``NO_RESULT`` and -1s if
+    the pool has fewer than k vertices), the number of subsets scanned,
+    and 0: the scan has no cap, and ``capped`` stays for the callers that
+    read the fourth position.
     """
-    wit = [-1] * k
-    best, leaves, capped = _scan_loop(
-        *_pool_csr(indptr, indices, cand), cand.tolist(), int(k), int(cap), [0] * k, wit
-    )
-    return best, leaves, capped, np.asarray(wit, np.int64)
+    vertices = cand.tolist()
+    best, leaves, wit = _scan_loop(*_pool_lists(indptr, indices, cand), int(k))
+    witness = [-1] * k if wit is None else [vertices[p] for p in wit]
+    return best, leaves, 0, np.asarray(witness, np.int64)
 
 
-def _connected_loop(
-    pptr, pidx, score, kmax, cap, best, count, wit, mark, ext, members, lo, hi, nst, end,
-):
+def _connected_loop(nbrs, score, kmax, cap):
     # ESU walk (Wernicke 2006) over the connected subsets of pool
     # positions with at most kmax members, each visited once: a set is
-    # grown from its least position, the root.  Level d holds the set
-    # members[:d] and its untried extensions ext[lo[d]:hi[d]]; level 0
-    # holds the empty set and the root alone.  A child's untried list is
-    # a copy of what its parent has left plus the exclusive neighbours of
-    # the new member: positions above the root that are neither in the
-    # set nor next to it (mark).  score[q] is the perimeter added by
-    # joining q, as in _scan_loop.  wit[s] is the size-s witness, sorted:
-    # a set replaces it with a lower perimeter, or with an equal one and a
-    # lexicographically smaller sorted list.  When more than cap sets of
-    # one size turn up, that size and every larger one are dropped; the
-    # returned limit is the largest size left complete.
+    # grown from its least position, the root.  One frame per member: its
+    # untried extensions, the perimeter of the set, and the positions it
+    # marked; the bottom frame holds the empty set and the root alone.  A
+    # child's untried list is what its parent has left plus the exclusive
+    # neighbours of the new member: positions above the root that are
+    # neither in the set nor next to it (mark).  nbrs and score are as in
+    # _scan_loop.  wit[s] is the size-s witness, sorted: a set replaces it
+    # with a lower perimeter, or with an equal one and a lexicographically
+    # smaller sorted list.  When more than cap sets of one size turn up,
+    # that size and every larger one are dropped; limit is the largest
+    # size left complete.
+    best = [NO_RESULT] * (kmax + 1)
+    count = [0] * (kmax + 1)
+    wit = [None] * (kmax + 1)
+    mark = bytearray(len(score))
+    members = []
     limit = kmax
     for root in range(len(score)):
         if limit < 1:
             break
         mark[root] = 1
-        ext[0] = root
-        lo[0] = 0
-        hi[0] = 1
-        nst[0] = 0
-        end[0] = 1
-        perim = 0
-        d = 0
-        while d >= 0:
-            s = d + 1
-            if s > limit or hi[d] == lo[d]:
-                # leave level d: forget its extensions, take its member off
-                for i in range(nst[d], end[d]):
-                    mark[ext[i]] = 0
-                if d > 0:
-                    w = members[d - 1]
-                    for e in range(pptr[w], pptr[w + 1]):
-                        score[pidx[e]] += 4
-                    perim -= score[w]
-                d -= 1
-                continue
+        frames = [([root], 0, [root])]
+        while frames:
+            ext, perim, marked = frames[-1]
+            s = len(frames)
+            # the frame adds its leaves to size s at the limit, else one set
+            if s <= limit and ext and count[s] + (len(ext) if s == limit else 1) > cap:
+                limit = s - 1
             if s == limit:
                 # the children are leaves: one pass over the untried list
-                if count[s] + hi[d] - lo[d] > cap:
-                    limit = s - 1
-                    continue
-                count[s] += hi[d] - lo[d]
-                for i in range(lo[d], hi[d]):
-                    w = ext[i]
+                count[s] += len(ext)
+                for w in ext:
                     total = perim + score[w]
                     if total <= best[s]:
-                        members[d] = w
-                        key = sorted(members[:s])
+                        key = sorted(members + [w])
                         if total < best[s] or key < wit[s]:
                             best[s] = total
                             wit[s] = key
-                hi[d] = lo[d]
-                continue
-            if count[s] >= cap:
-                limit = s - 1
+            if s >= limit or not ext:
+                # leave the frame: forget its extensions, take its member off
+                frames.pop()
+                for u in marked:
+                    mark[u] = 0
+                if members:
+                    for u in nbrs[members.pop()]:
+                        score[u] += 4
                 continue
             count[s] += 1
-            hi[d] -= 1
-            w = ext[hi[d]]
-            c = end[d]
-            n = hi[d] - lo[d]
-            members[d] = w
-            d += 1
+            w = ext.pop()
+            members.append(w)
             perim += score[w]
             if perim <= best[s]:
-                key = sorted(members[:s])
+                key = sorted(members)
                 if perim < best[s] or key < wit[s]:
                     best[s] = perim
                     wit[s] = key
-            for e in range(pptr[w], pptr[w + 1]):
-                score[pidx[e]] -= 4
-            ext[c:c + n] = ext[lo[d - 1]:hi[d - 1]]
-            top = c + n
-            for e in range(pptr[w], pptr[w + 1]):
-                u = pidx[e]
-                if u > root and mark[u] == 0:
-                    mark[u] = 1
-                    ext[top] = u
-                    top += 1
-            lo[d] = c
-            hi[d] = top
-            nst[d] = c + n
-            end[d] = top
-    return limit
+            new = [u for u in nbrs[w] if u > root and not mark[u]]
+            for u in nbrs[w]:
+                score[u] -= 4
+            for u in new:
+                mark[u] = 1
+            frames.append((ext + new, perim, new))
+    return best, count, wit, limit
 
 
 def connected_profile(indptr, indices, cand, kmax, cap):
@@ -283,18 +244,7 @@ def connected_profile(indptr, indices, cand, kmax, cap):
     connected j-sets, and the lexicographically least minimizer, sorted;
     ``limit`` is the largest size whose entries are complete.
     """
-    kmax = int(kmax)
-    m = cand.shape[0]
-    pptr, pidx, score = _pool_csr(indptr, indices, cand)
-    # level d > 0 holds at most min(m, d * maxdeg) untried positions
-    maxdeg = max((b - a for a, b in zip(pptr, pptr[1:])), default=0)
-    room = kmax * min(m, kmax * maxdeg) + 1
-    best = [NO_RESULT] * (kmax + 1)
-    count = [0] * (kmax + 1)
-    wit = [None] * (kmax + 1)
-    # mark, ext, members, then per level lo, hi, nst and end
-    scratch = [[0] * m, [0] * room, *([0] * kmax for _ in range(5))]
-    limit = _connected_loop(pptr, pidx, score, kmax, int(cap), best, count, wit, *scratch)
+    best, count, wit, limit = _connected_loop(*_pool_lists(indptr, indices, cand), int(kmax), int(cap))
     vertices = cand.tolist()
     witnesses = [None if w is None else tuple(vertices[p] for p in w) for w in wit]
     return best, count, witnesses, limit

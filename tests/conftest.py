@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from groupiso import catalogue
+from groupiso.fields import grad_modulus, lp_norm
 from groupiso.isoperimetry import set_perimeter
 
 
@@ -82,3 +83,20 @@ def _probe_reference(ball, cand, init, probe_rem, probe_add):
 @pytest.fixture(scope="session")
 def probe_reference():
     return _probe_reference
+
+
+def _grad_lp_norm(ball, values, p):
+    """||grad f||_p of a window array, dense: the gradient modulus on
+    every vertex of the window, then its p-norm."""
+    return lp_norm(grad_modulus(ball, values), p)
+
+
+def _weighted_lp_norm(values, weight, alpha, p):
+    """||w^alpha f||_p of window arrays, dense."""
+    return lp_norm(np.asarray(weight, np.float64) ** alpha * np.asarray(values, np.float64), p)
+
+
+@pytest.fixture(scope="session")
+def dense_norms():
+    """The dense gradient and weighted p-norms the float reports are checked against."""
+    return _grad_lp_norm, _weighted_lp_norm

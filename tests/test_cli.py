@@ -12,10 +12,10 @@ import pytest
 SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, env=None):
     out = subprocess.run(
         [sys.executable, "-m", "groupiso.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     if check:
         assert out.returncode == 0, out.stderr
@@ -587,11 +587,48 @@ GOLDEN = [
     "args,digests", GOLDEN, ids=["-".join(os.path.basename(a) for a in args) for args, _ in GOLDEN]
 )
 def test_golden_bytes(tmp_path, args, digests):
+    assert _digests(tmp_path, args, digests) == digests
+
+
+def _digests(tmp_path, args, digests, env=None):
+    # sha256 of the command's stdout and of each output file digests names
     files = [f"--{kind}" for kind in digests if kind != "stdout"]
     paths = [str(tmp_path / f"out.{kind[2:]}") for kind in files]
-    out = run_cli(*args, *(x for pair in zip(files, paths) for x in pair))
+    out = run_cli(*args, *(x for pair in zip(files, paths) for x in pair), env=env)
     got = {"stdout": hashlib.sha256(out.stdout.encode()).hexdigest()}
     for kind, path in zip(files, paths):
         with open(path, "rb") as fh:
             got[kind[2:]] = hashlib.sha256(fh.read()).hexdigest()
-    assert got == digests
+    return got
+
+
+#: The CPU features whose numpy paths the AVX2 leg turns off.
+_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+#: Per leg, what the child process runs under: numpy on its AVX2 paths,
+#: or OpenBLAS on its Haswell kernels.
+DISPATCH_LEGS = {
+    "avx2": {"NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+
+
+def _numpy_dispatches(features):
+    # whether numpy has a dispatch target for one of features and this CPU has it
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return any(f in __cpu_dispatch__ and __cpu_features__.get(f) for f in features)
+
+
+@pytest.mark.parametrize("leg", sorted(DISPATCH_LEGS))
+@pytest.mark.parametrize("args", [
+    ("verify", "--instance", "heisenberg", "--fields", "5"),
+    ("constants", "--instance", "heisenberg", "--kmax", "2", "--starts", "2", "--iters", "60"),
+    ("isoperimetry", "--instance", "c64", "--kmax", "10", "--anneal", "--chains", "2",
+     "--seed", "3"),
+], ids=["verify", "constants", "anneal"])
+def test_golden_bytes_do_not_depend_on_the_dispatch(tmp_path, args, leg):
+    if leg == "avx2" and not _numpy_dispatches(_AVX512):
+        pytest.skip("numpy dispatches no AVX-512 path on this CPU")
+    digests = dict(GOLDEN)[args]
+    assert _digests(tmp_path, args, digests, env={**os.environ, **DISPATCH_LEGS[leg]}) == digests

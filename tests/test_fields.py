@@ -15,7 +15,6 @@ from groupiso.fields import (
     FloatField,
     WeightPowers,
     coarea_report,
-    grad_lp_norm,
     grad_modulus,
     grad_modulus_exact,
     l1_norm_exact,
@@ -24,7 +23,6 @@ from groupiso.fields import (
     median_report,
     power_leibniz_report,
     to_dense,
-    weighted_lp_norm,
     zero_sum,
 )
 from groupiso.groups import ball_from_edges
@@ -44,7 +42,8 @@ def _sparse_fields(max_vertices):
     )
 
 
-def test_spike_gradient_on_line(line):
+def test_spike_gradient_on_line(line, dense_norms):
+    grad_lp_norm, _ = dense_norms
     field = {line.base_index: Fraction(1)}
     g = grad_modulus_exact(line, field)
     assert l1_norm_exact(g) == 4
@@ -191,9 +190,10 @@ def test_power_leibniz_property(seed, p):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["z2", "f2", "heisenberg", "q4"]), st.integers(0, 2**32 - 1), st.integers(0, 40))
-def test_live_part_gives_the_window_values_to_the_bit(name, seed, size):
+def test_live_part_gives_the_window_values_to_the_bit(dense_norms, name, seed, size):
     # any support, the outer shell of an incomplete window included; size
     # 0 is the zero field and size 40 a field on every vertex
+    grad_lp_norm, weighted_lp_norm = dense_norms
     ball = catalogue.build(name)
     n = ball.num_vertices
     rng = np.random.default_rng(seed)
@@ -237,7 +237,8 @@ def test_lp_norm_special_cases():
     assert math.isclose(lp_norm(v, 3.0), (27 + 64) ** (1 / 3))
 
 
-def test_weighted_norm():
+def test_weighted_norm(dense_norms):
+    _, weighted_lp_norm = dense_norms
     v = np.array([1.0, -2.0])
     w = np.array([1.0, 3.0])
     # alpha = 1, p = 1: sum w|f| = 1 + 6

@@ -84,9 +84,7 @@ def test_connected_rows_match_the_scan(name):
     for entry in profile(ball, ks[-1]):
         # every row the scan reaches is certified, and agrees with it
         assert entry.exact and not entry.capped
-        best, _, _, wit = kernels.min_perimeter_scan(
-            ball.indptr, ball.indices, cand, entry.k, np.int64(3_000_001)
-        )
+        best, _, _, wit = kernels.min_perimeter_scan(ball.indptr, ball.indices, cand, entry.k)
         assert (entry.perimeter, entry.witness) == (best, tuple(wit.tolist()))
 
 

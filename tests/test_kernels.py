@@ -9,8 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupiso import catalogue, kernels
+from groupiso.groups import ball_from_edges
 from groupiso.isoperimetry import _chain_inputs, _pool_floor, set_perimeter
 
 UNBOUNDED = 10**9
@@ -26,22 +29,14 @@ def _pool(ball, whole):
 
 
 @functools.lru_cache(maxsize=None)
-def _all_subsets(name, whole, k, stride):
-    # (perimeter, vertices) of every k-subset of the strided pool, in lexicographic order
+def _oracle(name, pool, k):
+    # the scan's result over the k-subsets of the tuple pool, by brute force
     ball = _ball(name)
-    cand = _pool(ball, whole)[::stride]
-    return [
-        (set_perimeter(ball, combo), tuple(int(v) for v in combo))
-        for combo in itertools.combinations(cand, k)
-    ]
-
-
-def _oracle(name, whole, k, stride, cap):
-    scanned = _all_subsets(name, whole, k, stride)[:cap]
+    scanned = [(set_perimeter(ball, combo), combo) for combo in itertools.combinations(pool, k)]
     best = min(scanned, key=lambda s: s[0], default=None)  # min keeps the first
     if best is None:
         return kernels.NO_RESULT, 0, 0, (-1,) * k
-    return best[0], len(scanned), int(len(scanned) >= cap), best[1]
+    return best[0], len(scanned), 0, best[1]
 
 
 SCAN_CASES = [
@@ -52,17 +47,16 @@ SCAN_CASES = [
 
 
 @pytest.mark.parametrize("name,whole,k", SCAN_CASES)
-@pytest.mark.parametrize("cap", [1, 7, 100, 5000, UNBOUNDED])
+@pytest.mark.parametrize("head", [1, 7, 100, 5000, UNBOUNDED])
 @pytest.mark.parametrize("stride", [1, 3])
-def test_scan_matches_brute_force(name, whole, k, cap, stride):
+def test_scan_matches_brute_force(name, whole, k, head, stride):
     # stride 3 keeps every third pool vertex: a pool with gaps, where
-    # most graph neighbours of a member lie outside the pool
+    # most graph neighbours of a member lie outside the pool; head keeps
+    # the first vertices of that, fewer than k of them at head 1
     ball = _ball(name)
-    cand = _pool(ball, whole)[::stride].astype(np.int64)
-    best, leaves, capped, wit = kernels.min_perimeter_scan(
-        ball.indptr, ball.indices, cand, k, np.int64(cap)
-    )
-    assert (best, leaves, capped, tuple(wit.tolist())) == _oracle(name, whole, k, stride, cap)
+    cand = _pool(ball, whole)[::stride][:head].astype(np.int64)
+    best, leaves, capped, wit = kernels.min_perimeter_scan(ball.indptr, ball.indices, cand, k)
+    assert (best, leaves, capped, tuple(wit.tolist())) == _oracle(name, tuple(cand.tolist()), k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,6 +98,70 @@ def test_connected_profile_matches_brute_force(name, whole, kmax, cap):
         least = min(sets[k], default=None, key=lambda s: s[0])  # min keeps the first
         want = (least[0], least[1]) if least else (kernels.NO_RESULT, None)
         assert (best[k], witnesses[k], count[k]) == (*want, len(sets[k]))
+
+
+@st.composite
+def _graphs_and_pools(draw):
+    # a random simple graph on 1..10 vertices, as a networkx graph and its
+    # sorted CSR, and a pool: an increasing run of its vertices with gaps
+    import networkx as nx
+
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = nx.Graph(e for e, kept in zip(pairs, keep) if kept)
+    graph.add_nodes_from(range(n))
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum([graph.degree(v) for v in range(n)], out=indptr[1:])
+    indices = np.array([u for v in range(n) for u in sorted(graph[v])], np.int64)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return graph, indptr, indices, np.flatnonzero(keep).astype(np.int64)
+
+
+def _by_size(graph, pool, k, connected):
+    # (perimeter, vertices) of the k-subsets of pool, in lexicographic order
+    import networkx as nx
+
+    return [
+        (2 * nx.cut_size(graph, combo), combo)
+        for combo in itertools.combinations(pool, k)
+        if not connected or nx.is_connected(graph.subgraph(combo))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs_and_pools(), st.sampled_from([1, 2, 5, UNBOUNDED]), st.integers(1, 11))
+def test_connected_profile_on_random_graphs(case, cap, kmax):
+    graph, indptr, indices, cand = case
+    best, count, witnesses, limit = kernels.connected_profile(indptr, indices, cand, kmax, cap)
+    pool = tuple(cand.tolist())
+    sets = {k: _by_size(graph, pool, k, True) for k in range(1, kmax + 1)}
+    assert limit == next((k - 1 for k in range(1, kmax + 1) if len(sets[k]) > cap), kmax)
+    for k in range(1, limit + 1):
+        least = min(sets[k], default=(kernels.NO_RESULT, None), key=lambda s: s[0])
+        assert (best[k], witnesses[k], count[k]) == (*least, len(sets[k]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs_and_pools(), st.integers(1, 11))
+def test_scan_on_random_graphs(case, k):
+    graph, indptr, indices, cand = case
+    best, leaves, capped, wit = kernels.min_perimeter_scan(indptr, indices, cand, k)
+    scanned = _by_size(graph, tuple(cand.tolist()), k, False)
+    least = min(scanned, default=(kernels.NO_RESULT, (-1,) * k), key=lambda s: s[0])
+    assert (best, tuple(wit.tolist()), leaves, capped) == (*least, len(scanned), 0)
+
+
+def test_deep_sets_need_no_recursion():
+    # a path of 1,100 vertices: the walk goes 1,050 members deep from
+    # root 0, and the scan places 1,098 members before its last pass
+    n = 1_100
+    path = ball_from_edges("path", n, [(v, v + 1) for v in range(n - 1)])
+    cand = np.arange(n)
+    # one set of each size from root 0; the second singleton passes cap 1
+    assert kernels.connected_profile(path.indptr, path.indices, cand, 1_050, 1)[3] == 0
+    best, leaves, capped, wit = kernels.min_perimeter_scan(path.indptr, path.indices, cand, n - 1)
+    assert (best, leaves, capped, wit.tolist()) == (2, n, 0, list(range(n - 1)))
 
 
 def _chain_args(name, k, seed=123, budget=2000, whole=False):
