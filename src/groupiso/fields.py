@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from . import kernels
-from .groups import ExploredBall
+from .groups import ExploredBall, _unique
 from .isoperimetry import set_perimeter
 
 ExactField = Mapping[int, Fraction]
@@ -310,7 +310,8 @@ class WeightPowers:
     """
 
     def __init__(self, weight: np.ndarray):
-        distinct, self._inverse = np.unique(weight, return_inverse=True)
+        distinct = _unique(weight)
+        self._inverse = np.searchsorted(distinct, weight)
         self._distinct = distinct.astype(np.float64)
         self._tables: dict[float, np.ndarray] = {}
 

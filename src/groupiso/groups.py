@@ -60,6 +60,15 @@ class GeneratedSystem:
     integer arithmetic; a window whose pool vertices keep their whole
     neighbourhood can have no k-set below it.  It is None for every
     other system.
+
+    ``height``, where the group has one, is a homomorphism onto the
+    integers that takes every generator to +1 or -1: the coordinate sum
+    of ``free_abelian``, the exponent sum of ``free_group``, a + b on
+    ``heisenberg``.  A group with a height is infinite.  A move changes
+    the height by one, so it changes the parity of the distance from
+    the base, which the height shares: no edge joins two states at one
+    distance, and :func:`explore` skips its last level.  It is None for
+    every other system.
     """
 
     name: str
@@ -68,6 +77,7 @@ class GeneratedSystem:
     kind: str = "cayley"
     multiply: Callable[[Hashable, Hashable], Hashable] | None = None
     floor: Callable[[int], int] | None = None
+    height: Callable[[Hashable], int] | None = None
 
 
 def _frozen(values, dtype=np.int64) -> np.ndarray:
@@ -171,7 +181,11 @@ def _unique(values: np.ndarray) -> np.ndarray:
 
     That table costs about 1 MB of resident memory on its first use.
     """
-    values = np.sort(values)
+    return _distinct(np.sort(values))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The first of every run of equal values of a sorted array."""
     keep = np.ones(values.size, np.bool_)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
@@ -187,8 +201,13 @@ def _csr(num_vertices: int, tails, heads) -> tuple[np.ndarray, np.ndarray]:
     keep = tails != heads
     tails, heads = tails[keep], heads[keep]
     # one key per directed entry; sorting the keys sorts rows, then columns
-    keys = _unique(np.concatenate([tails * num_vertices + heads, heads * num_vertices + tails]))
-    rows, indices = np.divmod(keys, num_vertices)
+    m = tails.size
+    keys = np.empty(2 * m, np.int64)
+    for out, row, col in ((keys[:m], tails, heads), (keys[m:], heads, tails)):
+        np.multiply(row, num_vertices, out=out)
+        out += col
+    keys.sort()
+    rows, indices = np.divmod(_distinct(keys), num_vertices)
     indptr = np.zeros(num_vertices + 1, np.int64)
     np.cumsum(np.bincount(rows, minlength=num_vertices), out=indptr[1:])
     return indptr, indices
@@ -199,7 +218,15 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
 
     Every state at distance <= horizon becomes a vertex; every edge whose
     endpoints both lie in the window is recorded once.  Self loops are
-    dropped and parallel moves are collapsed.
+    dropped and parallel moves are collapsed.  States are dict keys, so
+    the walk costs one hash and one move call per move application:
+    states that are cheap to hash and compare make it cheap.
+
+    A system with a ``height`` has no edge inside a distance level, so a
+    move from the last level either leaves the window or lands on the
+    level before, an edge found from there: the walk applies no move
+    there and the window is never complete.  Those moves still count
+    against the work cap, as if they were made.
 
     :param system: the generated system to walk.
     :param horizon: exploration radius, at least 1.
@@ -211,39 +238,50 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     moves = system.moves
-
-    def images(level):
-        # where every move takes every vertex of level, vertex by vertex.
-        # Once this level is expanded every known vertex is, so the walk
-        # will have applied len(labels) * len(moves) moves in all.
-        _check_work(system.name, len(labels) * len(moves), max_vertices)
-        return chain.from_iterable(zip(*[map(move, level) for move in moves]))
-
     index = {system.base: 0}
     labels = [system.base]
     sizes = [1]  # sizes[d] counts the vertices at distance d
-    # heads[i * len(moves) + j] is where move j takes vertex i, -1 if outside
-    heads: list[int] = []
-    claim, push = index.setdefault, heads.append
-    while len(sizes) <= horizon and sizes[-1]:
-        known = len(labels)
-        for v in images(labels[known - sizes[-1] :]):
+    # levels[d][i * len(moves) + j] is where move j takes vertex i of
+    # level d, -1 if outside the window
+    levels = []
+    claim = index.setdefault
+
+    def claimed(images):
+        for v in images:
             n = len(labels)
             iv = claim(v, n)
             if iv == n:
                 if n >= max_vertices:
                     raise _over_budget(system.name, max_vertices)
                 labels.append(v)
-            push(iv)
+            yield iv
+
+    while True:
+        level = labels[len(labels) - sizes[-1] :]
+        # once this level is expanded every known vertex is, so the walk
+        # will have applied len(labels) * len(moves) moves in all
+        _check_work(system.name, len(labels) * len(moves), max_vertices)
+        # where every move takes every vertex of level, vertex by vertex
+        images = chain.from_iterable(zip(*[map(move, level) for move in moves]))
+        count = len(level) * len(moves)
+        if len(sizes) > horizon or not level:
+            break
+        known = len(labels)
+        levels.append(np.fromiter(claimed(images), np.int64, count))
         sizes.append(len(labels) - known)
-    # the last level adds no vertex: a move that leaves the window gets -1
-    heads.extend(map(index.get, images(labels[len(labels) - sizes[-1] :]), repeat(-1)))
-    heads = np.asarray(heads, np.int64)
-    tails = np.repeat(np.arange(len(labels)), len(moves))
+    expanded = len(labels)
+    if system.height is None:
+        # the last level adds no vertex: a move that leaves the window gets -1
+        levels.append(np.fromiter(map(index.get, images, repeat(-1)), np.int64, count))
+    else:
+        expanded -= len(level)
+    heads = np.concatenate(levels)
+    tails = np.repeat(np.arange(expanded), len(moves))
     inside = heads >= 0
     indptr, indices = _csr(len(labels), tails[inside], heads[inside])
     dist = np.repeat(np.arange(len(sizes)), sizes)
-    return ExploredBall(system.name, horizon, dist, indptr, indices, inside.all(), labels, system)
+    complete = system.height is None and inside.all()
+    return ExploredBall(system.name, horizon, dist, indptr, indices, complete, labels, system)
 
 
 def _check_work(name: str, work: int, max_vertices: int) -> None:
@@ -389,12 +427,13 @@ def validate_ball(ball: ExploredBall) -> list[str]:
 
 
 def _cayley(
-    name: str, identity: Hashable, gens: Sequence[Hashable], mul, floor=None
+    name: str, identity: Hashable, gens: Sequence[Hashable], mul, floor=None, height=None
 ) -> GeneratedSystem:
     """Cayley system of a group law: generator g moves x to g*x; ``floor``
-    is the family's perimeter floor, if it has one."""
+    is the family's perimeter floor and ``height`` the group's height, if
+    it has them (see :class:`GeneratedSystem`)."""
     moves = tuple(partial(mul, g) for g in gens)
-    return GeneratedSystem(name, identity, moves, "cayley", mul, floor)
+    return GeneratedSystem(name, identity, moves, "cayley", mul, floor, height)
 
 
 # Edge-isoperimetric floors: k -> least perimeter (twice the cut edges)
@@ -446,26 +485,60 @@ def _add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
 def free_abelian(rank: int) -> GeneratedSystem:
     """Free abelian group of the given rank with standard generators."""
     gens = [tuple(s if j == i else 0 for j in range(rank)) for i in range(rank) for s in (1, -1)]
-    # rank 0, the trivial group, has no lattice bound: k^(d - 1) is no integer
-    floor = partial(_lattice_floor, rank) if rank >= 1 else None
-    return _cayley(f"free_abelian_{rank}", (0,) * rank, gens, _add, floor)
+    # rank 0, the trivial group, has no lattice bound (k^(d - 1) is no
+    # integer) and no height
+    floor, height = (partial(_lattice_floor, rank), sum) if rank >= 1 else (None, None)
+    return _cayley(f"free_abelian_{rank}", (0,) * rank, gens, _add, floor, height)
 
 
-def _reduced_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    # the letters x ends with cancel against the ones y starts with
-    while x and y and x[-1] == -y[0]:
-        x, y = x[:-1], y[1:]
-    return x + y
+def _word_product(base: int, x: int, y: int) -> int:
+    """Product of the reduced words x and y of :func:`free_group`, whose
+    base-``base`` digits, least significant first, are their letters."""
+    if x < base:
+        # x is one letter, or the identity 0; the letters 2i + 1 and
+        # 2i + 2 are inverse, and cancel when x meets its inverse
+        if x == 0:
+            return y
+        rest, first = divmod(y, base)
+        return rest if first == ((x - 1) ^ 1) + 1 else x + y * base
+    # x = l0 l1 ... ln: multiply y by ln first, then by each letter before
+    letters = []
+    while x:
+        x, letter = divmod(x, base)
+        letters.append(letter)
+    for letter in reversed(letters):
+        y = _word_product(base, letter, y)
+    return y
+
+
+def _exponent_sum(base: int, word: int) -> int:
+    total = 0
+    while word:
+        word, letter = divmod(word, base)
+        total += 1 if letter & 1 else -1
+    return total
 
 
 def free_group(rank: int) -> GeneratedSystem:
     """Free group on ``rank`` letters; states are reduced words.
 
-    A word is a tuple of nonzero ints, letter ``i`` is ``i+1`` and its
-    inverse ``-(i+1)``.
+    A word is an int: its base-(2 rank + 1) digits, least significant
+    first, are its letters.  Digit 2i + 1 is letter i, 2i + 2 its
+    inverse, and the identity, the empty word, is 0.  An int hashes and
+    compares in one step, and a move costs one divmod.  To decode a word
+    into letters, i + 1 for letter i and -(i + 1) for its inverse::
+
+        while word:
+            word, d = divmod(word, 2 * rank + 1)
+            letters.append((d + 1) // 2 if d % 2 else -(d // 2))
     """
-    gens = [(s * (i + 1),) for i in range(rank) for s in (1, -1)]
-    return _cayley(f"free_group_{rank}", (), gens, _reduced_product, partial(_tree_floor, rank))
+    base = 2 * rank + 1
+    # rank 0, the trivial group, has no height
+    height = partial(_exponent_sum, base) if rank >= 1 else None
+    mul = partial(_word_product, base)
+    return _cayley(
+        f"free_group_{rank}", 0, range(1, base), mul, partial(_tree_floor, rank), height
+    )
 
 
 def _heisenberg_product(x, y):
@@ -480,7 +553,11 @@ def heisenberg() -> GeneratedSystem:
     (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2).
     """
     gens = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
-    return _cayley("heisenberg", (0, 0, 0), gens, _heisenberg_product)
+    return _cayley("heisenberg", (0, 0, 0), gens, _heisenberg_product, height=_heisenberg_height)
+
+
+def _heisenberg_height(x) -> int:
+    return x[0] + x[1]
 
 
 def cyclic(n: int) -> GeneratedSystem:

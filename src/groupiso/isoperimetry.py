@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .groups import ExploredBall
+from .groups import ExploredBall, _unique
 
 #: Defaults of the profile functions and commands: the work cap of the
 #: exact rows, and the annealer's chains per row and most steps per chain.
@@ -95,7 +95,7 @@ def _candidates(ball: ExploredBall, candidates) -> np.ndarray:
         return default_candidates(ball)
     cand = np.asarray(candidates, np.int64)
     n = ball.num_vertices
-    if cand.ndim != 1 or not ((cand >= 0) & (cand < n)).all() or np.unique(cand).size < cand.size:
+    if cand.ndim != 1 or not ((cand >= 0) & (cand < n)).all() or _unique(cand).size < cand.size:
         raise ValueError(f"candidates must be distinct vertices in 0..{n - 1}")
     return cand
 

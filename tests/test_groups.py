@@ -1,18 +1,23 @@
 """Window exploration: frozen counts, structure checks, budget caps."""
 
+import dataclasses
+import hashlib
 import itertools
 import random
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupiso import catalogue, specio
 from groupiso.groups import (
     ExploredBall,
     ResourceCapError,
     _ceil_root,
-    _reduced_product,
+    _word_product,
     ball_from_edges,
     cyclic,
     diameter,
@@ -31,6 +36,9 @@ from groupiso.groups import (
 # (system factory, horizon) -> (vertices, edges, complete)
 FROZEN_SIZES = {
     "z_8": (lambda: free_abelian(1), 8, 17, 16, False),
+    # rank 0 is the trivial group: no height, and a complete window
+    "z0_3": (lambda: free_abelian(0), 3, 1, 0, True),
+    "f0_3": (lambda: free_group(0), 3, 1, 0, True),
     "z2_6": (lambda: free_abelian(2), 6, 85, 144, False),
     "f2_4": (lambda: free_group(2), 4, 161, 160, False),
     "heis_4": (lambda: heisenberg(), 4, 135, 160, False),
@@ -289,10 +297,203 @@ def test_group_law(name):
         assert mul(mul(x, y), z) == mul(x, mul(y, z))
 
 
+def _reduced_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The free group law on words as tuples of letters, i + 1 for letter
+    i and -(i + 1) for its inverse: the letters x ends with cancel
+    against the ones y starts with."""
+    while x and y and x[-1] == -y[0]:
+        x, y = x[:-1], y[1:]
+    return x + y
+
+
+def _letters(word: int, rank: int) -> tuple[int, ...]:
+    """A word of ``free_group(rank)`` as its tuple of letters."""
+    letters = []
+    while word:
+        word, d = divmod(word, 2 * rank + 1)
+        letters.append((d + 1) // 2 if d % 2 else -(d // 2))
+    return tuple(letters)
+
+
+def _word(letters: tuple[int, ...], rank: int) -> int:
+    """The inverse of :func:`_letters`."""
+    base = 2 * rank + 1
+    return sum((2 * a - 1 if a > 0 else -2 * a) * base**i for i, a in enumerate(letters))
+
+
 def test_reduced_product_cancels_across_the_seam():
-    assert _reduced_product((1, 2), (-2, -1, 2)) == (2,)
-    assert _reduced_product((1, -2), (2, -1)) == ()
-    assert _reduced_product((1,), (1, 2)) == (1, 1, 2)
+    def product(x, y):
+        return _letters(_word_product(5, _word(x, 2), _word(y, 2)), 2)
+
+    assert product((1, 2), (-2, -1, 2)) == (2,)
+    assert product((1, -2), (2, -1)) == ()
+    assert product((1,), (1, 2)) == (1, 1, 2)
+
+
+def test_word_product_is_the_reduced_product():
+    # every pair of the 161 reduced rank-2 words of length at most 4
+    words = [()]
+    for length in range(1, 5):
+        words += [
+            w for w in itertools.product((1, -1, 2, -2), repeat=length)
+            if all(a != -b for a, b in zip(w, w[1:]))
+        ]
+    assert len(words) == 161
+    codes = [_word(w, 2) for w in words]
+    assert [_letters(c, 2) for c in codes] == words
+    for x, cx in zip(words, codes):
+        for y, cy in zip(words, codes):
+            assert _letters(_word_product(5, cx, cy), 2) == _reduced_product(x, y)
+
+
+# every constructor that states a height
+HEIGHTS = [
+    *(partial(free_abelian, rank) for rank in (1, 2, 3)),
+    *(partial(free_group, rank) for rank in (1, 2)),
+    heisenberg,
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(factory=st.sampled_from(HEIGHTS), horizon=st.integers(1, 8))
+def test_a_height_leaves_no_edge_inside_a_level(factory, horizon):
+    system = factory()
+    ball = explore(system, horizon)
+    height = system.height
+    for label in ball.labels:
+        for move in system.moves:
+            assert abs(height(move(label)) - height(label)) == 1
+    assert not (ball.dist[ball.rows] == ball.dist[ball.indices]).any()
+    assert ball.complete is False
+    # the last level the walk skips held nothing: the full walk agrees
+    full = explore(dataclasses.replace(system, height=None), horizon)
+    for name in ("dist", "indptr", "indices"):
+        assert np.array_equal(getattr(ball, name), getattr(full, name))
+    assert full.complete is False and full.labels == ball.labels
+
+
+# name -> (sha256 of indptr, indices, dist and complete; sha256 of the
+# repr of the labels, free-group words as tuples of letters)
+WINDOW_PINS = {
+    "c12": (
+        "a645b09fc1707869d5bd625dc0beaaf3b057cd6896e21404dc2768df67c375a4",
+        "9d1c29e786274ad8c5f20303c3cd34c700525a6e107653d6361e7355d9cd0ff9",
+    ),
+    "c16": (
+        "f54621fb1139ef1bd89eb0825d7e59fa420322d45e0847a88a62f352b2d29285",
+        "74315212defb7058f62151c9d1ffc14555f82de0b7094f75d9048665809b6e1c",
+    ),
+    "c32": (
+        "bba6103eec3962e6001d74d0caad967df520ce1e453deeb6d25be4c1cf9e0834",
+        "98938332fddfdc0846f7e399428eea2a4cb2a88e60846d72c1c10d8d56daeddf",
+    ),
+    "c6": (
+        "cff9e953d61d87e7b8e4509805c07f3a709d50384dc880ef23902f0a05e7658a",
+        "77a6cfb5858c7e59c7c9c5fa81b56e1d46d0c8d8e8f793fdfcd2b794b573f830",
+    ),
+    "c64": (
+        "b6abbbb5908b03b14f298f1eb8a5b479acf2e98e600df514ea3b52787f3e3f42",
+        "46de265625e363a1baaaf96431c6512b9cfef960a69b67df7e04d24357892ba0",
+    ),
+    "c8": (
+        "70eec2afb93d31513009156b71bf21e2739f099dae556e8c79000186584923df",
+        "a4fc2dc33d36b6c89c5e67b8155300997117a8f2522c77444059e328d199e2b2",
+    ),
+    "d4": (
+        "81dd475d4e4f37057c5fc3192dd5e4d7d9109fd9493cd069bc998b80bd56004b",
+        "a6bdc2b1eab7d4dd3ae5295c46174bb2f631cbd6236c46e59b0d68fcfe5ce119",
+    ),
+    "d8": (
+        "c945d3bdd3ce6d8fcf93c741d98b6596d65419aaed4683afaed33f17328e72cb",
+        "7bf04260f05dda8788c65479391a18b51ce9478e696e275e25db90c06e75de17",
+    ),
+    "f2": (
+        "24063a6a483a75add42e46a81e37c459d17169b5cba0f5d63df534e08035bed4",
+        "77122429eee91c73a56365027659bcebd36e542f0b26ea06be9c700f9fcc3c47",
+    ),
+    "heisenberg": (
+        "f836579c6c590757b286b0a16748cddf72599dc7fae6338ec56ac2b37063b0b5",
+        "acc99b011b57c4074f7f191061e0dcdd4f5a870487fdc09f7e91b3d3cb320870",
+    ),
+    "q3": (
+        "81dd475d4e4f37057c5fc3192dd5e4d7d9109fd9493cd069bc998b80bd56004b",
+        "56936abf6634e02ea069fc3c4345f49254c76bde78569ab6f276f0bc6e723b2f",
+    ),
+    "q4": (
+        "bffa4d2fbb5d4aef2082938119fc1e582da5d2330303884826a6deb4ea148447",
+        "909417d181e0b6e53e73bb2c2e5414bd8b13f680735f427eb5802775010606f3",
+    ),
+    "q6": (
+        "a86e97f6ae4f996bd94788778223c15a780f97fcb817487c61225b30ae5d475e",
+        "b7958a99e84281093dd15595ff7c3f8670113410137db8cc9252c0ee7d9792f5",
+    ),
+    "s3": (
+        "a87e683822deb154ddca48e0b7a1789f628498bf65f74cd64f77feccb6998c84",
+        "62ff413c0e1fec2ed77cf1752dfb18590f84ee948a7df8c10363f6eeac17e4a0",
+    ),
+    "s3_points": (
+        "0489d623351edb0b8893555f9db589ef13a82f1b75d8c2ac01de72108d78b229",
+        "1d226b8db3e15d55d17d319ef9bc45dff4bb345f3713141d458ee3519271f553",
+    ),
+    "s4": (
+        "24defcdcf6bf58b2fefab05f96ec1c6bbd5917fe9dd60205faea38b3969db4a5",
+        "70397468e1a687cf1873307ed2a52f0f272d5083a5f646926d2318d121367225",
+    ),
+    "s4_points": (
+        "74272fa048ee566fdcb6005005333e0eec439a203e93f19ea11a14d77c430dbe",
+        "02b6deebe10f247a39a1f40c6e045af149df9c96491adce129613e8b30480780",
+    ),
+    "z": (
+        "1fd01527ab2bddc76c69cb58279f3a9db0bae927407a0c956dd263f0d27c2bc8",
+        "8d48f3894fc2b10d82153e0a732e6a12e3b15b576cf98e486c42120b9cd38167",
+    ),
+    "z2": (
+        "b9725b855a98b4a616b7ae38e3639ed41ae5ff2ee93586ca05e48261b4133bf7",
+        "df521cee306f8d1c9ee183027b41aca5edc07e8e17a649ea216238cc848bca92",
+    ),
+    "z3": (
+        "b7619285f76c1493d4bd5b7b840072384df68f3faf17d0f0c19ce6bebbf00958",
+        "b423821aff5e6546847472fe42f57514a23d62f1812dce5ff690a7cff97123fb",
+    ),
+    "f2_9": (
+        "61fb5438103d3bd21dad02f1a08ca00f1eb11f59abda0872d1f51986fd15e058",
+        "e31a991dc2011711f8c6cf68e7f7ef35b7ab1159b606de88c308f850f7e8ae33",
+    ),
+    "heisenberg_14": (
+        "ec708aa597cf8f9e3abb1b229837a24a8e43e628062ebea3ef9d7c8803588868",
+        "e2ec2b20874ef1b2cb204892261fa263aaf2a297c583c626c4e9ece0e920fa69",
+    ),
+    "z2_10": (
+        "184669a7c785d1f40d70bc9c97079a53d66bfe2884c02637e1727fb3f6979e9b",
+        "f54713f05fd8bb8550dd315838c8e8e5835ac3448fa5c246bbbdfb6b780dfd23",
+    ),
+    "z3_12": (
+        "fbcfba5e44ef193744ce7cd520db4c886bbe2ee17a3d2da11923c6b462b33525",
+        "49116b99ee5d4e2d98062e125eb2fc5101a1a798eeeb79cb650d128f9a1ccc25",
+    ),
+}
+
+LARGE_WINDOWS = {
+    "f2_9": lambda: explore(free_group(2), 9),
+    "heisenberg_14": lambda: explore(heisenberg(), 14),
+    "z2_10": lambda: explore(free_abelian(2), 10),
+    "z3_12": lambda: explore(free_abelian(3), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_PINS))
+def test_window_is_pinned(name):
+    ball = LARGE_WINDOWS[name]() if name in LARGE_WINDOWS else catalogue.build(name)
+    structure = hashlib.sha256()
+    for a in (ball.indptr, ball.indices, ball.dist):
+        structure.update(np.ascontiguousarray(a, "<i8").tobytes())
+    structure.update(b"complete" if ball.complete else b"window")
+    labels = ball.labels
+    if name.startswith("f2"):
+        labels = [_letters(w, 2) for w in labels]
+    assert (structure.hexdigest(), hashlib.sha256(repr(labels).encode()).hexdigest()) == (
+        WINDOW_PINS[name]
+    )
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
