@@ -150,12 +150,7 @@ def cmd_constants(args) -> int:
     ]
     payload = {
         "name": ball.name,
-        "isoperimetric": {
-            "rows": trace["rows"],
-            "best": trace["best"],
-            "best_k": trace["best_k"],
-            "exact": trace["exact"],
-        },
+        "isoperimetric": trace,
         "uncertainty": {
             "value": ascent.value,
             "start": ascent.start,

@@ -16,15 +16,15 @@ a boundary score and a state byte; it places its members, returns at
 once if they sit on the perimeter floor, and otherwise takes its start
 temperature from its own scores, by the loop's rule.  Everything in a
 step that does not depend on the chain's state is computed before the
-loop with numpy: the slot of the proposed neighbour, the fallback vertex
-and the largest even delta the Metropolis test accepts, so the loop
-calls no ``math.exp``.  Its per-step arrays stay memoryviews, the
-prepared ones in the narrowest dtype that holds them: they are read once
-each, in one ``zip``, and list copies would box every value, raising
-peak memory by megabytes per chain.  The acceptance cutoffs are the one
-list: mostly 0 and never above ``4 width + 4``, they are ints CPython
-shares up to 256 rather than boxes, and the list's iterator tells a
-chain that stops early, at a perimeter floor, how many steps it walked.
+loop with numpy: the slot of the proposed neighbour and the fallback
+vertex.  Its per-step arrays stay memoryviews, the prepared ones in the
+narrowest dtype that holds them: they are read once each, in one
+``zip``, and list copies would box every value, raising peak memory by
+megabytes per chain.  The acceptance entries are the one list: None on
+every step that rejects every positive delta, which is most of them, and
+otherwise the step's draw and temperature, so the loop applies the
+Metropolis test itself; the list's iterator tells a chain that stops
+early, at a perimeter floor, how many steps it walked.
 """
 
 from __future__ import annotations
@@ -250,29 +250,31 @@ def connected_profile(indptr, indices, cand, kmax, cap):
     return best, count, witnesses, limit
 
 
-def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur, best_set, perim, floor):
-    # Fixed cardinality Metropolis chain.  All randomness and the
-    # acceptance rule of every step are precomputed by the caller, so the
-    # walk is reproducible step by step.  adj[v] lists the neighbours of
-    # a pool vertex v (no other row is read), padded to one width with the
-    # sentinel vertex; state[v] is 0 outside the pool and at the sentinel,
-    # 1 for a free pool vertex and 2 for a member.  A step proposes the
-    # vertex in slot[s] of a member's row, or fallback[s] when that is not
-    # a free pool vertex.  score[v] is deg(v) minus twice the number of
-    # members next to v, and perim the perimeter of cur.  The graph is
-    # simple, so swapping member u for w changes the perimeter by
-    # delta = 2 (score[w] - score[u]), plus 4 when u and w are adjacent:
-    # u's edge to w stays cut.  delta is even, and the step is rejected
-    # when delta > dmax[s].  Only an accepted swap writes: state, cur, and
-    # score along the rows of u and w (the sentinel entries write a score
-    # no step reads).  A rejected step writes nothing.  No set has a
-    # perimeter below floor, so the chain stops once its best reaches it;
-    # returns the best and the number of steps walked.
+def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, accept, cur, best_set, perim, floor):
+    # Fixed cardinality Metropolis chain.  All randomness of every step is
+    # precomputed by the caller, so the walk is reproducible step by step.
+    # adj[v] lists the neighbours of a pool vertex v (no other row is
+    # read), padded to one width with the sentinel vertex; state[v] is 0
+    # outside the pool and at the sentinel, 1 for a free pool vertex and 2
+    # for a member.  A step proposes the vertex in slot[s] of a member's
+    # row, or fallback[s] when that is not a free pool vertex.  score[v] is
+    # deg(v) minus twice the number of members next to v, and perim the
+    # perimeter of cur.  The graph is simple, so swapping member u for w
+    # changes the perimeter by delta = 2 (score[w] - score[u]), plus 4
+    # when u and w are adjacent: u's edge to w stays cut.  delta is even,
+    # and a delta <= 0 is accepted.  A positive one is rejected where
+    # accept[s] is None, even before the adjacency test, which only adds;
+    # otherwise it is accepted when a < exp(-delta / t), accept[s] being
+    # (a, t).  Only an accepted swap writes: state, cur, and score along
+    # the rows of u and w (the sentinel entries write a score no step
+    # reads).  A rejected step writes nothing.  No set has a perimeter
+    # below floor, so the chain stops once its best reaches it; returns
+    # the best and the number of steps walked.
     best = perim  # best_set arrives as a copy of cur
-    # dmax is a list, whose iterator knows how many steps are left: a
+    # accept is a list, whose iterator knows how many steps are left: a
     # step counter would cost every step
-    left = iter(dmax)
-    for ri, si, j, fb, dm in zip(rem_idx, src_idx, slot, fallback, left):
+    left = iter(accept)
+    for ri, si, j, fb, acc in zip(rem_idx, src_idx, slot, fallback, left):
         w = adj[cur[si]][j]
         if state[w] != 1:
             w = fb
@@ -280,12 +282,12 @@ def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur,
                 continue
         u = cur[ri]
         delta = 2 * (score[w] - score[u])
-        if delta > dm:
+        if delta > 0 and acc is None:
             continue
         if u in adj[w]:
             delta += 4
-            if delta > dm:
-                continue
+        if delta > 0 and (acc is None or acc[0] >= math.exp(-delta / acc[1])):
+            continue
         state[u] = 1
         state[w] = 2
         for x in adj[u]:
@@ -298,8 +300,8 @@ def _anneal_loop(adj, state, score, rem_idx, src_idx, slot, fallback, dmax, cur,
             best = perim
             best_set[:] = cur
             if best <= floor:
-                return best, len(dmax) - operator.length_hint(left)
-    return best, len(dmax)
+                return best, len(accept) - operator.length_hint(left)
+    return best, len(accept)
 
 
 class Pool(NamedTuple):
@@ -345,39 +347,25 @@ def pool_rows(indptr, indices, cand):
 _COLD = 2.0 / 800
 
 
-def _cutoffs(acc_u, temps, sweep, width, dtype):
-    """Per step, the largest even delta the Metropolis test accepts.
+def _acceptance(acc_u, temps, sweep):
+    """Per step, what the Metropolis test needs to decide a positive delta.
 
-    Step s runs at ``temps[s // sweep]`` and accepts a positive delta when
-    ``acc_u[s] < math.exp(-delta / t)`` (never when t <= 0).  Deltas are
-    even and at most ``4 width + 4``.  Entry s is the largest even d in
-    that range for which every even d' <= d is accepted, or 0.  The
-    exponentials are those the test computes, one per even delta and
-    sweep, for the sweeps warmer than ``_COLD`` only.
+    Step s runs at ``t = temps[s // sweep]`` and accepts a positive delta
+    when t > 0 and ``acc_u[s] < math.exp(-delta / t)``.  Entry s is None
+    where no positive delta passes: at every t at or below ``_COLD``, and
+    where the draw already fails delta 2, the least
+    positive delta, since ``exp(-d / t) <= exp(-2 / t)`` for every even
+    d > 2.  Elsewhere it is ``(acc_u[s], t)``.  One ``exp`` per sweep
+    warmer than ``_COLD``, wherever those sweeps fall.
     """
-    nsteps = acc_u.shape[0]
-    dmax = np.zeros(nsteps, dtype)
-    warm = temps > _COLD
-    if not warm.any():
-        return dmax
-    steps = np.flatnonzero(np.repeat(warm, sweep)[:nsteps])
-    # the table row of each warm step: only the last sweep can be short
-    at = np.repeat(np.arange(np.count_nonzero(warm)), sweep)[:steps.shape[0]]
-    deltas = range(2, 4 * width + 5, 2)
-    table = np.array([[math.exp(-d / t) for d in deltas] for t in temps[warm].tolist()])
-    au = acc_u[steps]
-    lead = np.zeros(steps.shape[0], np.int64)
-    passed = np.zeros(steps.shape[0], np.int64)
-    alive = np.ones(steps.shape[0], np.bool_)
-    for col in table.T:
-        ok = au < col[at]
-        alive &= ok
-        lead += alive
-        passed += ok
-    if not np.array_equal(lead, passed):
-        raise RuntimeError("accepted deltas are not a prefix of the even deltas")
-    dmax[steps] = 2 * lead
-    return dmax
+    accept = [None] * acc_u.shape[0]
+    warm = np.flatnonzero(temps > _COLD)
+    for i, t in zip(warm.tolist(), temps[warm].tolist()):
+        bar = math.exp(-2.0 / t)
+        for s, au in enumerate(acc_u[i * sweep:(i + 1) * sweep].tolist(), i * sweep):
+            if au < bar:
+                accept[s] = (au, t)
+    return accept
 
 
 def anneal_chain(
@@ -388,8 +376,8 @@ def anneal_chain(
 
     ``pool`` is :func:`pool_rows` of the simple graph ``indptr``,
     ``indices`` and a pool holding ``members``.  Step s swaps member
-    ``rem_idx[s]`` for a pool neighbour of member ``src_idx[s]``,
-    accepting against ``acc_u[s]``: the neighbour in slot ``int(nb_u[s]
+    ``rem_idx[s]`` for a pool neighbour of member ``src_idx[s]``, when
+    the Metropolis test with draw ``acc_u[s]`` accepts: the neighbour in slot ``int(nb_u[s]
     * width)`` of the source's row, or, where that slot is past the row's
     end or holds no free pool vertex, ``pool.vertices[fb_idx[s]]``.  The
     temperature is multiplied by ``cool`` every ``sweep`` steps.  It
@@ -434,12 +422,11 @@ def anneal_chain(
     temps = np.full(max(1, -(-nsteps // sweep)), cool, np.float64)
     temps[0] = t0
     np.multiply.accumulate(temps, out=temps)
-    # narrow dtypes, and the float products truncated as they are written
-    small = np.min_scalar_type(4 * width + 4)
-    slot = np.empty(nsteps, small)
+    # a narrow dtype, and the float products truncated as they are written
+    slot = np.empty(nsteps, np.min_scalar_type(width))
     np.multiply(nb_u, width, out=slot, casting="unsafe")
-    dmax = _cutoffs(np.asarray(acc_u), temps, sweep, width, small).tolist()
+    accept = _acceptance(np.asarray(acc_u), temps, sweep)
     steps = [memoryview(np.ascontiguousarray(a)) for a in (rem_idx, src_idx, slot, vertices[fb_idx])]
     best_set = cur.copy()
-    best, walked = _anneal_loop(adj, state, score, *steps, dmax, cur, best_set, perim, floor)
+    best, walked = _anneal_loop(adj, state, score, *steps, accept, cur, best_set, perim, floor)
     return best, np.asarray(best_set, np.int64), walked

@@ -1,9 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 from groupiso import catalogue
 from groupiso.fields import grad_modulus, lp_norm
 from groupiso.isoperimetry import set_perimeter
+
+# pytest's ``pythonpath`` setting reaches this process only; the CLI and
+# backend tests start child interpreters, which import groupiso from
+# this checkout's src directory
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -264,8 +264,8 @@ def test_anneal_chain_matches_replay(name, whole, k, seed, probe_reference):
 def _reference_loop(
     adj, state, cand_list, rem_idx, src_idx, nb_u, fb_idx, acc_u, temp, score, cur, best_set,
 ):
-    # the annealer before slots and cutoffs: each step scales nb_u by its
-    # source's own row length and calls math.exp for a positive delta
+    # the annealer before slots: each step scales nb_u by its source's own
+    # row length, and decides a positive delta by math.exp at every temperature
     k = len(cur)
     for i in range(k):
         v = cur[i]
@@ -335,8 +335,9 @@ def _reference_chain(
 @pytest.mark.parametrize("k", [1, 4, 9])
 @pytest.mark.parametrize("seed", [5, 41])
 def test_anneal_chain_matches_reference_on_default_pools(name, k, seed, probe_reference):
-    # every default pool row has the pool's full width, so slots and
-    # cutoffs change no proposal and no acceptance: the chains are equal
+    # every default pool row has the pool's full width, so slots change no
+    # proposal, and None entries only reject what the test rejects: the
+    # chains are equal
     ball = _ball(name)
     cand, args = _chain_args(name, k, seed=seed)
     got, members, walked = _anneal(name, cand, args)
@@ -352,11 +353,11 @@ def test_rem_idx_is_the_ninth_parameter():
 
 def test_chain_on_the_floor_builds_no_walk(monkeypatch):
     # every singleton of c64 has perimeter 4, its floor: the chain returns
-    # before building temperatures, slots or cutoffs
+    # before building temperatures, slots or acceptance entries
     def refuse(*args):
-        raise AssertionError("cutoffs built for a chain on its floor")
+        raise AssertionError("acceptance built for a chain on its floor")
 
-    monkeypatch.setattr(kernels, "_cutoffs", refuse)
+    monkeypatch.setattr(kernels, "_acceptance", refuse)
     cand, args = _chain_args("c64", 1)
     assert _pool_floor(_ball("c64"), cand, 1) == 4
     got, members, walked = _anneal("c64", cand, args, floor=4)
@@ -388,7 +389,7 @@ def test_pool_rows_keep_the_order_of_the_pool(name, whole):
     assert (other.adj, other.width, other.state) == (pool.adj, pool.width, pool.state)
 
 
-def _cutoff_cases():
+def _acceptance_cases():
     t = 2.0 / 800
     return [
         # (t0, cool): falling, flat and rising temperatures
@@ -401,9 +402,11 @@ def _cutoff_cases():
     ]
 
 
-@pytest.mark.parametrize("t0,cool", _cutoff_cases())
+@pytest.mark.parametrize("t0,cool", _acceptance_cases())
 @pytest.mark.parametrize("width", [1, 4, 6])
 def test_cutoffs_agree_with_the_metropolis_test(t0, cool, width):
+    # each step's acceptance entry, read by the loop's rule, cuts off
+    # exactly the positive deltas the Metropolis test rejects
     sweep, nsteps = 3, 900
     acc_u = np.random.default_rng(11).random(nsteps)
     # one step in seven draws 0.0, which every exp above 0.0 accepts
@@ -411,20 +414,15 @@ def test_cutoffs_agree_with_the_metropolis_test(t0, cool, width):
     factors = np.full(-(-nsteps // sweep), cool)
     factors[0] = t0
     temps = np.multiply.accumulate(factors)
-    dmax = kernels._cutoffs(acc_u, temps, sweep, width, np.min_scalar_type(4 * width + 4))
-    for s, (au, dm) in enumerate(zip(acc_u.tolist(), dmax.tolist())):
+    accept = kernels._acceptance(acc_u, temps, sweep)
+    assert len(accept) == nsteps
+    for s, (au, entry) in enumerate(zip(acc_u.tolist(), accept)):
         t = float(temps[s // sweep])
         for delta in range(-4 * width - 4, 4 * width + 5, 2):
-            accept = delta <= 0 or (t > 0.0 and au < math.exp(-delta / t))
-            assert (delta > dm) == (not accept)
-
-
-def test_cutoffs_refuse_an_acceptance_that_is_no_prefix(monkeypatch):
-    # an exp that grows with delta would accept 4 where it rejects 2
-    monkeypatch.setattr(kernels.math, "exp", lambda x: min(1.0, -x / 10))
-    acc_u = np.array([0.3])
-    with pytest.raises(RuntimeError, match="not a prefix"):
-        kernels._cutoffs(acc_u, np.array([1.0]), 1, 1, np.uint8)
+            metropolis = delta <= 0 or (t > 0.0 and au < math.exp(-delta / t))
+            # the loop's rule: a None entry rejects every positive delta
+            loop = delta <= 0 or (entry is not None and entry[0] < math.exp(-delta / entry[1]))
+            assert loop == metropolis
 
 
 def test_backend_default_subprocess():
