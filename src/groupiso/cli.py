@@ -231,16 +231,19 @@ def _verify_checks(ball, nfields: int, seed: int) -> list[dict]:
     far = int(pool[np.argmax(ball.dist[pool])])
     if far != ball.base_index:
         weights.append(("multipoint", uncertainty.multipoint_weight(ball, [ball.base_index, far])))
-    # each weight's powers are taken once for the window
-    weights = [(wname, w, fields.WeightPowers(w)) for wname, w in weights]
+    # each weight's powers are taken once for the window, and only they
+    # outlive its admissibility check
+    powers = []
     usable = []
-    for wname, w, wpow in weights:
+    for wname, w in weights:
         rep = uncertainty.admissibility_report(ball, w)
         add(f"admissibility-{wname}", rep["admissible"], f"{len(rep['rows'])} radii")
+        powers.append(fields.WeightPowers(w))
         if rep["admissible"]:
-            usable.append(wpow)
+            usable.append(powers[-1])
+    del weights, w
 
-    floats = _float_battery(ball, nfields, seed, weights[0][2], usable)
+    floats = _float_battery(ball, nfields, seed, powers[0], usable)
     add(
         "additive-links", floats["links"] == 0,
         f"{nfields} fields x {len(EXPONENTS) * len(WEIGHT_POWERS)} grids, {floats['links']} failures,"

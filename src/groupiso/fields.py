@@ -201,10 +201,10 @@ class LivePart:
 
 def _closed_neighbourhood(ball: ExploredBall, values: np.ndarray) -> np.ndarray:
     """The vertices of the support of ``values`` and their neighbours, sorted."""
-    support = np.flatnonzero(values)
-    near = np.zeros(ball.num_vertices, np.bool_)
-    near[support] = True
-    near[ball.indices[kernels.row_entries(ball.indptr, support)[0]]] = True
+    on = values != 0
+    near = on.copy()
+    # the entries of the support's rows, picked by a byte per entry
+    near[ball.indices[np.repeat(on, ball.degrees)]] = True
     return np.flatnonzero(near)
 
 
@@ -311,7 +311,8 @@ class WeightPowers:
 
     def __init__(self, weight: np.ndarray):
         distinct = _unique(weight)
-        self._inverse = np.searchsorted(distinct, weight)
+        # the position of each vertex's value, in the narrowest dtype that holds it
+        self._inverse = np.searchsorted(distinct, weight).astype(np.min_scalar_type(distinct.size))
         self._distinct = distinct.astype(np.float64)
         self._tables: dict[float, np.ndarray] = {}
 

@@ -17,7 +17,8 @@ returns the induced graph on every state within that distance, stored in
 CSR form, as an :class:`ExploredBall` that keeps the system it came
 from; :func:`ball_from_edges` builds a window with no system from an
 edge list.  Vertices are indexed in discovery order, the base state is
-vertex 0.
+vertex 0.  A system whose states have int64 keys is walked on key
+arrays, every other one on its states as dict keys.
 """
 
 from __future__ import annotations
@@ -69,6 +70,15 @@ class GeneratedSystem:
     the base, which the height shares: no edge joins two states at one
     distance, and :func:`explore` skips its last level.  It is None for
     every other system.
+
+    ``code``, where the states have one, maps a horizon to ``(encode,
+    decode, moves)``: ``encode`` takes a state within that many moves of
+    the base to an int64 key, ``decode`` takes an int64 key array back
+    to the list of its states, and ``moves`` holds one function per
+    entry of ``moves``, in the same order, that applies the move to a
+    key array.  It returns None at a horizon whose keys could overflow
+    int64.  :func:`explore` walks a coded system on key arrays.  It is
+    None for every other system.
     """
 
     name: str
@@ -78,6 +88,7 @@ class GeneratedSystem:
     multiply: Callable[[Hashable, Hashable], Hashable] | None = None
     floor: Callable[[int], int] | None = None
     height: Callable[[Hashable], int] | None = None
+    code: Callable[[int], tuple[Callable, Callable, tuple[Callable, ...]] | None] | None = None
 
 
 def _frozen(values, dtype=np.int64) -> np.ndarray:
@@ -105,6 +116,12 @@ class ExploredBall:
     breadth first order puts first: the live part of the dense float
     fields and of the uncertainty ascent on an incomplete window (see
     :class:`groupiso.fields.LivePart`).
+
+    ``labels`` lists the state of every vertex, in vertex order.  The
+    constructor takes that list, or a function of no arguments that
+    returns it: a window explored on keys passes its key array and the
+    ``decode`` of its system's ``code``, and the list is built on first
+    access to ``labels``.
     """
 
     def __init__(self, name, horizon, dist, indptr, indices, complete, labels, system):
@@ -114,7 +131,7 @@ class ExploredBall:
         self.indptr = _frozen(indptr)
         self.indices = _frozen(indices)
         self.complete = bool(complete)
-        self.labels = list(labels)
+        self._labels = labels
         self.system = system
         self.base_index = 0
         self._diameter: int | None = None
@@ -142,6 +159,11 @@ class ExploredBall:
     def rows(self) -> np.ndarray:
         """Row index of every CSR entry, for vectorized edge sums."""
         return _frozen(np.repeat(np.arange(self.num_vertices), self.degrees))
+
+    @cached_property
+    def labels(self) -> list:
+        labels = self._labels
+        return labels() if callable(labels) else list(labels)
 
     @cached_property
     def index_of(self) -> dict:
@@ -218,9 +240,17 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
 
     Every state at distance <= horizon becomes a vertex; every edge whose
     endpoints both lie in the window is recorded once.  Self loops are
-    dropped and parallel moves are collapsed.  States are dict keys, so
-    the walk costs one hash and one move call per move application:
-    states that are cheap to hash and compare make it cheap.
+    dropped and parallel moves are collapsed.
+
+    A system with a ``code`` is walked level by level on int64 key
+    arrays: each level's images are looked up in the sorted array of
+    known keys, and the new ones are numbered in order of first
+    appearance, vertex by vertex and move by move.  Every other system is
+    walked on its states as dict keys, at one hash and one move call per
+    move application.  Both walks give the same window, in the same
+    vertex order, and raise the same errors.  The walk asks the code for
+    the horizon of the farthest state it makes, and takes the dict walk
+    where the code has none.
 
     A system with a ``height`` has no edge inside a distance level, so a
     move from the last level either leaves the window or lands on the
@@ -237,12 +267,33 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    # moves from the last level make states one past the horizon
+    reach = horizon if system.height is not None else horizon + 1
+    code = None if system.code is None else system.code(reach)
+    walk = _dict_walk if code is None else partial(_key_walk, code)
+    labels, sizes, levels = walk(system, horizon, max_vertices)
+    expanded = sum(sizes) - (0 if system.height is None else sizes[-1])
+    heads = np.concatenate(levels)
+    tails = np.repeat(np.arange(expanded), len(system.moves))
+    inside = heads >= 0
+    indptr, indices = _csr(sum(sizes), tails[inside], heads[inside])
+    dist = np.repeat(np.arange(len(sizes)), sizes)
+    complete = system.height is None and inside.all()
+    return ExploredBall(system.name, horizon, dist, indptr, indices, complete, labels, system)
+
+
+def _dict_walk(system: GeneratedSystem, horizon: int, max_vertices: int):
+    """The walk of :func:`explore` on states as dict keys.
+
+    Returns ``(labels, sizes, levels)``: the states in discovery order,
+    the number of them at each distance, and for each expanded level the
+    vertex every move takes each of its vertices to, vertex by vertex,
+    -1 outside the window.
+    """
     moves = system.moves
     index = {system.base: 0}
     labels = [system.base]
     sizes = [1]  # sizes[d] counts the vertices at distance d
-    # levels[d][i * len(moves) + j] is where move j takes vertex i of
-    # level d, -1 if outside the window
     levels = []
     claim = index.setdefault
 
@@ -269,19 +320,70 @@ def explore(system: GeneratedSystem, horizon: int, max_vertices: int = _MAX_VERT
         known = len(labels)
         levels.append(np.fromiter(claimed(images), np.int64, count))
         sizes.append(len(labels) - known)
-    expanded = len(labels)
     if system.height is None:
         # the last level adds no vertex: a move that leaves the window gets -1
         levels.append(np.fromiter(map(index.get, images, repeat(-1)), np.int64, count))
-    else:
-        expanded -= len(level)
-    heads = np.concatenate(levels)
-    tails = np.repeat(np.arange(expanded), len(moves))
-    inside = heads >= 0
-    indptr, indices = _csr(len(labels), tails[inside], heads[inside])
-    dist = np.repeat(np.arange(len(sizes)), sizes)
-    complete = system.height is None and inside.all()
-    return ExploredBall(system.name, horizon, dist, indptr, indices, complete, labels, system)
+    return labels, sizes, levels
+
+
+def _key_walk(code, system: GeneratedSystem, horizon: int, max_vertices: int):
+    """The walk of :func:`explore` on the int64 keys of ``code``.
+
+    Returns what :func:`_dict_walk` returns, with the labels as a
+    function of no arguments that decodes the keys.
+    """
+    encode, decode, moves = code
+    level = np.array([encode(system.base)], np.int64)
+    found = [level]  # the keys of each level, in discovery order
+    # every key found so far, sorted, and the vertex of each
+    known, where = level, np.zeros(1, np.int64)
+    sizes = [1]
+    levels = []
+    while True:
+        count = known.size
+        _check_work(system.name, count * len(moves), max_vertices)
+        if len(sizes) > horizon or not level.size:
+            break
+        images = _images(moves, level)
+        level = _first_seen(images[_lookup(known, where, images) < 0])
+        if count + level.size > max_vertices:
+            raise _over_budget(system.name, max_vertices)
+        # the new keys are numbered from count on, and filed in sorted place
+        order = np.argsort(level)
+        at = np.searchsorted(known, level[order])
+        known, where = np.insert(known, at, level[order]), np.insert(where, at, count + order)
+        levels.append(_lookup(known, where, images))
+        found.append(level)
+        sizes.append(level.size)
+    if system.height is None:
+        levels.append(_lookup(known, where, _images(moves, level)))
+    return partial(decode, np.concatenate(found)), sizes, levels
+
+
+def _images(moves, keys: np.ndarray) -> np.ndarray:
+    """Where every move takes every key, key by key."""
+    out = np.empty((keys.size, len(moves)), np.int64)
+    for j, move in enumerate(moves):
+        out[:, j] = move(keys)
+    return out.ravel()
+
+
+def _lookup(known: np.ndarray, where: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``where[i]`` for each key equal to ``known[i]``, -1 for a key not
+    in ``known``, which is sorted."""
+    at = np.searchsorted(known, keys)
+    np.minimum(at, known.size - 1, out=at)
+    return np.where(known[at] == keys, where[at], -1)
+
+
+def _first_seen(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, in the order of their first appearance."""
+    # a stable sort puts the first appearance of a value first in its run
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    firsts = np.ones(keys.size, np.bool_)
+    np.not_equal(ranked[1:], ranked[:-1], out=firsts[1:])
+    return keys[np.sort(order[firsts])]
 
 
 def _check_work(name: str, work: int, max_vertices: int) -> None:
@@ -427,13 +529,13 @@ def validate_ball(ball: ExploredBall) -> list[str]:
 
 
 def _cayley(
-    name: str, identity: Hashable, gens: Sequence[Hashable], mul, floor=None, height=None
+    name: str, identity: Hashable, gens: Sequence[Hashable], mul, floor=None, height=None, code=None
 ) -> GeneratedSystem:
     """Cayley system of a group law: generator g moves x to g*x; ``floor``
-    is the family's perimeter floor and ``height`` the group's height, if
-    it has them (see :class:`GeneratedSystem`)."""
+    is the family's perimeter floor, ``height`` the group's height and
+    ``code`` its int64 keys, if it has them (see :class:`GeneratedSystem`)."""
     moves = tuple(partial(mul, g) for g in gens)
-    return GeneratedSystem(name, identity, moves, "cayley", mul, floor, height)
+    return GeneratedSystem(name, identity, moves, "cayley", mul, floor, height, code)
 
 
 # Edge-isoperimetric floors: k -> least perimeter (twice the cut edges)
@@ -519,6 +621,20 @@ def _exponent_sum(base: int, word: int) -> int:
     return total
 
 
+def _letter_keys(base: int, letter: int, words: np.ndarray) -> np.ndarray:
+    """:func:`_word_product` of one letter and each word of an array."""
+    rest, first = np.divmod(words, base)
+    return np.where(first == ((letter - 1) ^ 1) + 1, rest, words * base + letter)
+
+
+def _word_code(base: int, horizon: int):
+    # a word of at most horizon letters is below base**horizon
+    if base**horizon > 2**63 - 1:
+        return None
+    moves = tuple(partial(_letter_keys, base, letter) for letter in range(1, base))
+    return int, np.ndarray.tolist, moves
+
+
 def free_group(rank: int) -> GeneratedSystem:
     """Free group on ``rank`` letters; states are reduced words.
 
@@ -531,13 +647,20 @@ def free_group(rank: int) -> GeneratedSystem:
         while word:
             word, d = divmod(word, 2 * rank + 1)
             letters.append((d + 1) // 2 if d % 2 else -(d // 2))
+
+    From rank 1 on, the word is its own int64 ``code`` key, up to the
+    horizon h with (2 rank + 1)**h > 2**63 - 1: 27 for rank 2, 39 for
+    rank 1.
     """
     base = 2 * rank + 1
-    # rank 0, the trivial group, has no height
-    height = partial(_exponent_sum, base) if rank >= 1 else None
+    # rank 0, the trivial group, has no height and no moves to code
+    if rank >= 1:
+        height, code = partial(_exponent_sum, base), partial(_word_code, base)
+    else:
+        height = code = None
     mul = partial(_word_product, base)
     return _cayley(
-        f"free_group_{rank}", 0, range(1, base), mul, partial(_tree_floor, rank), height
+        f"free_group_{rank}", 0, range(1, base), mul, partial(_tree_floor, rank), height, code
     )
 
 
@@ -551,9 +674,42 @@ def heisenberg() -> GeneratedSystem:
     (a, b, c) stands for the upper unitriangular matrix with a and b on
     the first diagonal and c in the corner, so
     (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2).
+
+    Within h moves of the identity |a|, |b| <= h and |c| <= h**2, so the
+    int64 ``code`` key at horizon h packs (a + h, b + h, c + h**2) in
+    mixed radix (2h + 1, 2h + 1, 2h**2 + 1).
     """
     gens = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
-    return _cayley("heisenberg", (0, 0, 0), gens, _heisenberg_product, height=_heisenberg_height)
+    return _cayley(
+        "heisenberg", (0, 0, 0), gens, _heisenberg_product, None, _heisenberg_height,
+        partial(_heisenberg_code, gens),
+    )
+
+
+def _heisenberg_code(gens, horizon: int):
+    h = horizon
+    # key = (a + h) * a_step + (b + h) * b_step + c + h**2
+    b_step = 2 * h * h + 1
+    a_step = (2 * h + 1) * b_step
+    if (2 * h + 1) * a_step - 1 > 2**63 - 1:
+        return None
+
+    def encode(x):
+        return (x[0] + h) * a_step + (x[1] + h) * b_step + x[2] + h * h
+
+    def decode(keys):
+        a, rest = np.divmod(keys, a_step)
+        b, c = np.divmod(rest, b_step)
+        return list(zip((a - h).tolist(), (b - h).tolist(), (c - h * h).tolist()))
+
+    def move(g, keys):
+        # g * (a, b, c) = (a + g0, b + g1, c + g2 + g0 * b)
+        out = keys + (g[0] * a_step + g[1] * b_step + g[2])
+        if g[0]:
+            out += g[0] * (keys % a_step // b_step - h)
+        return out
+
+    return encode, decode, tuple(partial(move, g) for g in gens)
 
 
 def _heisenberg_height(x) -> int:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -370,6 +371,92 @@ def test_a_height_leaves_no_edge_inside_a_level(factory, horizon):
     for name in ("dist", "indptr", "indices"):
         assert np.array_equal(getattr(ball, name), getattr(full, name))
     assert full.complete is False and full.labels == ball.labels
+
+
+def _walked(system, horizon, max_vertices):
+    """The window, or the message of the error the walk raises."""
+    try:
+        return explore(system, horizon, max_vertices)
+    except ResourceCapError as err:
+        return str(err)
+
+
+def _same_window(system, horizon, max_vertices=500_000):
+    """The key walk of a coded system gives the dict walk's window, or
+    the dict walk's error."""
+    keyed = _walked(system, horizon, max_vertices)
+    reference = _walked(dataclasses.replace(system, code=None), horizon, max_vertices)
+    if isinstance(reference, str):
+        assert keyed == reference
+        return
+    for name in ("indptr", "indices", "dist"):
+        assert np.array_equal(getattr(keyed, name), getattr(reference, name))
+    assert keyed.complete is reference.complete
+    assert keyed.labels == reference.labels
+
+
+# every constructor that states a code
+CODED = [*(partial(free_group, rank) for rank in (1, 2, 3)), heisenberg]
+
+
+@settings(max_examples=40, deadline=None)
+@given(factory=st.sampled_from(CODED), horizon=st.integers(1, 8))
+def test_the_key_walk_is_the_dict_walk(factory, horizon):
+    system = factory()
+    assert system.code(horizon) is not None
+    # free_group(3) passes the budget from horizon 6 on
+    _same_window(system, horizon, max_vertices=20_000)
+
+
+@pytest.mark.parametrize(
+    "system, horizon, max_vertices, message",
+    [
+        (free_group(2), 6, 100, "exceeded 100 vertices"),
+        # the window has 53 vertices
+        (free_group(2), 3, 52, "exceeded 52 vertices"),
+        (heisenberg(), 6, 100, "exceeded 100 vertices"),
+        # 81 vertices of 80 moves each pass 64 moves per budget vertex
+        (free_group(40), 2, 100, "would apply 6480 moves"),
+        (free_group(40), 2, 1, "would apply 80 moves"),
+    ],
+)
+def test_both_walks_raise_the_same_error(system, horizon, max_vertices, message):
+    with pytest.raises(ResourceCapError, match=message):
+        explore(system, horizon, max_vertices)
+    _same_window(system, horizon, max_vertices)
+
+
+def test_a_window_may_fill_the_budget():
+    assert explore(free_group(2), 3, 53).num_vertices == 53
+    _same_window(free_group(2), 3, 53)
+
+
+def test_free_group_keys_stop_short_of_int64_overflow():
+    # 3**39 < 2**63 - 1 < 3**40: horizon 40 takes the dict walk
+    system = free_group(1)
+    assert system.code(39) is not None and system.code(40) is None
+    assert free_group(2).code(27) is not None and free_group(2).code(28) is None
+    for horizon in (39, 40):
+        _same_window(system, horizon)
+    # a**39 and a**-39, whose digits are all 1 and all 2
+    assert explore(system, 39).labels[-2:] == [(3**39 - 1) // 2, 3**39 - 1]
+
+
+@pytest.mark.parametrize(
+    "factory, horizon, bound_mb", [(partial(free_group, 2), 9, 1.6), (heisenberg, 14, 1.0)]
+)
+def test_a_coded_window_keeps_its_arrays_and_keys_only(factory, horizon, bound_mb):
+    system = factory()
+    explore(system, horizon)  # first-use allocations are not the window's
+    tracemalloc.start()
+    try:
+        ball = explore(system, horizon)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # dist, indptr, indices and the keys: no label is built before it is read
+    assert kept <= bound_mb * 2**20
+    assert len(ball.labels) == ball.num_vertices
 
 
 # name -> (sha256 of indptr, indices, dist and complete; sha256 of the
