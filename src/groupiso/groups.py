@@ -681,8 +681,8 @@ def heisenberg() -> GeneratedSystem:
     """
     gens = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
     return _cayley(
-        "heisenberg", (0, 0, 0), gens, _heisenberg_product, None, _heisenberg_height,
-        partial(_heisenberg_code, gens),
+        "heisenberg", (0, 0, 0), gens, _heisenberg_product,
+        height=_heisenberg_height, code=partial(_heisenberg_code, gens),
     )
 
 

@@ -404,7 +404,7 @@ CODED = [*(partial(free_group, rank) for rank in (1, 2, 3)), heisenberg]
 def test_the_key_walk_is_the_dict_walk(factory, horizon):
     system = factory()
     assert system.code(horizon) is not None
-    # free_group(3) passes the budget from horizon 6 on
+    # free_group(3) exceeds this budget from horizon 6 on, in both walks
     _same_window(system, horizon, max_vertices=20_000)
 
 
