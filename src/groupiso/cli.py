@@ -58,7 +58,13 @@ def _add_profile_args(sub: argparse.ArgumentParser, kmax: int, cap: int) -> None
 
 
 def _resolve(args):
-    spec = catalogue.spec(args.instance) if args.instance else specio.load_spec(args.spec)
+    if args.instance:
+        try:
+            spec = catalogue.spec(args.instance)
+        except KeyError as exc:  # an unknown name, reported like a bad spec
+            raise ValueError(*exc.args) from None
+    else:
+        spec = specio.load_spec(args.spec)
     given = {"horizon": args.horizon, "max_vertices": args.max_vertices}
     return specio.build_from_spec(spec | {k: v for k, v in given.items() if v is not None})
 
@@ -359,8 +365,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("constants", help="extremal constant estimates")
     _add_instance_args(p)
     _add_profile_args(p, kmax=6, cap=2_000_000)
-    p.add_argument("--starts", type=int, default=4)
-    p.add_argument("--iters", type=int, default=300)
+    p.add_argument("--starts", type=int, default=uncertainty.STARTS)
+    p.add_argument("--iters", type=int, default=uncertainty.ITERS)
     p.set_defaults(func=cmd_constants)
 
     p = subs.add_parser("verify", help="identity and inequality battery")
@@ -389,10 +395,8 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and value < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
         return args.func(args)
-    except (isoperimetry.WorkCapError, ResourceCapError, ValueError, KeyError, OSError) as exc:
-        # str() of a KeyError quotes its message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        sys.stderr.write(f"error: {message}\n")
+    except (isoperimetry.WorkCapError, ResourceCapError, ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

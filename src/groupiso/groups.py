@@ -50,11 +50,11 @@ class ResourceCapError(RuntimeError):
 class GeneratedSystem:
     """Base state plus a symmetric tuple of generator moves.
 
-    ``multiply`` is the group law.  Every Cayley system carries it (its
-    moves are left multiplications built from it), and the translation
-    walk of :func:`groupiso.growth.translation_maps` reads it; on a
-    Schreier system it is None, and the moves, each a generator
-    permutation applied to a point, are all there is of the acting group.
+    ``multiply`` is the group law, and ``kind`` is read off it: a system
+    with a law is a Cayley system (its moves are left multiplications,
+    and :func:`groupiso.growth.translation_maps` reads the law); one
+    without is a Schreier system, whose moves are all there is of the
+    acting group.
 
     ``floor``, where the family has one, maps k to the least perimeter
     of any k-set of the whole Cayley graph, a classical closed form in
@@ -84,11 +84,15 @@ class GeneratedSystem:
     name: str
     base: Hashable
     moves: tuple[Callable[[Hashable], Hashable], ...]
-    kind: str = "cayley"
     multiply: Callable[[Hashable, Hashable], Hashable] | None = None
     floor: Callable[[int], int] | None = None
     height: Callable[[Hashable], int] | None = None
     code: Callable[[int], tuple[Callable, Callable, tuple[Callable, ...]] | None] | None = None
+
+    @property
+    def kind(self) -> str:
+        """``"cayley"`` when the system carries its law, else ``"schreier"``."""
+        return "schreier" if self.multiply is None else "cayley"
 
 
 def _frozen(values, dtype=np.int64) -> np.ndarray:
@@ -535,7 +539,7 @@ def _cayley(
     is the family's perimeter floor, ``height`` the group's height and
     ``code`` its int64 keys, if it has them (see :class:`GeneratedSystem`)."""
     moves = tuple(partial(mul, g) for g in gens)
-    return GeneratedSystem(name, identity, moves, "cayley", mul, floor, height, code)
+    return GeneratedSystem(name, identity, moves, mul, floor, height, code)
 
 
 # Edge-isoperimetric floors: k -> least perimeter (twice the cut edges)
@@ -800,4 +804,4 @@ def permutation_action(
         for q in (t, _perm_inverse(t)):
             if q not in gens:
                 gens.append(q)
-    return GeneratedSystem(name, base_point, tuple(g.__getitem__ for g in gens), "schreier")
+    return GeneratedSystem(name, base_point, tuple(g.__getitem__ for g in gens))

@@ -12,7 +12,8 @@ parameters:
      "base_point": 0, "horizon": 4}
     {"kind": "explicit", "vertices": 3, "edges": [[0,1],[1,2]]}
 
-Optional keys: ``name`` (display override, a non-empty string),
+Optional keys: ``name`` (a non-empty string naming the system, hence
+its window and every error about it),
 ``max_vertices`` (the budget of :func:`groupiso.groups.explore`, on
 vertices and on moves applied; default ``groups._MAX_VERTICES``), for
 explicit graphs
@@ -32,6 +33,7 @@ explicit graph.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -55,9 +57,7 @@ _KINDS = {
     "permutation_action": (
         ("perms",),
         ("base_point",),
-        lambda s: groups.permutation_action(
-            s.get("name", "permutation_action"), s["perms"], s.get("base_point", 0)
-        ),
+        lambda s: groups.permutation_action("permutation_action", s["perms"], s.get("base_point", 0)),
     ),
     "explicit": (("vertices", "edges"), (), lambda s: None),
 }
@@ -137,14 +137,16 @@ def _is_int_list(value) -> bool:
 
 def build_from_spec(spec: dict) -> ExploredBall:
     """Explore the instance a spec describes; the window keeps its system
-    (None for an explicit graph)."""
+    (None for an explicit graph).  A ``name`` in the spec is put on the
+    system before it is explored, so the window and its errors carry it."""
     validate_spec(spec)
     max_vertices = spec.get("max_vertices", groups._MAX_VERTICES)
     count = _GENERATORS.get(spec["kind"])
     if count is not None:
         # the generators alone can cost more than the budget allows; fail
         # as exploring would, before building them
-        groups.check_first_levels(*count(spec), max_vertices)
+        name, generators = count(spec)
+        groups.check_first_levels(spec.get("name", name), generators, max_vertices)
     system = _KINDS[spec["kind"]][2](spec)
     if system is None:
         name = spec.get("name", "explicit")
@@ -152,7 +154,6 @@ def build_from_spec(spec: dict) -> ExploredBall:
             raise ResourceCapError(f"{name}: {spec['vertices']} vertices exceed the budget of {max_vertices}")
         edges = [tuple(e) for e in spec["edges"]]
         return groups.ball_from_edges(name, spec["vertices"], edges, horizon=spec.get("horizon"))
-    ball = groups.explore(system, spec["horizon"], max_vertices)
     if "name" in spec:
-        ball.name = spec["name"]
-    return ball
+        system = dataclasses.replace(system, name=spec["name"])
+    return groups.explore(system, spec["horizon"], max_vertices)

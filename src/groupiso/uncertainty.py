@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import field_pool
 from .fields import (
     RTOL,
     FloatField,
@@ -63,6 +64,11 @@ FACTORS = {
 #: The grid of exponents p and weight powers alpha every float report covers.
 EXPONENTS = (1.0, 2.0, 3.0)
 WEIGHT_POWERS = (0.5, 1.0, 2.0)
+
+#: Default starts, and most iterations per start, of :func:`uncertainty_ascent`
+#: and of ``groupiso constants``.
+STARTS = 4
+ITERS = 300
 
 
 # ---------------------------------------------------------------------------
@@ -307,31 +313,33 @@ def _rayleigh(part, values, weight):
     return n2 / (g * w), grad, sums
 
 
-def uncertainty_ascent(ball: ExploredBall, seed: int = 0, starts: int = 4, iters: int = 300) -> AscentResult:
+def uncertainty_ascent(
+    ball: ExploredBall, seed: int = 0, starts: int = STARTS, iters: int = ITERS
+) -> AscentResult:
     """Maximize ||f||_2^2 / (||grad f||_2 ||w f||_2) by subgradient ascent,
     w the :func:`canonical_weight` of the window.
 
     Start 0 is the base vertex spike; later starts are seeded Gaussian
-    fields.  On an incomplete window the support is confined two levels
-    inside the horizon so every reported quantity matches the ambient
-    graph; on a complete graph fields are projected to zero sum.  Only
-    improving steps are accepted, so each trace is monotone.  A window
-    without edges has no gradient to divide by and raises ValueError.
+    fields.  The support is the :func:`~groupiso.corpus.field_pool` of
+    the window, that of the corpus fields: two levels inside the horizon
+    on an incomplete window, so every reported quantity matches the
+    ambient graph; on a complete graph fields are projected to zero sum.
+    Only improving steps are accepted, so each trace is monotone.  A
+    window without edges has no gradient to divide by, and fewer than one
+    start has nothing to report: both raise ValueError.
 
     The fields are held on the :class:`~groupiso.fields.LivePart` of the
-    confining mask: the interior on an incomplete window, the whole of a
+    support: the interior on an incomplete window, the whole of a
     complete one.  Its sums run as over the window, so the result is the
     one the whole window gives, to the bit.
     """
+    if starts < 1:
+        raise ValueError("starts must be positive")
     if ball.num_edges == 0:
         raise ValueError(f"{ball.name}: the window has no edges, so the uncertainty quotient is undefined")
     n = ball.num_vertices
-    if ball.complete:
-        mask = np.ones(n, np.bool_)
-    else:
-        mask = ball.interior_within(1)
-        if not mask.any():
-            raise ValueError("window too shallow for a confined ascent")
+    mask = np.zeros(n, np.bool_)
+    mask[field_pool(ball)] = True
     part = LivePart(ball, mask)
     mask = mask[part.where]
     weight = canonical_weight(ball).astype(np.float64)[part.where]

@@ -190,6 +190,40 @@ def test_unknown_instance_fails():
         assert out.stderr.startswith("error: unknown instance 'nope'")
 
 
+def test_a_stray_key_error_is_not_an_error_line(monkeypatch):
+    # every bad spec or argument ends in ValueError; a KeyError is a bug
+    from groupiso import cli
+
+    def broken(args):
+        raise KeyError("stray")
+
+    monkeypatch.setattr(cli, "cmd_growth", broken)
+    with pytest.raises(KeyError, match="stray"):
+        cli.main(["growth", "--instance", "c6"])
+
+
+def test_a_window_too_shallow_for_fields_is_one_named_error(tmp_path):
+    # no vertex of a horizon-1 window keeps its neighbourhood's: verify's
+    # corpus and the ascent of constants fail on one pool, in one line
+    path = tmp_path / "h70.json"
+    path.write_text(json.dumps({"kind": "hypercube", "dim": 70, "horizon": 1}))
+    outs = [run_cli(command, "--spec", str(path), check=False) for command in ("verify", "constants")]
+    for out in outs:
+        _one_error_line(out)
+        assert out.stdout == ""
+    assert outs[0].stderr == outs[1].stderr == "error: hypercube_70: window too shallow to host corpus fields\n"
+
+
+def test_constants_defaults_are_the_ascents():
+    import inspect
+
+    from groupiso import cli, uncertainty
+
+    args = cli.make_parser().parse_args(["constants", "--instance", "c6"])
+    params = inspect.signature(uncertainty.uncertainty_ascent).parameters
+    assert (args.starts, args.iters) == (params["starts"].default, params["iters"].default)
+
+
 def test_vertex_budget_is_an_error():
     _one_error_line(
         run_cli("build", "--instance", "f2", "--horizon", "12", "--max-vertices", "1000", check=False)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from groupiso.corpus import (
     float_rows,
     rational_fields,
 )
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_exact_corpus_deterministic(plane):
@@ -167,7 +170,7 @@ def test_spec_horizon_override():
     ],
 )
 def test_spec_validation_rejects(spec):
-    with pytest.raises((ValueError, KeyError)):
+    with pytest.raises(ValueError):
         specio.validate_spec(spec)
 
 
@@ -179,6 +182,8 @@ def test_spec_validation_rejects(spec):
         ({"kind": "free_abelian", "rank": 5000, "horizon": 1, "max_vertices": 20000}, "free_abelian",
          "free_abelian_5000: exploration would apply 100010000 moves, more than 64 per vertex"
          " of the budget of 20000"),
+        ({"kind": "symmetric", "n": 1500, "horizon": 1, "name": "s1500"}, "symmetric_group",
+         "s1500: exploration exceeded 500000 vertices"),
     ],
 )
 def test_generator_count_breaks_the_budget_before_the_system_is_built(monkeypatch, spec, constructor, message):
@@ -220,6 +225,14 @@ def test_generator_count_check_agrees_with_exploring(spec):
     system = specio._KINDS[spec["kind"]][2](spec)
     direct = _outcome(lambda: groups.explore(system, spec["horizon"], spec["max_vertices"]))
     assert _outcome(lambda: specio.build_from_spec(spec)) == direct
+
+
+def test_a_spec_name_names_the_system_and_its_errors():
+    spec = {"kind": "cyclic", "n": 6, "horizon": 4, "max_vertices": 3, "name": "ring"}
+    with pytest.raises(groups.ResourceCapError, match="^ring: exploration exceeded 3 vertices$"):
+        specio.build_from_spec(spec)
+    ball = specio.build_from_spec(specio.load_spec(SPECS / "c16.json"))
+    assert ball.name == ball.system.name == "ring16"
 
 
 def test_shipped_specs_build():

@@ -274,6 +274,22 @@ def test_dihedral_is_cyclic_times_flip():
 CAYLEY = [n for n in catalogue.names() if catalogue.build(n).system.kind == "cayley"]
 
 
+@pytest.mark.parametrize("name", catalogue.names())
+def test_a_system_is_cayley_exactly_when_it_carries_its_law(name):
+    system = catalogue.build(name).system
+    assert (system.kind == "cayley") == (system.multiply is not None)
+
+
+def test_kind_is_read_only_and_not_a_field():
+    system = cyclic(5)
+    assert [f.name for f in dataclasses.fields(system)] == [
+        "name", "base", "moves", "multiply", "floor", "height", "code"
+    ]
+    assert dataclasses.replace(system, multiply=None).kind == "schreier"
+    with pytest.raises(AttributeError):
+        system.kind = "schreier"
+
+
 @pytest.mark.parametrize("name", CAYLEY)
 def test_moves_are_left_multiplications(name):
     ball = catalogue.build(name)

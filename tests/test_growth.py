@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupiso import catalogue
-from groupiso.groups import explore, permutation_action
+from groupiso import catalogue, cli
+from groupiso.groups import GeneratedSystem, cyclic, explore, permutation_action
 from groupiso.growth import (
     growth_counts,
     growth_value,
@@ -185,3 +185,20 @@ def test_orbital_rows_invert_the_right_translations(every_translation):
         orbital, automorphic = translation_maps(ball)
         assert automorphic
         assert np.argsort(orbital, axis=1).tolist() == every_translation(ball), name
+
+
+def test_a_lawless_cycle_is_a_schreier_system_translated_by_its_moves():
+    # no law, so no Cayley system: the translations are the moves, which
+    # on an abelian group are the right multiplications the law would give
+    system = GeneratedSystem("c5", 0, (lambda x: (x + 1) % 5, lambda x: (x - 1) % 5))
+    assert system.kind == "schreier"
+    ball, group = explore(system, 3), explore(cyclic(5), 3)
+    assert not ball.regular and ball.complete
+    for attr in ("dist", "indptr", "indices"):
+        assert getattr(ball, attr).tolist() == getattr(group, attr).tolist()
+    (orbital, automorphic), (want, want_automorphic) = translation_maps(ball), translation_maps(group)
+    assert orbital.tolist() == want.tolist() and automorphic == want_automorphic
+    checks = cli._verify_checks(ball, 5, 0)
+    assert all(c["ok"] for c in checks), checks
+    names = [c["name"] for c in checks]
+    assert "translation" in names and "double-counting" not in names

@@ -446,6 +446,18 @@ def test_ascent_keeps_the_zeros_of_a_start_that_never_moved():
     assert got.values.tobytes() == values.tobytes()
 
 
+def test_ascent_needs_a_start(ring16):
+    # no start leaves nothing to report, not a value of -inf
+    with pytest.raises(ValueError, match="starts must be positive"):
+        uncertainty_ascent(ring16, starts=0)
+
+
+def test_ascent_too_shallow_names_the_window():
+    ball = specio.build_from_spec({"kind": "hypercube", "dim": 70, "horizon": 1})
+    with pytest.raises(ValueError, match="^hypercube_70: window too shallow to host corpus fields$"):
+        uncertainty_ascent(ball)
+
+
 #: ``uncertainty_ascent(ball)`` at the catalogue horizon: the repr of its
 #: value, its trace length and the sha256 of ``values.tobytes()``
 ASCENT_BYTES = {
