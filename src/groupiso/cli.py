@@ -293,7 +293,7 @@ def _verify_checks(ball, nfields: int, seed: int) -> list[dict]:
                 try:
                     dc = isoperimetry.double_counting_report(ball, orbitals)
                 except isoperimetry.WorkCapError:
-                    pass  # too large a group to check exhaustively: no line
+                    pass  # a group above the double-counting limit: no line
                 else:
                     add("double-counting", dc["all_ok"], f"{dc['checked']} pairs, min slack {dc['min_slack']}")
 

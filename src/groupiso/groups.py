@@ -427,6 +427,8 @@ def ball_from_edges(
 
     The graph must be connected from its base, vertex 0; distances are
     computed by breadth first search and the window is marked complete.
+    A ``horizon`` below the largest distance from vertex 0 raises
+    ValueError.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -441,7 +443,10 @@ def ball_from_edges(
     ball.dist = _frozen(distances_from(ball, [0]))
     if (ball.dist < 0).any():
         raise ValueError(f"{name}: graph is not connected from the base vertex")
-    ball.horizon = max(int(ball.dist.max()), 1) if horizon is None else horizon
+    radius = int(ball.dist.max())
+    if horizon is not None and horizon < radius:
+        raise ValueError(f"{name}: horizon {horizon} is below the radius {radius} of the graph from vertex 0")
+    ball.horizon = max(radius, 1) if horizon is None else horizon
     return ball
 
 

@@ -34,9 +34,10 @@ BUDGET = 20_000
 #: Annealing temperature factor, applied once per sweep of k steps.
 _COOL = 0.97
 
-#: Largest group order :func:`double_counting_report` checks: it visits
-#: every pair of nonempty subsets, about 4**order pairs.
-_DOUBLE_COUNTING_ORDER = 10
+#: Largest group order :func:`double_counting_report` checks.  It sorts
+#: 2**(n - 2) sets at even order n: 16,384 at order 16 in about 10 ms,
+#: but 4.2 M sets of 24 deficits at order 24 (s4).
+_DOUBLE_COUNTING_ORDER = 16
 
 
 class WorkCapError(RuntimeError):
@@ -308,67 +309,63 @@ def profile_or_anneal(
 # Double counting on finite groups
 
 
-def _deficit(column: list[int], a_mask: int) -> int:
-    """Size of (A shifted by one group element) minus A, A as a bit mask."""
-    shifted = 0
-    rest = a_mask
-    while rest:
-        low = rest & -rest
-        shifted |= 1 << column[low.bit_length() - 1]
-        rest ^= low
-    return (shifted & ~a_mask).bit_count()
-
-
 def double_counting_report(ball: ExploredBall, orbitals: tuple[np.ndarray, bool]) -> dict:
-    """Exhaustive shift deficit check over all admissible subset pairs.
+    """The double-counting lemma on a finite group, one sort per set.
 
     ``ball`` is the complete window of a finite group (``ball.system``
     is a Cayley system; any other window raises ValueError), and
     ``orbitals`` is what :func:`groupiso.growth.translation_maps` returns
     on it.  Row y of the orbital array is the inverse of the right
-    translation by y, so its argsort shifts a set by y.  For every
-    nonempty A, B with 2|A| <= |B| the mean shift deficit must be at
-    least |A|/2.  Exact rational arithmetic throughout.  A group of order
-    above ``_DOUBLE_COUNTING_ORDER`` raises :class:`WorkCapError`.
+    translation by y, so its argsort shifts a set by y.  The lemma: for
+    nonempty A, B with 2|A| <= |B| the mean over y in B of |Ay \\ A| is
+    at least |A|/2.  Fix A: as running means of sorted values never
+    fall, the least mean over every such B is that of A's 2|A| smallest
+    deficits.  A left translate gA has A's deficits, so only the sets A
+    that contain the base and have |A| <= n/2 are sorted, and compared
+    in integers.  ``checked`` counts the (A, B) pairs so decided,
+    ``tight`` the sets whose least mean is |A|/2, and ``violations`` each
+    failing set with its least B (ties to the lower index).  A group of
+    order above ``_DOUBLE_COUNTING_ORDER`` raises :class:`WorkCapError`.
     """
     if ball.system is None or ball.system.kind != "cayley" or not ball.complete:
         raise ValueError("double counting needs the complete window of a Cayley system")
     n = ball.num_vertices
     if n > _DOUBLE_COUNTING_ORDER:
-        raise WorkCapError(
-            f"group order {n} exceeds the exhaustive limit {_DOUBLE_COUNTING_ORDER}"
-        )
-    # column y maps a to a*y
+        raise WorkCapError(f"group order {n} exceeds the double-counting limit {_DOUBLE_COUNTING_ORDER}")
+    # column y maps a to a*y; popcount[m] and image[m] fill in by doubling,
+    # as the masks in [2**i, 2**(i + 1)) are those below 2**i plus bit i
     columns = np.argsort(orbitals[0], axis=1).tolist()
-    checked = 0
-    equalities = 0
-    min_slack: Fraction | None = None
+    popcount = np.zeros(1 << n, np.uint8)
+    for i in range(n):
+        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
+    masks = np.arange(1 << n, dtype=np.int32)
+    sets = masks[((masks >> ball.base_index) & 1 == 1) & (popcount <= n // 2)]
+    sizes = popcount[sets].astype(np.int64)
+    deficits = np.empty((sets.size, n), np.uint8)
+    image = np.zeros(1 << n, np.int32)
+    for y, column in enumerate(columns):
+        for i, target in enumerate(column):
+            image[1 << i : 2 << i] = image[: 1 << i] | 1 << target
+        deficits[:, y] = popcount[image[sets] & ~sets]
+    least = np.cumsum(np.sort(deficits, axis=1), axis=1, dtype=np.int16)[np.arange(sets.size), 2 * sizes - 1]
+    excess = least - sizes * sizes
+    min_slack = min(
+        (Fraction(int(excess[sizes == a].min()), 2 * a) for a in range(1, n // 2 + 1)), default=None
+    )
     violations = []
-    masks = list(range(1, 1 << n))
-    popcounts = [m.bit_count() for m in masks]
-    members = [[i for i in range(n) if m >> i & 1] for m in masks]
-    for ai, a_mask in enumerate(masks):
-        asize = popcounts[ai]
-        deficits = [_deficit(col, a_mask) for col in columns]
-        for bi, b_mask in enumerate(masks):
-            bsize = popcounts[bi]
-            if 2 * asize > bsize:
-                continue
-            total = sum(deficits[b] for b in members[bi])
-            mean = Fraction(total, bsize)
-            slack = mean - Fraction(asize, 2)
-            checked += 1
-            if slack < 0:
-                violations.append({"A": a_mask, "B": b_mask, "mean": mean})
-            elif slack == 0:
-                equalities += 1
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
+    for s in np.flatnonzero(excess < 0).tolist():
+        b = np.argsort(deficits[s], kind="stable")[: 2 * sizes[s]]
+        violations.append(
+            {"A": int(sets[s]), "B": int((1 << b).sum()), "mean": Fraction(int(least[s]), 2 * int(sizes[s]))}
+        )
+    checked = sum(
+        math.comb(n, a) * sum(math.comb(n, b) for b in range(2 * a, n + 1)) for a in range(1, n // 2 + 1)
+    )
     return {
         "name": ball.name,
         "order": n,
         "checked": checked,
-        "equalities": equalities,
+        "tight": int(np.count_nonzero(excess == 0)),
         "min_slack": min_slack,
         "violations": violations,
         "all_ok": not violations,

@@ -17,7 +17,7 @@ its window and every error about it),
 ``max_vertices`` (the budget of :func:`groupiso.groups.explore`, on
 vertices and on moves applied; default ``groups._MAX_VERTICES``), for
 explicit graphs
-``horizon``, for ``symmetric`` ``generators`` and for
+``horizon`` (at least the graph's largest distance from vertex 0), for ``symmetric`` ``generators`` and for
 ``permutation_action`` ``base_point``; any other key is an error.  A
 spec whose generators alone break the budget (``free_abelian``,
 ``free_group``, ``hypercube`` and ``symmetric``, whose generator counts

@@ -143,7 +143,8 @@ def test_05_double_counting():
     t0 = time.monotonic()
     total = 0
     bad = []
-    for name in ("c6", "c8", "s3"):
+    names = ("c6", "c8", "s3", "c12", "c16", "d8", "q4")
+    for name in names:
         ball = catalogue.build(name)
         rep = double_counting_report(ball, translation_maps(ball))
         total += rep["checked"]
@@ -153,7 +154,7 @@ def test_05_double_counting():
     ok = not bad and elapsed < 120
     _verdict(
         5, "double-counting", ok,
-        f"{total} subset pairs over c6/c8/s3 in {elapsed:.1f}s, violations: {bad or 'none'}",
+        f"{total} subset pairs over {'/'.join(names)} in {elapsed:.1f}s, violations: {bad or 'none'}",
     )
 
 

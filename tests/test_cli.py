@@ -107,6 +107,15 @@ def test_verify_pass():
     out = run_cli("verify", "--instance", "c16", "--fields", "15")
     assert "verify cyclic_16: PASS" in out.stdout
     assert "FAIL" not in out.stdout
+    assert "double-counting: PASS (199811914 pairs, min slack 0)" in out.stdout.splitlines()
+
+
+def test_verify_has_no_double_counting_above_order_16(tmp_path):
+    path = tmp_path / "c17.json"
+    path.write_text(json.dumps({"kind": "cyclic", "n": 17, "horizon": 17}))
+    out = run_cli("verify", "--spec", str(path), "--fields", "3")
+    assert "double-counting" not in out.stdout
+    assert out.stdout.splitlines()[-1] == "verify cyclic_17: PASS"
 
 
 def test_verify_infinite_window():
@@ -257,12 +266,26 @@ def test_boolean_spec_horizon_is_an_error(tmp_path):
         # generator sets symmetric_group does not know
         {"kind": "symmetric", "n": 3, "generators": [], "horizon": 2},
         {"kind": "symmetric", "n": 3, "generators": "cycles", "horizon": 2},
+        # vertex 2 lies beyond the declared horizon
+        {"kind": "explicit", "vertices": 3, "edges": [[0, 1], [1, 2]], "horizon": 1},
     ],
 )
 def test_bad_spec_verify_is_an_error(tmp_path, spec):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     _one_error_line(run_cli("verify", "--spec", str(path), "--fields", "3", check=False))
+
+
+@pytest.mark.parametrize("command", ["build", "growth", "isoperimetry", "constants", "corpus"])
+def test_explicit_horizon_below_the_radius_is_an_error(tmp_path, command):
+    # a spec error under every command; verify's case is one of
+    # test_bad_spec_verify_is_an_error's specs
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"kind": "explicit", "vertices": 3, "edges": [[0, 1], [1, 2]], "horizon": 1}))
+    out = run_cli(command, "--spec", str(path), check=False)
+    _one_error_line(out)
+    assert out.stderr == "error: explicit: horizon 1 is below the radius 2 of the graph from vertex 0\n"
+    assert out.stdout == ""
 
 
 @pytest.mark.parametrize(

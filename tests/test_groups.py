@@ -121,6 +121,13 @@ def test_explicit_graph_rejects_disconnected():
         ball_from_edges("bad", 4, [(0, 1), (2, 3)])
 
 
+def test_explicit_graph_rejects_a_horizon_below_its_radius():
+    with pytest.raises(ValueError) as err:
+        ball_from_edges("p3", 3, [(0, 1), (1, 2)], horizon=1)
+    assert str(err.value) == "p3: horizon 1 is below the radius 2 of the graph from vertex 0"
+    assert ball_from_edges("p3", 3, [(0, 1), (1, 2)], horizon=2).horizon == 2
+
+
 def test_explicit_graph_rejects_outside_endpoint():
     with pytest.raises(ValueError, match="outside"):
         ball_from_edges("bad", 3, [(0, 1), (1, 3)])

@@ -16,7 +16,6 @@ from groupiso.growth import translation_maps
 from groupiso.isoperimetry import (
     WorkCapError,
     _chain_inputs,
-    _deficit,
     _pool_floor,
     anneal_min_perimeter,
     default_candidates,
@@ -404,8 +403,62 @@ def test_default_candidates_interior_only(plane):
     assert cand.shape[0] == 61
 
 
+def _deficit(column, a_mask):
+    """Size of (A shifted by one group element) minus A, A as a bit mask."""
+    shifted = 0
+    rest = a_mask
+    while rest:
+        low = rest & -rest
+        shifted |= 1 << column[low.bit_length() - 1]
+        rest ^= low
+    return (shifted & ~a_mask).bit_count()
+
+
+def _pair_loop(columns):
+    """The lemma decided pair by pair, the reference for the report: every
+    pair of nonempty sets A, B with 2|A| <= |B|, as bit masks.  Returns
+    (checked, equalities, min_slack, violations): ``equalities`` counts the
+    pairs of slack 0, ``violations`` lists every failing (A, B, mean)."""
+    n = len(columns)
+    checked = equalities = 0
+    min_slack = None
+    violations = []
+    masks = range(1, 1 << n)
+    members = {m: [i for i in range(n) if m >> i & 1] for m in masks}
+    for a_mask in masks:
+        asize = a_mask.bit_count()
+        deficits = [_deficit(col, a_mask) for col in columns]
+        for b_mask in masks:
+            bsize = len(members[b_mask])
+            if 2 * asize > bsize:
+                continue
+            mean = Fraction(sum(deficits[b] for b in members[b_mask]), bsize)
+            slack = mean - Fraction(asize, 2)
+            checked += 1
+            if slack < 0:
+                violations.append((a_mask, b_mask, mean))
+            elif slack == 0:
+                equalities += 1
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+    return checked, equalities, min_slack, violations
+
+
+#: Groups of order 9 and 10, which the catalogue does not name.
+_ORDER_9_10 = {
+    "cyclic_9": {"kind": "cyclic", "n": 9, "horizon": 10},
+    "cyclic_10": {"kind": "cyclic", "n": 10, "horizon": 10},
+    "dihedral_5": {"kind": "dihedral", "n": 5, "horizon": 10},
+}
+
+
+def _group(name):
+    spec = _ORDER_9_10.get(name)
+    return catalogue.build(name) if spec is None else specio.build_from_spec(spec)
+
+
 def _double_counting(name):
-    ball = catalogue.build(name)
+    ball = _group(name)
     return double_counting_report(ball, translation_maps(ball))
 
 
@@ -427,7 +480,8 @@ def test_double_counting_exhaustive():
     assert rep["checked"] == 692
     assert rep["min_slack"] == 0
     assert rep["violations"] == []
-    assert rep["equalities"] == 104
+    # each of the 16 sets with the base and at most 3 members meets |A|/2
+    assert rep["tight"] == 16
 
 
 def test_double_counting_symmetric_group():
@@ -437,19 +491,68 @@ def test_double_counting_symmetric_group():
 
 
 def test_double_counting_rejects_large():
-    with pytest.raises(WorkCapError):
-        _double_counting("c16")
+    ball = specio.build_from_spec({"kind": "cyclic", "n": 17, "horizon": 17})
+    with pytest.raises(WorkCapError, match="group order 17 exceeds the double-counting limit 16"):
+        double_counting_report(ball, translation_maps(ball))
 
 
 @pytest.mark.parametrize(
     "name,checked,equalities",
-    [("c6", 692, 104), ("c8", 8682, 418), ("d4", 8682, 706), ("s3", 692, 122), ("q3", 8682, 882)],
+    [
+        ("c6", 692, 104), ("c8", 8682, 418), ("d4", 8682, 706), ("s3", 692, 122), ("q3", 8682, 882),
+        ("cyclic_9", 30450, 510), ("cyclic_10", 106622, 1262), ("dihedral_5", 106622, 2282),
+    ],
 )
 def test_double_counting_pinned(name, checked, equalities):
-    # pinned from a table built by the group law, before the orbitals served
+    # the pair loop's counts, pinned from a table built by the group law
+    # before the orbitals served; the report, one sort per set, decides
+    # the same pairs with the same least slack
+    ball = _group(name)
+    columns = np.argsort(translation_maps(ball)[0], axis=1).tolist()
+    assert _pair_loop(columns) == (checked, equalities, 0, [])
     rep = _double_counting(name)
-    assert (rep["checked"], rep["equalities"], rep["min_slack"]) == (checked, equalities, 0)
+    assert (rep["checked"], rep["min_slack"]) == (checked, 0)
     assert rep["all_ok"] and rep["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "name,checked,tight",
+    [
+        ("c6", 692, 16), ("c8", 8682, 58), ("d4", 8682, 64), ("s3", 692, 16), ("q3", 8682, 64),
+        ("c12", 1308320, 583), ("c16", 199811914, 6952), ("d8", 199811914, 8358),
+        ("q4", 199811914, 10896),
+    ],
+)
+def test_double_counting_sets_pinned(name, checked, tight):
+    rep = _double_counting(name)
+    assert (rep["checked"], rep["tight"], rep["min_slack"]) == (checked, tight, 0)
+    assert rep["all_ok"] and rep["violations"] == []
+
+
+def test_double_counting_violations_on_doctored_columns():
+    # columns that are not right translations: the lemma can fail, and a
+    # set's deficits are no longer those of its translates, so the report
+    # finds exactly the failing sets of the loop that contain the base
+    ball = catalogue.build("c8")
+    rows = np.random.default_rng(0).permuted(np.tile(np.arange(8), (8, 1)), axis=1)
+    rep = double_counting_report(ball, (rows, True))
+    columns = np.argsort(rows, axis=1).tolist()
+    pairs = _pair_loop(columns)[3]
+    least = {}
+    for a_mask, _, mean in pairs:
+        if a_mask & 1:
+            least[a_mask] = min(mean, least.get(a_mask, mean))
+    assert 0 < len(least) < 64
+    assert [v["A"] for v in rep["violations"]] == sorted(least)
+    assert not rep["all_ok"]
+    assert rep["min_slack"] == min(mean - Fraction(a.bit_count(), 2) for a, mean in least.items())
+    for v in rep["violations"]:
+        a_mask = v["A"]
+        size = 2 * a_mask.bit_count()
+        by_deficit = sorted(range(8), key=lambda y: (_deficit(columns[y], a_mask), y))
+        assert v["B"] == sum(1 << y for y in by_deficit[:size])
+        assert v["mean"] == least[a_mask]
+        assert v["mean"] == Fraction(sum(_deficit(columns[y], a_mask) for y in by_deficit[:size]), size)
 
 
 def test_double_counting_needs_a_cayley_window():
